@@ -10,9 +10,16 @@ p below s in the direction of r.  Signs are fixed by the extraspecial-pair
 convention over the height-then-lexicographic order on positive roots; the
 build verifies the Jacobi identity on a deterministic sample and aborts on
 any inconsistency.
+
+The Killing form K(x, y) = trace(ad x ad y) is read from a Gram table over
+the basis that each algebra builds on first use.  Only the pairs (X_r, X_-r)
+and (H_i, H_j) can be nonzero, because ad e_i ad e_j shifts every weight by
+wt_i + wt_j; their traces are computed from the structure constants and the
+Cartan pairings.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .rootsys import build_root_system
@@ -145,9 +152,11 @@ class ChevalleyAlgebra:
                         / self._len2[d2]
                     )
                 val = -tt * term / n0
-                assert val.denominator == 1 and val != 0, (t, r, s, val)
+                if val.denominator != 1 or val == 0:
+                    raise AssertionError(f"N{r, s} = {val} for root {t} is not a nonzero integer")
                 n = int(val)
-                assert abs(n) == self._string_below(r, s) + 1, (t, r, s, n)
+                if abs(n) != self._string_below(r, s) + 1:
+                    raise AssertionError(f"|N{r, s}| = {abs(n)} is not p + 1 for root {t}")
                 self._npos[(r, s)] = n
 
     def _npos_any_order(self, r, s):
@@ -173,7 +182,8 @@ class ChevalleyAlgebra:
         else:
             v = tuple(-c for c in v)
             val = Fraction(self._len2[v], self._len2[u]) * self._npos_any_order(v, r)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise AssertionError(f"N{a, b} = {val} is not an integer")
         return int(val)
 
     def struct_const(self, r, s):
@@ -200,20 +210,9 @@ class ChevalleyAlgebra:
     def h(self, i):
         return LieElement(self, {("H", i): 1})
 
-    def coroot_element(self, r):
-        """H_r = r^vee expanded over the simple coroot generators."""
-        co = self.rs.coroot(r)
-        return LieElement(self, {("H", i): c for i, c in enumerate(co)})
-
     def cartan_element(self, values):
         return LieElement(
             self, {("H", i): v for i, v in enumerate(values)}
-        )
-
-    def root_value_on(self, r, cartan_coeffs):
-        """r(H) for H = sum c_i H_i."""
-        return sum(
-            c * self.rs._cartan_pairing(r, i) for i, c in enumerate(cartan_coeffs)
         )
 
     # -- operations -----------------------------------------------------
@@ -254,22 +253,52 @@ class ChevalleyAlgebra:
             cols.append({self.index[k]: v for k, v in img.coeffs.items()})
         return cols
 
-    def ad_matrix(self, a):
-        """Dense matrix of ad(a) over the full basis."""
-        cols = self.ad_columns(a)
-        m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                m[i][j] = v
-        return m
+    @cached_property
+    def _killing_gram(self):
+        """K(e_i, e_j) for the basis pairs of opposite weight, as
+        label -> {label: value}; every other pair has K = 0."""
+        rs = self.rs
+        gram = {}
+        for r in self._pos:
+            neg = tuple(-c for c in r)
+            co = rs.coroot(r)
+            # e = H_i: [X_r, [X_-r, H_i]] = <r, a_i^vee> H_r adds
+            # <r, a_i^vee> co_i, in all r(H_r); e = X_r:
+            # [X_r, [X_-r, X_r]] = [H_r, X_r] = r(H_r) X_r adds r(H_r) again
+            k = 2 * sum(c * rs._cartan_pairing(r, i) for i, c in enumerate(co))
+            # e = X_s, s != r: [X_r, [X_-r, X_s]] = N_{-r,s} N_{r,s-r} X_s
+            for s in rs.all_roots:
+                d = tuple(a - b for a, b in zip(s, r))
+                if s != r and rs.is_root(d):
+                    k += self._nany(neg, s) * self._nany(r, d)
+            # trace(ad X_-r ad X_r) = trace(ad X_r ad X_-r)
+            gram[r] = {neg: k}
+            gram[neg] = {r: k}
+        for i in range(self.rank):
+            row = {}
+            for j in range(self.rank):
+                # [H_i, [H_j, X_a]] = <a, a_i^vee> <a, a_j^vee> X_a
+                k = sum(
+                    rs._cartan_pairing(a, i) * rs._cartan_pairing(a, j)
+                    for a in rs.all_roots
+                )
+                if k:
+                    row[("H", j)] = k
+            gram[("H", i)] = row
+        return gram
 
     def killing(self, a, b):
+        """Killing form trace(ad a ad b), read from the Gram table."""
         a._check(b)
+        if a.alg is not self:
+            raise ValueError("elements belong to a different algebra")
+        gram = self._killing_gram
         tot = Fraction(0)
-        for lbl in self.basis_labels:
-            e = LieElement(self, {lbl: 1})
-            img = self.bracket(a, self.bracket(b, e))
-            tot += img.coeffs.get(lbl, 0)
+        for k1, c1 in a.coeffs.items():
+            for k2, g in gram[k1].items():
+                c2 = b.coeffs.get(k2)
+                if c2:
+                    tot += c1 * c2 * g
         return tot
 
     def centralizer(self, a):

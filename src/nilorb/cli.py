@@ -10,6 +10,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .rootsys import CartanType, build_root_system
 class VerdictReport:
     name: str
     ref: str
-    status: str                 # 'pass' | 'fail' | 'probabilistic'
+    status: str                 # 'pass' | 'fail' | 'probabilistic' | 'error'
     detail: str = ""
     witness: dict = field(default_factory=dict)
     runtime: float = 0.0
@@ -412,7 +413,12 @@ def run_suites(only=None, seed=0, jobs=1):
     reports = []
     for name, fn in selected:
         t0 = time.monotonic()
-        suite_reports = fn(seed)
+        try:
+            suite_reports = fn(seed)
+        except Exception as exc:  # suite boundary: report it, run the others
+            suite_reports = [VerdictReport(
+                name, name, "error", f"{type(exc).__name__}: {exc}",
+                {"traceback": traceback.format_exc().splitlines()})]
         dt = time.monotonic() - t0
         for r in suite_reports:
             r.runtime = dt / max(1, len(suite_reports))
@@ -538,7 +544,8 @@ def cmd_verify(args):
             indent=2, sort_keys=True))
     else:
         for r in reports:
-            mark = {"pass": "PASS", "probabilistic": "PROB", "fail": "FAIL"}[r.status]
+            mark = {"pass": "PASS", "probabilistic": "PROB", "fail": "FAIL",
+                    "error": "ERROR"}[r.status]
             print(f"[{mark}] {r.ref}/{r.name} ({r.runtime:.2f}s) {r.detail}")
             if not r.ok and r.witness:
                 print(f"       witness: {r.witness}")

@@ -47,22 +47,38 @@ def rank(rows):
     return len(rref(rows)[1])
 
 
+def _kernel(m, pivots, ncols):
+    """Null space basis of the first `ncols` columns of a reduced matrix."""
+    pivset = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            if pc < ncols:
+                v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _solution(m, pivots, ncols):
+    """Solution read from the reduced augmented matrix [A | b], or None."""
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][ncols]
+    return x
+
+
 def kernel_basis(rows):
     """Basis of the right null space of the matrix, as coefficient lists."""
     if not rows:
         return []
-    ncols = len(rows[0])
     m, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    return _kernel(m, pivots, len(rows[0]))
 
 
 def solve(rows, rhs):
@@ -72,15 +88,18 @@ def solve(rows, rhs):
     """
     if not rows:
         return None
+    m, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    return _solution(m, pivots, len(rows[0]))
+
+
+def solve_with_kernel(rows, rhs):
+    """One solution of A x = b (None if inconsistent) and a basis of the
+    null space of A, both from a single reduction of [A | b]."""
+    if not rows:
+        return None, []
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
+    m, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    return _solution(m, pivots, ncols), _kernel(m, pivots, ncols)
 
 
 def sparse_rank(cols_by_row):
@@ -119,3 +138,24 @@ def sparse_rank(cols_by_row):
                 reduced.append(other)
         rows = reduced
     return rk
+
+
+def sparse_is_nilpotent(cols):
+    """True iff the square matrix given by its sparse columns ({row: value}
+    dicts) has a zero power with exponent at most its size + 1: the images
+    of the basis vectors are multiplied by the matrix until all vanish."""
+    cur = [col for col in cols if col]
+    for _ in range(len(cols)):
+        if not cur:
+            return True
+        nxt = []
+        for vec in cur:
+            out = {}
+            for j, c in vec.items():
+                for i, a in cols[j].items():
+                    out[i] = out.get(i, 0) + c * a
+            out = {i: x for i, x in out.items() if x}
+            if out:
+                nxt.append(out)
+        cur = nxt
+    return not cur

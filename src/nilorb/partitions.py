@@ -247,7 +247,3 @@ class OrbitPoset:
             o for o in nz
             if not any(closure_leq(x, o) and x != o for x in nz)
         ]
-
-
-def enumerate_orbits(family, rank):
-    return OrbitPoset(family, rank)

@@ -9,6 +9,7 @@ length 2.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 FAMILIES = "ABCDEFG"
 
@@ -198,8 +199,12 @@ class RootSystem:
     def squared_lengths(self):
         return sorted({self.inner(r, r) for r in self.all_roots})
 
+    @cached_property
+    def _long_len2(self):
+        return max(self.squared_lengths())
+
     def is_long(self, r):
-        return self.inner(r, r) == max(self.squared_lengths())
+        return self.inner(r, r) == self._long_len2
 
     def highest_root(self):
         """The unique root maximal in the coordinatewise order."""
@@ -211,9 +216,6 @@ class RootSystem:
             all(a >= b for a, b in zip(best, r)) for r in self.positive_roots
         ), "highest root is not coordinatewise maximal"
         return best
-
-    def long_positive_roots(self):
-        return [r for r in self.positive_roots if self.is_long(r)]
 
     def short_positive_roots(self):
         return [r for r in self.positive_roots if not self.is_long(r)]

@@ -191,3 +191,41 @@ def test_mixed_algebra_rejected():
     a1, a2 = build_algebra("A1"), build_algebra("A2")
     with pytest.raises((ValueError, AssertionError)):
         a1.h(0) + a2.h(0)
+
+
+def _trace_killing(alg, x, y):
+    """trace(ad x ad y), summed over the basis with `bracket`."""
+    total = F(0)
+    for lbl in alg.basis_labels:
+        e = alg.element({lbl: F(1)})
+        total += alg.bracket(x, alg.bracket(y, e)).coeffs.get(lbl, 0)
+    return total
+
+
+def _dual(lbl):
+    return lbl if lbl[0] == "H" else tuple(-c for c in lbl)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "C3", "F4"])
+def test_killing_gram_matches_trace_on_random_elements(name):
+    alg = build_algebra(name)
+    labels = list(alg.basis_labels)
+    rng = random.Random(11)
+    for _ in range(8):
+        x = alg.element({lbl: F(rng.randint(-3, 3))
+                         for lbl in rng.sample(labels, min(8, len(labels)))})
+        # y meets labels dual to some of x's, so that K(x, y) is seldom 0
+        y_labels = [_dual(lbl) for lbl in list(x.coeffs)[:4]] + rng.sample(labels, 3)
+        y = alg.element({lbl: F(rng.randint(1, 3)) for lbl in y_labels})
+        assert alg.killing(x, y) == _trace_killing(alg, x, y)
+
+
+def test_killing_gram_matches_trace_on_e6_basis_pairs():
+    alg = build_algebra("E6")
+    rng = random.Random(2)
+    pairs = [(r, tuple(-c for c in r)) for r in alg.rs.positive_roots]
+    pairs += [(r, rng.choice(alg.rs.all_roots)) for r in alg.rs.positive_roots]
+    pairs += [(("H", i), ("H", j)) for i in range(alg.rank) for j in range(alg.rank)]
+    for a, b in pairs:
+        x, y = alg.element({a: F(1)}), alg.element({b: F(1)})
+        assert alg.killing(x, y) == _trace_killing(alg, x, y)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,3 +132,33 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_verify_suite_exception_becomes_error_report(capsys, monkeypatch):
+    def broken(seed):
+        raise ValueError("suite crashed")
+
+    suites = [s for s in cli.SUITES if s[0] in ("closure-order", "g2-classification")]
+    suites.insert(1, ("broken", (), broken))
+    monkeypatch.setattr(cli, "SUITES", suites)
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    errors = [r for r in payload["reports"] if r["status"] == "error"]
+    assert [(r["name"], r["detail"]) for r in errors] == [
+        ("broken", "ValueError: suite crashed")]
+    refs = {r["ref"] for r in payload["reports"] if r["status"] == "pass"}
+    assert refs == {"closure-order", "g2-classification"}
+
+
+def test_sp_model_passes_under_optimize_flag():
+    """The sp-model checks decide by explicit raises, which -O keeps."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "nilorb", "verify-paper", "--only", "sp-model"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "6/6 checks passed" in out.stdout

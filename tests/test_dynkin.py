@@ -1,8 +1,10 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from nilorb import dynkin
+from nilorb import dynkin, linalg, partitions
 from nilorb.chevalley import build_algebra
 from nilorb.dynkin import (
     NoTripleError,
@@ -102,6 +104,72 @@ def test_nilpotency_report_polarity():
     mixed = x + alg.h(0)
     rep = nilpotency_report(alg, mixed)
     assert not rep.ad_nilpotent
+
+
+def _nilpotency_fixtures(alg, rng):
+    rs = alg.rs
+    pos = list(rs.positive_roots)
+    out = [
+        alg.root_vector(rs.highest_root()),
+        alg.element({r: F(1) for r in rs.simple_roots}),       # regular
+        alg.h(0) + alg.h(2).scale(F(-1, 2)),
+        alg.root_vector(pos[0]) + alg.h(1),
+        alg.root_vector(pos[-1]) + alg.root_vector(tuple(-c for c in pos[-1])),
+    ]
+    for _ in range(4):
+        out.append(alg.element({r: F(rng.randint(1, 3)) for r in rng.sample(pos, 3)}))
+    out.append(alg.element({lbl: F(rng.randint(1, 2))
+                            for lbl in rng.sample(alg.basis_labels, 5)}))
+    return [x for x in out if not x.is_zero()]
+
+
+@pytest.mark.parametrize("name", ["B3", "C3"])
+def test_nilpotency_report_against_independent_oracles(name):
+    alg = build_algebra(name)
+    verdicts = set()
+    for n in _nilpotency_fixtures(alg, random.Random(7)):
+        rep = nilpotency_report(alg, n)
+        verdicts.add(rep.ad_nilpotent)
+        images = [alg.bracket(n, alg.element({lbl: F(1)})).to_vector()
+                  for lbl in alg.basis_labels]
+        rows = [[images[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
+        solvable = linalg.solve(rows, [-c for c in n.to_vector()]) is not None
+        assert rep.bracket_eigen_solvable == solvable
+        assert rep.centralizer_orthogonal == all(
+            alg.killing(z, n) == 0 for z in alg.centralizer(n))
+        assert rep.ad_nilpotent == alg.is_ad_nilpotent(n)
+    assert verdicts == {True, False}
+
+
+def _scan_diagrams(name):
+    """Nonzero diagrams whose generic degree-2 element completes to an
+    sl2-triple with the grading element (de Graaf's scan)."""
+    alg = build_algebra(name)
+    found = set()
+    for labels in itertools.product((0, 1, 2), repeat=alg.rank):
+        grading = grading_from_diagram(alg, _wd(name, labels))
+        if not any(labels) or not grading.piece(2):
+            continue
+        try:
+            generic_degree_two(alg, grading)
+        except NoTripleError:
+            continue
+        found.add(labels)
+    return found
+
+
+@pytest.mark.parametrize("name,count", [("G2", 4), ("F4", 15)])
+def test_diagram_scan_finds_every_exceptional_orbit(name, count):
+    # nonzero orbit counts, Collingwood & McGovern ch. 8
+    assert len(_scan_diagrams(name)) == count
+
+
+@pytest.mark.parametrize("name", ["B4", "C4", "D4"])
+def test_diagram_scan_matches_partition_diagrams(name):
+    poset = partitions.OrbitPoset(name[0], int(name[1:]))
+    expected = {partitions.weighted_diagram(o).labels
+                for o in poset.nonzero_orbits()}
+    assert _scan_diagrams(name) == expected
 
 
 def test_pairing_criterion_g2():

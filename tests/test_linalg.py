@@ -48,3 +48,29 @@ def test_kernel_dimension_theorem():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
         assert linalg.rank(rows) + len(linalg.kernel_basis(rows)) == m
+
+
+
+def test_sparse_is_nilpotent():
+    # columns {row: value}: a strictly triangular shift, a permutation cycle
+    shift = [{}, {0: F(2)}, {1: F(-1)}, {2: F(1, 3)}]
+    cycle = [{1: F(1)}, {2: F(1)}, {0: F(1)}]
+    assert linalg.sparse_is_nilpotent(shift)
+    assert linalg.sparse_is_nilpotent([{}, {}])
+    assert not linalg.sparse_is_nilpotent(cycle)
+    assert not linalg.sparse_is_nilpotent([{0: F(1)}, {}])
+    # the shift with its corner closed is a cycle up to scalars
+    assert not linalg.sparse_is_nilpotent([{3: F(1)}] + shift[1:])
+
+
+def test_solve_with_kernel_agrees_with_solve_and_annihilates():
+    rng = random.Random(9)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[F(rng.randint(-2, 2)) for _ in range(nc)] for _ in range(nr)]
+        rhs = [F(rng.randint(-2, 2)) for _ in range(nr)]
+        x, ker = linalg.solve_with_kernel(rows, rhs)
+        assert x == linalg.solve(rows, rhs)
+        assert len(ker) == nc - linalg.rank(rows)
+        for v in ker:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)

@@ -8,6 +8,7 @@ from nilorb import partitions
 from nilorb.matmodel import (
     RankOneElement,
     SymplecticSpace,
+    _kk_gram,
     fiber,
     kk_rank_at,
     mu,
@@ -116,3 +117,33 @@ def test_sp_basis_dimension():
         basis = sp.sp_basis()
         assert len(basis) == n * (2 * n + 1)
         assert all(sp.in_sp(b) for b in basis)
+
+
+def _commutator_gram(space, v):
+    """trace(mu(v) [X, Y]) over the sp(2n) basis, forming each commutator."""
+    nmat = mu(space, v).rows()
+    basis = space.sp_basis()
+    d = space.dim
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)]
+                for i in range(d)]
+
+    gram = []
+    for x in basis:
+        row = []
+        for y in basis:
+            xy, yx = mul(x, y), mul(y, x)
+            comm = [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(xy, yx)]
+            row.append(sum(nmat[i][k] * comm[k][i]
+                           for i in range(d) for k in range(d)))
+        gram.append(row)
+    return gram
+
+
+def test_kk_gram_trace_identity_matches_commutators():
+    rng = random.Random(4)
+    for n in (1, 2, 3):
+        sp = SymplecticSpace(n)
+        v = tuple(F(rng.randint(-4, 4), 2) for _ in range(2 * n))
+        assert _kk_gram(sp, v) == _commutator_gram(sp, v)
