@@ -1,7 +1,7 @@
 """Exact computations with nilpotent orbits of simple complex Lie algebras.
 
 Modules:
-    linalg      exact rational linear algebra (rref, kernel, sparse rank)
+    linalg      exact linear algebra: fraction-free integer rref, kernel, sparse rank
     rootsys     root systems from Cartan matrices, Bourbaki realizations
     chevalley   Chevalley bases, structure constants, brackets, centralizers
     dynkin      weighted diagrams, gradings, sl2 triples, decision procedures

@@ -19,10 +19,10 @@ Cartan pairings.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import linalg
-from .rootsys import build_root_system
+from .rootsys import CartanType, RootSystem, build_root_system
 
 
 class LieElement:
@@ -391,19 +391,16 @@ class ChevalleyAlgebra:
                 )
 
 
-_CACHE = {}
+@cache
+def _algebra(t):
+    return ChevalleyAlgebra(build_root_system(t))
 
 
 def build_algebra(t):
-    """Chevalley algebra for a Cartan type, root system, or type label."""
-    from .rootsys import CartanType, RootSystem
-
+    """Chevalley algebra for a Cartan type, root system, or type label,
+    built once per type."""
     if isinstance(t, RootSystem):
-        rs = t
-        key = rs.cartan_type
-    else:
-        rs = build_root_system(t)
-        key = rs.cartan_type
-    if key not in _CACHE:
-        _CACHE[key] = ChevalleyAlgebra(rs)
-    return _CACHE[key]
+        t = t.cartan_type
+    elif isinstance(t, str):
+        t = CartanType.parse(t)
+    return _algebra(t)

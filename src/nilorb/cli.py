@@ -403,7 +403,7 @@ SUITES = [
 ]
 
 
-def run_suites(only=None, seed=0, jobs=1):
+def run_suites(only=None, seed=0):
     selected = []
     for name, aliases, fn in SUITES:
         if only is None or only == name or only in aliases:
@@ -533,7 +533,7 @@ def cmd_model(args):
 
 def cmd_verify(args):
     try:
-        reports = run_suites(only=args.only, seed=args.seed, jobs=args.jobs)
+        reports = run_suites(only=args.only, seed=args.seed)
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2
@@ -566,7 +566,6 @@ def build_parser():
 
     sp = sub.add_parser("algebra", help="Chevalley algebra summary")
     sp.add_argument("type")
-    sp.add_argument("--dim", action="store_true")
     sp.add_argument("--orbit-dim-min", action="store_true")
     sp.set_defaults(fn=cmd_algebra)
 
@@ -595,7 +594,6 @@ def build_parser():
     sp.add_argument("--only")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=cmd_verify)
     return p
 

@@ -53,7 +53,8 @@ class Grading:
             [[Fraction(C[i][j]) for j in range(n)] for i in range(n)],
             [Fraction(v) for v in labels],
         )
-        assert x is not None
+        if x is None:
+            raise AssertionError(f"no Cartan element has alpha_i(H) = {labels}")
         self.h_coeffs = x
         self.H = alg.cartan_element(x)
         self.degree = {}
@@ -96,23 +97,40 @@ def grading_from_diagram(alg, wd):
     return Grading(alg, wd)
 
 
+def ad_restricted(alg, x, src, dst):
+    """Matrix of ad(x) from the span of the `src` labels to the span of the
+    `dst` labels: row i, column j holds the dst[i] coefficient of
+    [x, src[j]].  Raises ValueError if an image has a component outside
+    the `dst` labels."""
+    row_of = {lbl: i for i, lbl in enumerate(dst)}
+    rows = [[0] * len(src) for _ in dst]
+    for j, lbl in enumerate(src):
+        for k, v in alg.bracket(x, LieElement(alg, {lbl: 1})).coeffs.items():
+            i = row_of.get(k)
+            if i is None:
+                raise ValueError(f"[x, {lbl}] has a component along {k}, "
+                                 "outside the destination labels")
+            rows[i][j] = v
+    return rows
+
+
 def sl2_complete(alg, grading, n0):
     """Complete a nonzero degree-2 element to a triple (N0, H, N1) with
     [H,N0]=2N0, [H,N1]=-2N1, [N1,N0]=H; raises NoTripleError when the
-    linear system has no solution."""
+    linear system has no solution.
+
+    [N1, N0] = H is solved as ad(N0) N1 = -H on the map g_-2 -> g_0, the
+    only rows where either side can be nonzero."""
     if n0.is_zero():
         raise ValueError("N0 must be nonzero")
     if not all(grading.degree[lbl] == 2 for lbl in n0.coeffs):
         raise ValueError("N0 must be homogeneous of degree 2")
-    neg = [lbl for lbl in alg.basis_labels if grading.degree[lbl] == -2]
+    neg = grading.piece(-2)
     if not neg:
         raise NoTripleError("no degree -2 subspace")
-    cols = []
-    for lbl in neg:
-        img = alg.bracket(LieElement(alg, {lbl: 1}), n0)
-        cols.append(img.to_vector())
-    rows = [[cols[j][i] for j in range(len(neg))] for i in range(alg.dim)]
-    sol = linalg.solve(rows, grading.H.to_vector())
+    g0 = grading.piece(0)
+    rows = ad_restricted(alg, n0, neg, g0)
+    sol = linalg.solve(rows, [-grading.H.coeffs.get(lbl, 0) for lbl in g0])
     if sol is None:
         raise NoTripleError("[N1, N0] = H has no solution in degree -2")
     n1 = LieElement(alg, {lbl: c for lbl, c in zip(neg, sol)})
@@ -200,17 +218,16 @@ def omega_kernel_dim(alg, grading, n):
     if not n.is_zero() and not grading.in_n(n):
         raise ValueError("N must lie in the degree >= 2 part")
     perp = grading.n_perp_labels
-    low = [lbl for lbl in alg.basis_labels if grading.degree[lbl] < 2]
-    low_index = {lbl: i for i, lbl in enumerate(low)}
-    rows = [[Fraction(0)] * len(perp) for _ in range(len(low))]
-    for j, lbl in enumerate(perp):
-        img = alg.bracket(n, LieElement(alg, {lbl: 1}))
-        for k, v in img.coeffs.items():
-            if k in low_index:
-                rows[low_index[k]][j] = v
-    sol_dim = len(perp) - linalg.rank(rows) if rows else len(perp)
+    # [N, X] has degree >= 1; it lies in n unless its degree-1 part is nonzero
+    dst = grading.labels_with(lambda d: d >= 1)
+    block = ad_restricted(alg, n, perp, dst)
+    rows = [row for lbl, row in zip(dst, block) if grading.degree[lbl] == 1]
+    sol_dim = len(perp) - linalg.rank(rows)
     result = sol_dim - len(grading.p_labels)
-    assert result >= 0
+    if result < 0:
+        raise AssertionError(
+            f"{{X in n_perp : [N, X] in n}} has dim {sol_dim} < dim p = "
+            f"{len(grading.p_labels)}")
     return result
 
 
@@ -222,15 +239,11 @@ class PairingVerdict:
     exact: bool = True
 
 
-def _bracket_kernel(alg, g2, gm2, n_coeffs):
-    """Kernel of Q -> [N, Q] restricted to the degree -2 piece."""
+def _bracket_kernel(alg, gm2, g0, n_coeffs):
+    """Kernel of Q -> [N, Q] on the degree -2 piece, for N of degree 2
+    (the map g_-2 -> g_0)."""
     n = LieElement(alg, dict(n_coeffs))
-    cols = []
-    for lbl in gm2:
-        img = alg.bracket(n, LieElement(alg, {lbl: 1}))
-        cols.append(img.to_vector())
-    rows = [[cols[j][i] for j in range(len(gm2))] for i in range(alg.dim)]
-    return linalg.kernel_basis(rows)
+    return linalg.kernel_basis(ad_restricted(alg, n, gm2, g0))
 
 
 def pairing_criterion(alg, grading, seed=0, samples=1000):
@@ -238,14 +251,15 @@ def pairing_criterion(alg, grading, seed=0, samples=1000):
     degree -2.  Exact when the degree-2 piece is a line; otherwise a
     deterministic witness search followed by seeded exact-rational
     sampling."""
-    g2 = [lbl for lbl in alg.basis_labels if grading.degree[lbl] == 2]
-    gm2 = [lbl for lbl in alg.basis_labels if grading.degree[lbl] == -2]
+    g2 = grading.piece(2)
+    gm2 = grading.piece(-2)
     if not g2 or not gm2:
         return PairingVerdict("holds")
+    g0 = grading.piece(0)
 
     def check(coeff_sets):
         for coeffs in coeff_sets:
-            ker = _bracket_kernel(alg, g2, gm2, coeffs)
+            ker = _bracket_kernel(alg, gm2, g0, coeffs)
             if ker:
                 q = {lbl: c for lbl, c in zip(gm2, ker[0]) if c}
                 return PairingVerdict("fails", witness=(dict(coeffs), q))
@@ -273,7 +287,7 @@ def pairing_criterion(alg, grading, seed=0, samples=1000):
         }
         if all(c == 0 for c in coeffs.values()):
             continue
-        ker = _bracket_kernel(alg, g2, gm2, coeffs)
+        ker = _bracket_kernel(alg, gm2, g0, coeffs)
         if ker:
             q = {lbl: c for lbl, c in zip(gm2, ker[0]) if c}
             return PairingVerdict("fails", witness=(coeffs, q))
@@ -286,6 +300,16 @@ def pairing_criterion(alg, grading, seed=0, samples=1000):
 class ExclusionVerdict:
     status: str          # 'excluded' | 'not_excluded' | 'degree_two_case'
     detail: dict = field(default_factory=dict)
+
+
+def _check_exclusion_witness(alg, grading, n, witness):
+    """Raise unless N lies in n and the witness centralizes N outside n_perp."""
+    if not alg.bracket(n, witness).is_zero():
+        raise AssertionError(f"[N, witness] != 0 for N = {n!r}, witness {witness!r}")
+    if not grading.in_n(n):
+        raise AssertionError(f"N = {n!r} does not lie in n")
+    if grading.in_n_perp(witness):
+        raise AssertionError(f"witness {witness!r} lies in n_perp")
 
 
 def e_type_exclusion(alg, wd):
@@ -312,9 +336,7 @@ def e_type_exclusion(alg, wd):
     if s - m >= 2:
         n = alg.root_vector(sma) + alg.root_vector(smb)
         witness = alg.root_vector(gamma_minus_sigma)
-        assert alg.bracket(n, witness).is_zero()
-        assert grading.in_n(n)
-        assert not grading.in_n_perp(witness)
+        _check_exclusion_witness(alg, grading, n, witness)
         return ExclusionVerdict(
             "excluded",
             {
@@ -330,7 +352,8 @@ def e_type_exclusion(alg, wd):
                 n = alg.root_vector(facts["sigma_minus_end"][pa]) + alg.root_vector(
                     facts["sigma_minus_end"][pb]
                 )
-                assert all(grading.degree[lbl] == 2 for lbl in n.coeffs)
+                if not all(grading.degree[lbl] == 2 for lbl in n.coeffs):
+                    raise AssertionError(f"{n!r} is not homogeneous of degree 2")
                 return ExclusionVerdict("degree_two_case", {"s": s, "m": m})
     return ExclusionVerdict("not_excluded", {"s": s, "m": m})
 
@@ -354,9 +377,7 @@ def f4_exclusion(alg, wd):
     grading = Grading(alg, wd)
     n = alg.root_vector(F4_ALPHA) + alg.root_vector(F4_BETA)
     witness = alg.root_vector(tuple(-c for c in F4_GAMMA))
-    assert alg.bracket(n, witness).is_zero()
-    assert grading.in_n(n)
-    assert not grading.in_n_perp(witness)
+    _check_exclusion_witness(alg, grading, n, witness)
     return ExclusionVerdict(
         "excluded",
         {
@@ -389,10 +410,12 @@ def diagram_of_root_vector_orbit(alg, r):
         x[i] -= lab[i]
         lab = labels(x)
         guard += 1
-        assert guard < 10_000
+        if guard >= 10_000:
+            raise AssertionError(f"no dominant coroot for {r} after {guard} reflections")
     ints = []
     for v in lab:
-        assert Fraction(v).denominator == 1
+        if Fraction(v).denominator != 1:
+            raise AssertionError(f"diagram of {r} has a non-integral label {v}")
         ints.append(int(v))
     return WeightedDiagram(rs.cartan_type, tuple(ints))
 

@@ -1,44 +1,71 @@
 """Exact rational linear algebra on small dense/sparse matrices.
 
-Everything here works over fractions.Fraction (or plain ints, which
-Fraction arithmetic absorbs).  No floating point anywhere.
+Results are fractions.Fraction (inputs may be ints or Fractions); no
+floating point anywhere.  Dense elimination is fraction-free: `rref`
+clears each row's denominators and reduces over Python ints with exact
+Bareiss divisions, then converts the reduced rows to Fractions once.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
+
+
+def _integer_row(row):
+    """The row scaled to coprime integers (the same line, so the same
+    reduced row echelon form)."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    d = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (d // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
 
 
 def rref(rows):
     """Reduced row echelon form.
 
-    `rows` is a list of lists; a copy is reduced in place and returned
-    together with the list of pivot column indices.
+    `rows` is a list of lists of ints or Fractions.  Returns the reduced
+    matrix (same shape, Fraction entries, zero rows last) together with
+    the list of pivot column indices.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): each step
+    replaces every other row by (p * row - f * pivot_row) / p_prev, where
+    p is the new pivot, f the row's entry in the pivot column and p_prev
+    the previous pivot.  The divisions are exact over the integers, and at
+    the end every pivot entry equals the last pivot.  Rows that are or
+    become zero are dropped and restored as zero rows at the end.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    m = [row for row in map(_integer_row, rows) if any(row)]
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        if inv != 1:
-            m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in row]
         pivots.append(c)
+        prev = p
         r += 1
-        if r == nrows:
+        m[r:] = [row for row in m[r:] if any(row)]
+        if r == len(m):
             break
-    return m, pivots
+    out = [[Fraction(a, prev) if a else _ZERO for a in row] for row in m]
+    out += [[_ZERO] * ncols for _ in range(nrows - r)]
+    return out, pivots
 
 
 def rank(rows):

@@ -7,9 +7,9 @@ rational Euclidean space, rescaled so that long roots have squared
 length 2.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 FAMILIES = "ABCDEFG"
 
@@ -139,7 +139,7 @@ class RootSystem:
             tuple(-c for c in r) for r in self.positive_roots
         ]
         self._root_set = set(self.all_roots)
-        self.epsilon_realization = {r: self.epsilon_coords(r) for r in self.all_roots}
+        self._coroots = {}
 
     # -- construction ---------------------------------------------------
 
@@ -212,9 +212,10 @@ class RootSystem:
         for r in self.positive_roots:
             if all(a >= b for a, b in zip(r, best)):
                 best = r
-        assert all(
+        if not all(
             all(a >= b for a, b in zip(best, r)) for r in self.positive_roots
-        ), "highest root is not coordinatewise maximal"
+        ):
+            raise AssertionError(f"highest root {best} is not coordinatewise maximal")
         return best
 
     def short_positive_roots(self):
@@ -223,12 +224,17 @@ class RootSystem:
     def coroot(self, r):
         """r^vee = 2 r / (r,r) expressed in the simple-coroot basis.
 
-        Returns rational coefficients c_i with r^vee = sum c_i alpha_i^vee.
+        Returns rational coefficients c_i with r^vee = sum c_i alpha_i^vee,
+        computed on the first call for each root and memoised.
         """
-        rr = self.inner(r, r)
-        return tuple(
-            Fraction(2 * c * self.sym_form[i][i], 2) / rr for i, c in enumerate(r)
-        )
+        r = tuple(r)
+        co = self._coroots.get(r)
+        if co is None:
+            rr = self.inner(r, r)
+            co = self._coroots[r] = tuple(
+                Fraction(2 * c * self.sym_form[i][i], 2) / rr for i, c in enumerate(r)
+            )
+        return co
 
     def root_from_epsilon(self, eps):
         """Simple-root coordinates of a vector given in the ambient
@@ -265,7 +271,8 @@ class RootSystem:
         n = self.rank
         sigma = tuple(1 for _ in range(n))
         ends = self.graph_ends()
-        assert len(ends) == 3
+        if len(ends) != 3:
+            raise AssertionError(f"E-type graph has {len(ends)} end nodes, not 3")
         sigma_minus = {}
         for e in ends:
             m = list(sigma)
@@ -287,13 +294,13 @@ class RootSystem:
         }
 
 
-_CACHE = {}
+@cache
+def _root_system(t):
+    return RootSystem(t)
 
 
 def build_root_system(t):
-    """Construct (and cache) the root system of a valid Cartan type."""
+    """The root system of a Cartan type or type label, built once per type."""
     if isinstance(t, str):
         t = CartanType.parse(t)
-    if t not in _CACHE:
-        _CACHE[t] = RootSystem(t)
-    return _CACHE[t]
+    return _root_system(t)

@@ -229,3 +229,11 @@ def test_killing_gram_matches_trace_on_e6_basis_pairs():
     for a, b in pairs:
         x, y = alg.element({a: F(1)}), alg.element({b: F(1)})
         assert alg.killing(x, y) == _trace_killing(alg, x, y)
+
+
+def test_build_algebra_cached_per_type():
+    from nilorb.rootsys import CartanType, build_root_system
+
+    alg = build_algebra("B3")
+    assert alg is build_algebra(build_root_system("B3"))
+    assert alg is build_algebra(CartanType.parse("B3"))

@@ -134,6 +134,14 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [("verify-paper", "--jobs", "2"),
+                                  ("algebra", "G2", "--dim")])
+def test_removed_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_verify_suite_exception_becomes_error_report(capsys, monkeypatch):
     def broken(seed):
         raise ValueError("suite crashed")

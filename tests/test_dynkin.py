@@ -262,3 +262,47 @@ def test_round_trip_minimal_diagram_rank_le_4():
         computed = minimal_orbit_diagram(alg)
         curated = partitions.weighted_diagram(partitions.minimal_orbit(fam, l))
         assert computed.labels == curated.labels
+
+
+def _full_row_n1(alg, grading, n0):
+    """N1 from [N1, N0] = H solved on all dim rows of the algebra, or None."""
+    neg = [lbl for lbl in alg.basis_labels if grading.degree[lbl] == -2]
+    cols = [alg.bracket(alg.element({lbl: 1}), n0).to_vector() for lbl in neg]
+    rows = [[col[i] for col in cols] for i in range(alg.dim)]
+    sol = linalg.solve(rows, grading.H.to_vector())
+    return None if sol is None else alg.element(dict(zip(neg, sol)))
+
+
+@pytest.mark.parametrize("name", ["G2", "F4"])
+def test_sl2_complete_restricted_solve_matches_full_rows(name):
+    alg = build_algebra(name)
+    kept = 0
+    for labels in itertools.product((0, 1, 2), repeat=alg.rank):
+        grading = grading_from_diagram(alg, _wd(name, labels))
+        g2 = grading.piece(2)
+        if not g2:
+            continue
+        # the elements generic_degree_two tries, up to the first triple
+        for attempt in range(8):
+            n0 = alg.element({lbl: (-1) ** j * (j + 1) ** attempt
+                              for j, lbl in enumerate(g2)})
+            expected = _full_row_n1(alg, grading, n0)
+            if expected is None:
+                with pytest.raises(NoTripleError):
+                    sl2_complete(alg, grading, n0)
+            else:
+                assert sl2_complete(alg, grading, n0).n1 == expected
+                kept += 1
+                break
+    assert kept == {"G2": 4, "F4": 15}[name]
+
+
+def test_ad_restricted_rejects_image_outside_destination():
+    alg = build_algebra("G2")
+    grading = grading_from_diagram(alg, _wd("G2", (0, 1)))
+    n = alg.element({lbl: 1 for lbl in grading.piece(2)})
+    rows = dynkin.ad_restricted(alg, n, grading.piece(-2), grading.piece(0))
+    assert len(rows) == len(grading.piece(0))
+    assert all(len(row) == len(grading.piece(-2)) for row in rows)
+    with pytest.raises(ValueError, match="outside the destination"):
+        dynkin.ad_restricted(alg, n, grading.piece(-2), grading.piece(2))

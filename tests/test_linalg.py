@@ -74,3 +74,71 @@ def test_solve_with_kernel_agrees_with_solve_and_annihilates():
         assert len(ker) == nc - linalg.rank(rows)
         for v in ker:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
+def _naive_rref(rows):
+    """Reference: textbook Gauss-Jordan over Fractions."""
+    m = [[F(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _random_matrix(rng, nrows, ncols):
+    """Seeded matrix with a random rank, mixed denominators, and some zero
+    rows, zero columns and duplicate rows."""
+    rank = rng.randint(0, min(nrows, ncols))
+    left = [[F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(rank)]
+            for _ in range(nrows)]
+    right = [[F(rng.randint(-4, 4), rng.randint(1, 9)) for _ in range(ncols)]
+             for _ in range(rank)]
+    m = [[sum((left[i][k] * right[k][j] for k in range(rank)), F(0))
+          for j in range(ncols)] for i in range(nrows)]
+    for j in range(ncols):
+        if rng.random() < 0.15:
+            for row in m:
+                row[j] = F(0)
+    for i in range(nrows):
+        u = rng.random()
+        if u < 0.1:
+            m[i] = [F(0)] * ncols
+        elif u < 0.2:
+            m[i] = list(m[rng.randrange(nrows)])
+    return m
+
+
+def test_rref_matches_naive_gauss_jordan():
+    rng = random.Random(2024)
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (12, 5), (5, 12)]
+    for _ in range(40):
+        for nrows, ncols in shapes:
+            rows = _random_matrix(rng, nrows, ncols)
+            if rng.random() < 0.3:  # integer input, as the ad blocks give
+                rows = [[int(x * 36) for x in row] for row in rows]
+            assert linalg.rref(rows) == _naive_rref(rows)
+
+
+def test_rref_edge_cases():
+    assert linalg.rref([]) == ([], [])
+    zero = [[F(0)] * 4 for _ in range(3)]
+    assert linalg.rref(zero) == (zero, [])
+    assert linalg.rank(zero) == 0
+    rows = [[0, F(1, 2), F(1, 3)], [0, 3, 2], [0, 0, 0], [0, F(3, 2), 1]]
+    m, pivots = linalg.rref(rows)
+    assert (m, pivots) == _naive_rref(rows)
+    assert pivots == [1]
+    assert m[0] == [F(0), F(1), F(2, 3)]
+    assert all(isinstance(x, F) for row in m for x in row)

@@ -157,3 +157,19 @@ def test_root_from_epsilon_round_trip():
     rs = build_root_system("E8")
     for r in rs.all_roots[::17]:
         assert rs.root_from_epsilon(rs.epsilon_coords(r)) == r
+
+
+def test_build_root_system_cached_per_type():
+    assert build_root_system("E8") is build_root_system(CartanType.parse("E8"))
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "E6"])
+def test_coroot_memo_matches_closed_formula(name):
+    rs = build_root_system(name)
+    for r in rs.all_roots:
+        # r^vee = 2 r / (r, r) = sum r_i (alpha_i, alpha_i) / (r, r) alpha_i^vee
+        rr = rs.inner(r, r)
+        expected = tuple(Fraction(c * rs.sym_form[i][i]) / rr for i, c in enumerate(r))
+        first = rs.coroot(r)
+        assert first == expected
+        assert rs.coroot(list(r)) is first
