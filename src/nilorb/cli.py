@@ -587,7 +587,6 @@ def build_parser():
     sp = sub.add_parser("model", help="sp(2n) minimal-orbit matrix model")
     sp.add_argument("kind", choices=["sp"])
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--demo", action="store_true")
     sp.set_defaults(fn=cmd_model)
 
     sp = sub.add_parser("verify-paper", help="run the full check battery")

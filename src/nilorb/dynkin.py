@@ -6,6 +6,7 @@ pairing criterion, type-by-type exclusion tests).
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .chevalley import LieElement, build_algebra
@@ -14,7 +15,16 @@ from .rootsys import CartanType
 
 class NoTripleError(Exception):
     """Raised when a degree-2 element cannot be completed to an sl2-triple
-    with the grading's defining Cartan element."""
+    with the grading's defining Cartan element.
+
+    `exact` is True when the error is a proof: the given N0 has no
+    completion, or the graded dimensions rule out every triple.  It is
+    False when it only means that the deterministic attempts of
+    `generic_degree_two` ran out."""
+
+    def __init__(self, message, exact=True):
+        super().__init__(message)
+        self.exact = exact
 
 
 @dataclass(frozen=True)
@@ -46,17 +56,12 @@ class Grading:
         self.alg = alg
         self.diagram = diagram
         labels = diagram.labels
-        # H = sum x_j H_j with alpha_i(H) = labels_i
-        C = alg.rs.cartan_matrix
-        n = alg.rank
-        x = linalg.solve(
-            [[Fraction(C[i][j]) for j in range(n)] for i in range(n)],
-            [Fraction(v) for v in labels],
-        )
-        if x is None:
-            raise AssertionError(f"no Cartan element has alpha_i(H) = {labels}")
-        self.h_coeffs = x
-        self.H = alg.cartan_element(x)
+        # H = sum x_j H_j with alpha_i(H) = sum_j C[i][j] x_j = labels_i
+        self.h_coeffs = [
+            sum(c * v for c, v in zip(row, labels))
+            for row in alg.rs.inverse_cartan_matrix
+        ]
+        self.H = alg.cartan_element(self.h_coeffs)
         self.degree = {}
         for lbl in alg.basis_labels:
             if isinstance(lbl[0], str):  # ('H', i)
@@ -69,6 +74,12 @@ class Grading:
 
     def piece(self, i):
         return self.pieces.get(i, [])
+
+    @cached_property
+    def sl2_block(self):
+        """ad(e_k) on g_-2 -> g_0 for every degree-2 label k, as integer
+        entries (see `_ad_entries`); built once per grading."""
+        return _ad_entries(self.alg, self.piece(2), self.piece(-2), self.piece(0))
 
     def labels_with(self, pred):
         return [lbl for lbl, d in self.degree.items() if pred(d)]
@@ -97,21 +108,62 @@ def grading_from_diagram(alg, wd):
     return Grading(alg, wd)
 
 
+def _ad_entries(alg, labels, src, dst):
+    """For each basis label k in `labels`, the nonzero entries (i, j, v)
+    of the matrix of ad(e_k) from the span of the `src` labels to the span
+    of the `dst` labels: v is the integer dst[i] coefficient of
+    [e_k, src[j]], read from the brackets of basis elements.  Raises
+    ValueError if some [e_k, src[j]] has a component outside the `dst`
+    labels."""
+    row_of = {lbl: i for i, lbl in enumerate(dst)}
+    entries = {}
+    for k in labels:
+        ek = entries[k] = []
+        for j, lbl in enumerate(src):
+            for d, v in alg._bracket_basis(k, lbl).items():
+                i = row_of.get(d)
+                if i is None:
+                    raise ValueError(f"[{k}, {lbl}] has a component along {d}, "
+                                     "outside the destination labels")
+                if v != int(v):
+                    raise AssertionError(f"[{k}, {lbl}] has a non-integral "
+                                         f"coefficient {v} along {d}")
+                ek.append((i, j, int(v)))
+    return entries
+
+
+def _combine(entries, coeffs, nrows, ncols):
+    """The nrows x ncols matrix sum_k coeffs[k] * ad(e_k) from `entries`;
+    integral coefficients are used as ints, so an integral combination
+    stays over the integers."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    for k, c in coeffs.items():
+        if c.denominator == 1:
+            c = c.numerator
+        for i, j, v in entries[k]:
+            rows[i][j] += c * v
+    return rows
+
+
 def ad_restricted(alg, x, src, dst):
     """Matrix of ad(x) from the span of the `src` labels to the span of the
     `dst` labels: row i, column j holds the dst[i] coefficient of
-    [x, src[j]].  Raises ValueError if an image has a component outside
-    the `dst` labels."""
-    row_of = {lbl: i for i, lbl in enumerate(dst)}
-    rows = [[0] * len(src) for _ in dst]
-    for j, lbl in enumerate(src):
-        for k, v in alg.bracket(x, LieElement(alg, {lbl: 1})).coeffs.items():
-            i = row_of.get(k)
-            if i is None:
-                raise ValueError(f"[x, {lbl}] has a component along {k}, "
-                                 "outside the destination labels")
-            rows[i][j] = v
-    return rows
+    [x, src[j]].  Raises ValueError if the image of some basis element of
+    x's support has a component outside the `dst` labels."""
+    return _combine(_ad_entries(alg, x.coeffs, src, dst), x.coeffs,
+                    len(dst), len(src))
+
+
+def weight_multiplicities_nonnegative(grading):
+    """True iff dim g_k >= dim g_{k+2} for every k >= 0.
+
+    This holds for every grading defined by a triple (N0, H, N1): g is a
+    finite-dimensional sl2-module on which H has eigenvalue k on g_k, so
+    ad(N0) maps g_k onto g_{k+2} for k >= -1 (Collingwood & McGovern,
+    ch. 3).  When it fails, no degree-2 element completes."""
+    top = max(grading.pieces)
+    return all(len(grading.piece(k)) >= len(grading.piece(k + 2))
+               for k in range(top - 1))
 
 
 def sl2_complete(alg, grading, n0):
@@ -120,7 +172,9 @@ def sl2_complete(alg, grading, n0):
     linear system has no solution.
 
     [N1, N0] = H is solved as ad(N0) N1 = -H on the map g_-2 -> g_0, the
-    only rows where either side can be nonzero."""
+    only rows where either side can be nonzero.  The matrix is combined
+    from the grading's `sl2_block`; the three relations of a solution are
+    checked with `bracket`."""
     if n0.is_zero():
         raise ValueError("N0 must be nonzero")
     if not all(grading.degree[lbl] == 2 for lbl in n0.coeffs):
@@ -129,7 +183,7 @@ def sl2_complete(alg, grading, n0):
     if not neg:
         raise NoTripleError("no degree -2 subspace")
     g0 = grading.piece(0)
-    rows = ad_restricted(alg, n0, neg, g0)
+    rows = _combine(grading.sl2_block, n0.coeffs, len(g0), len(neg))
     sol = linalg.solve(rows, [-grading.H.coeffs.get(lbl, 0) for lbl in g0])
     if sol is None:
         raise NoTripleError("[N1, N0] = H has no solution in degree -2")
@@ -144,23 +198,38 @@ def sl2_complete(alg, grading, n0):
     return Sl2Triple(n0, h, n1)
 
 
-def generic_degree_two(alg, grading, max_attempts=8):
-    """Deterministic generic element of the degree-2 piece: the basis sum
-    with alternating signs first, then coefficients (-1)^j (j+1)^attempt."""
-    g2 = [lbl for lbl in alg.basis_labels if grading.degree[lbl] == 2]
+def _attempt_coeffs(n):
+    """The coefficient vectors `generic_degree_two` tries on n basis
+    elements: (-1)^j (j+1)^attempt for attempts 0..7, then j^2 + 1."""
+    for attempt in range(8):
+        yield [(-1) ** j * (j + 1) ** attempt for j in range(n)]
+    yield [j * j + 1 for j in range(n)]
+
+
+def generic_degree_two(alg, grading):
+    """Deterministic generic element of the degree-2 piece that completes
+    to an sl2-triple.
+
+    Raises NoTripleError with `exact` True when the graded dimensions
+    rule out every triple (`weight_multiplicities_nonnegative`), and with
+    `exact` False when none of the coefficient vectors of
+    `_attempt_coeffs` completes."""
+    g2 = grading.piece(2)
     if not g2:
         raise ValueError("degree-2 piece is zero")
-    for attempt in range(max_attempts):
-        coeffs = {lbl: (-1) ** j * (j + 1) ** attempt for j, lbl in enumerate(g2)}
-        n0 = LieElement(alg, coeffs)
+    if not weight_multiplicities_nonnegative(grading):
+        raise NoTripleError(
+            "no sl2-triple: some dim g_k < dim g_(k+2) with k >= 0 (exact)")
+    for coeffs in _attempt_coeffs(len(g2)):
+        n0 = LieElement(alg, dict(zip(g2, coeffs)))
         try:
             sl2_complete(alg, grading, n0)
             return n0
         except NoTripleError:
             continue
     raise NoTripleError(
-        f"no generic sl2 representative found in {max_attempts} attempts"
-    )
+        "no generic sl2 representative found by the deterministic attempts "
+        "(not exact)", exact=False)
 
 
 @dataclass(frozen=True)
@@ -239,11 +308,11 @@ class PairingVerdict:
     exact: bool = True
 
 
-def _bracket_kernel(alg, gm2, g0, n_coeffs):
+def _bracket_kernel(grading, n_coeffs):
     """Kernel of Q -> [N, Q] on the degree -2 piece, for N of degree 2
-    (the map g_-2 -> g_0)."""
-    n = LieElement(alg, dict(n_coeffs))
-    return linalg.kernel_basis(ad_restricted(alg, n, gm2, g0))
+    (the map g_-2 -> g_0, combined from the grading's `sl2_block`)."""
+    return linalg.kernel_basis(_combine(
+        grading.sl2_block, n_coeffs, len(grading.piece(0)), len(grading.piece(-2))))
 
 
 def pairing_criterion(alg, grading, seed=0, samples=1000):
@@ -255,11 +324,10 @@ def pairing_criterion(alg, grading, seed=0, samples=1000):
     gm2 = grading.piece(-2)
     if not g2 or not gm2:
         return PairingVerdict("holds")
-    g0 = grading.piece(0)
 
     def check(coeff_sets):
         for coeffs in coeff_sets:
-            ker = _bracket_kernel(alg, gm2, g0, coeffs)
+            ker = _bracket_kernel(grading, coeffs)
             if ker:
                 q = {lbl: c for lbl, c in zip(gm2, ker[0]) if c}
                 return PairingVerdict("fails", witness=(dict(coeffs), q))
@@ -287,7 +355,7 @@ def pairing_criterion(alg, grading, seed=0, samples=1000):
         }
         if all(c == 0 for c in coeffs.values()):
             continue
-        ker = _bracket_kernel(alg, gm2, g0, coeffs)
+        ker = _bracket_kernel(grading, coeffs)
         if ker:
             q = {lbl: c for lbl, c in zip(gm2, ker[0]) if c}
             return PairingVerdict("fails", witness=(coeffs, q))

@@ -221,6 +221,18 @@ class RootSystem:
     def short_positive_roots(self):
         return [r for r in self.positive_roots if not self.is_long(r)]
 
+    @cached_property
+    def inverse_cartan_matrix(self):
+        """Inverse of the Cartan matrix as rows of Fractions, computed on
+        first use: column k holds the simple-coroot coordinates of the k-th
+        fundamental coweight."""
+        from . import linalg
+
+        n = self.rank
+        m, _ = linalg.rref([row + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(self.cartan_matrix)])
+        return [row[n:] for row in m]
+
     def coroot(self, r):
         """r^vee = 2 r / (r,r) expressed in the simple-coroot basis.
 

@@ -92,7 +92,7 @@ def test_check_key_lemma(capsys):
 
 
 def test_model_demo(capsys):
-    code, out, _ = run(capsys, "model", "sp", "--n", "2", "--demo")
+    code, out, _ = run(capsys, "model", "sp", "--n", "2")
     assert code == 0
     assert "jordan type (2, 1, 1)" in out
     assert "kostant-kirillov rank 4" in out
@@ -135,7 +135,8 @@ def test_usage_error_exit_2():
 
 
 @pytest.mark.parametrize("argv", [("verify-paper", "--jobs", "2"),
-                                  ("algebra", "G2", "--dim")])
+                                  ("algebra", "G2", "--dim"),
+                                  ("model", "sp", "--demo")])
 def test_removed_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))

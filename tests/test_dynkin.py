@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb import dynkin, linalg, partitions
+from nilorb import curated, dynkin, linalg, partitions
 from nilorb.chevalley import build_algebra
 from nilorb.dynkin import (
     NoTripleError,
@@ -306,3 +306,152 @@ def test_ad_restricted_rejects_image_outside_destination():
     assert all(len(row) == len(grading.piece(-2)) for row in rows)
     with pytest.raises(ValueError, match="outside the destination"):
         dynkin.ad_restricted(alg, n, grading.piece(-2), grading.piece(2))
+
+
+def _grading(name, labels):
+    return grading_from_diagram(build_algebra(name), _wd(name, labels))
+
+
+def test_fake_g2_diagram_rejected_exactly():
+    # dim g_4 = 1 < dim g_6 = 2 rules out every triple
+    grading = _grading("G2", (2, 0))
+    assert not dynkin.weight_multiplicities_nonnegative(grading)
+    with pytest.raises(NoTripleError, match=r"\(exact\)") as exc:
+        generic_degree_two(build_algebra("G2"), grading)
+    assert exc.value.exact is True
+
+
+def test_rejection_after_attempts_is_not_exact():
+    # (1, 1) passes the dimension test; no orbit has this diagram
+    grading = _grading("G2", (1, 1))
+    assert dynkin.weight_multiplicities_nonnegative(grading)
+    with pytest.raises(NoTripleError, match="not exact") as exc:
+        generic_degree_two(build_algebra("G2"), grading)
+    assert exc.value.exact is False
+
+
+def test_sl2_complete_failure_is_exact():
+    alg = build_algebra("G2")
+    grading = _grading("G2", (1, 1))
+    n0 = alg.element({lbl: 1 for lbl in grading.piece(2)})
+    with pytest.raises(NoTripleError) as exc:
+        sl2_complete(alg, grading, n0)
+    assert exc.value.exact is True
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
+                                  "D3", "D4", "D5"])
+def test_dimension_test_passes_every_partition_diagram(name):
+    alg = build_algebra(name)
+    orbits = partitions.OrbitPoset(name[0], int(name[1:])).nonzero_orbits()
+    assert orbits
+    for o in orbits:
+        grading = grading_from_diagram(alg, partitions.weighted_diagram(o))
+        assert dynkin.weight_multiplicities_nonnegative(grading), o
+
+
+def test_dimension_test_passes_every_exceptional_table_diagram():
+    records = curated.load_exceptional_table()
+    assert records
+    for rec in records:
+        alg = build_algebra(rec.type)
+        grading = grading_from_diagram(alg, _wd(rec.type, rec.diagram))
+        assert dynkin.weight_multiplicities_nonnegative(grading), rec.name
+        generic_degree_two(alg, grading)
+
+
+def test_e8_diagram_found_by_the_ninth_vector():
+    # orbit dim 218, missed by all eight vectors (-1)^j (j+1)^attempt
+    alg = build_algebra("E8")
+    grading = _grading("E8", (1, 0, 0, 1, 0, 1, 1, 0))
+    g2 = grading.piece(2)
+    for attempt in range(8):
+        with pytest.raises(NoTripleError):
+            sl2_complete(alg, grading, alg.element(
+                {lbl: (-1) ** j * (j + 1) ** attempt for j, lbl in enumerate(g2)}))
+    n0 = generic_degree_two(alg, grading)
+    assert n0 == alg.element({lbl: j * j + 1 for j, lbl in enumerate(g2)})
+    triple = sl2_complete(alg, grading, n0)
+    assert alg.bracket(triple.n1, triple.n0) == grading.H
+    assert alg.orbit_dimension(n0) == 218
+
+
+def test_e6_scan_keeps_twenty_diagrams():
+    assert len(_scan_diagrams("E6")) == 20
+
+
+def _ad_by_columns(alg, x, src, dst):
+    """ad(x) from span(src) to span(dst), one bracket per column."""
+    row_of = {lbl: i for i, lbl in enumerate(dst)}
+    rows = [[0] * len(src) for _ in dst]
+    for j, lbl in enumerate(src):
+        for k, v in alg.bracket(x, alg.element({lbl: 1})).coeffs.items():
+            rows[row_of[k]][j] = v
+    return rows
+
+
+@pytest.mark.parametrize("name,diagrams", [
+    ("G2", [(0, 1), (1, 0), (2, 2)]),
+    ("B3", [(0, 1, 0), (1, 0, 1)]),
+    ("C3", [(1, 0, 0), (2, 1, 0)]),
+    ("F4", [(1, 0, 0, 0), (0, 1, 0, 1)]),
+])
+def test_ad_restricted_matches_per_column_brackets(name, diagrams):
+    alg = build_algebra(name)
+    rng = random.Random(11)
+    checked = 0
+    for labels in diagrams:
+        grading = _grading(name, labels)
+        degrees = sorted(grading.pieces)
+        for d in (-2, -1, 0, 1, 2, 3):
+            support = grading.piece(d)
+            if not support:
+                continue
+            for _ in range(2):
+                x = alg.element({
+                    lbl: F(rng.randint(-9, 9), rng.randint(1, 5))
+                    for lbl in rng.sample(support, min(len(support), 4))})
+                if x.is_zero():
+                    continue
+                for s in degrees:
+                    src, dst = grading.piece(s), grading.piece(s + d)
+                    if not dst:
+                        continue
+                    got = dynkin.ad_restricted(alg, x, src, dst)
+                    assert got == _ad_by_columns(alg, x, src, dst)
+                    checked += 1
+        n = alg.element({lbl: F(rng.randint(1, 9), rng.randint(1, 3))
+                         for lbl in grading.labels_with(lambda d: d >= 2)})
+        perp = grading.n_perp_labels
+        dst = grading.labels_with(lambda d: d >= 1)
+        assert dynkin.ad_restricted(alg, n, perp, dst) == _ad_by_columns(alg, n, perp, dst)
+    assert checked > 20
+
+
+def test_pairing_criterion_verdicts_and_witnesses():
+    expected = {
+        ("G2", (0, 1)): ("holds", None),
+        ("G2", (1, 0)): ("holds", None),
+        ("G2", (1, 1)): ("holds", None),
+        ("G2", (1, 2)): ("holds", None),
+        ("G2", (2, 1)): ("holds", None),
+        ("G2", (0, 2)): ("fails", ({(0, 1): 1}, {(-2, -1): F(1)})),
+        ("G2", (2, 2)): ("fails", ({(0, 1): 1}, {(-1, 0): F(1)})),
+        ("G2", (2, 0)): ("probabilistic_holds", None),
+        ("B3", (0, 1, 0)): ("holds", None),
+        ("C3", (1, 0, 0)): ("holds", None),
+    }
+    for (name, labels), (status, witness) in expected.items():
+        v = pairing_criterion(build_algebra(name), _grading(name, labels), seed=0)
+        assert (v.status, v.witness) == (status, witness), (name, labels)
+        assert v.exact == (status != "probabilistic_holds")
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C4", "D5", "F4", "E6", "E7", "E8"])
+def test_inverse_cartan_matrix(name):
+    rs = build_algebra(name).rs
+    C, inv = rs.cartan_matrix, rs.inverse_cartan_matrix
+    n = rs.rank
+    assert [[sum(C[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert rs.inverse_cartan_matrix is inv
