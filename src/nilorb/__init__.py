@@ -4,16 +4,17 @@ Modules:
     linalg      exact linear algebra: fraction-free integer rref, kernel, sparse rank
     rootsys     root systems from Cartan matrices, Bourbaki realizations
     chevalley   Chevalley bases, structure constants, brackets, centralizers
-    dynkin      weighted diagrams, gradings, sl2 triples, decision procedures
+    dynkin      weighted diagrams, gradings (Grading(alg, wd)), sl2 triples,
+                decision procedures
     partitions  classical orbits as partitions: dimension, closure, pi1
     curated     shared-orbit table and exceptional orbit metadata
     matmodel    sp(2n) minimal-orbit matrix model and product coverings
-    cli         command-line interface, including the verify-paper battery
+    cli         command-line interface, including the verify-paper suites
 """
 
 from .rootsys import CartanType, RootSystem, build_root_system
 from .chevalley import ChevalleyAlgebra, LieElement, build_algebra
-from .dynkin import WeightedDiagram, Grading, grading_from_diagram
+from .dynkin import WeightedDiagram, Grading
 from .partitions import JordanOrbit, OrbitPoset, orbit_dim, pi1_order
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "build_algebra",
     "WeightedDiagram",
     "Grading",
-    "grading_from_diagram",
     "JordanOrbit",
     "OrbitPoset",
     "orbit_dim",

@@ -186,29 +186,16 @@ class ChevalleyAlgebra:
             raise AssertionError(f"N{a, b} = {val} is not an integer")
         return int(val)
 
-    def struct_const(self, r, s):
-        """N_{r,s} for roots r, s; 0 if r+s is not a root."""
-        t = tuple(a + b for a, b in zip(r, s))
-        if not self.rs.is_root(t):
-            return 0
-        return self._nany(r, s)
-
     # -- elements -------------------------------------------------------
 
     def element(self, coeffs):
         return LieElement(self, coeffs)
-
-    def zero(self):
-        return LieElement(self, {})
 
     def root_vector(self, r):
         r = tuple(r)
         if not self.rs.is_root(r):
             raise ValueError(f"{r} is not a root")
         return LieElement(self, {r: 1})
-
-    def h(self, i):
-        return LieElement(self, {("H", i): 1})
 
     def cartan_element(self, values):
         return LieElement(
@@ -252,6 +239,15 @@ class ChevalleyAlgebra:
             img = self.bracket(a, LieElement(self, {lbl: 1}))
             cols.append({self.index[k]: v for k, v in img.coeffs.items()})
         return cols
+
+    def _dense(self, cols):
+        """The dim x dim Fraction matrix with the sparse columns `cols`
+        (as returned by `ad_columns`)."""
+        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                rows[i][j] = v
+        return rows
 
     @cached_property
     def _killing_gram(self):
@@ -305,13 +301,8 @@ class ChevalleyAlgebra:
         """Exact basis of ker ad(a) as a list of LieElements."""
         if a.is_zero():
             return [LieElement(self, {lbl: 1}) for lbl in self.basis_labels]
-        cols = self.ad_columns(a)
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                rows[i][j] = v
         basis = []
-        for vec in linalg.kernel_basis(rows):
+        for vec in linalg.kernel_basis(self._dense(self.ad_columns(a))):
             basis.append(
                 LieElement(
                     self,
@@ -337,16 +328,6 @@ class ChevalleyAlgebra:
 
     def projective_orbit_dimension(self, a):
         return self.orbit_dimension(a) - 1
-
-    def is_ad_nilpotent(self, a):
-        """Exact test that ad(a)^k = 0 for some k <= dim."""
-        vecs = {lbl: LieElement(self, {lbl: 1}) for lbl in self.basis_labels}
-        cur = list(vecs.values())
-        for _ in range(self.dim + 1):
-            cur = [self.bracket(a, v) for v in cur if not v.is_zero()]
-            if all(v.is_zero() for v in cur):
-                return True
-        return False
 
     # -- build-time verification ----------------------------------------
 

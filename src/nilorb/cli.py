@@ -3,6 +3,10 @@
 Subcommands expose the computational modules directly (roots, algebra,
 orbit, check, model) and `verify-paper` replays the whole battery of
 lemma-level checks as a deterministic suite with machine-readable output.
+
+`SUITES` is the only definition of the paper's 11 criteria; the acceptance
+tests assert on its verdicts.  Gradings are built with `dynkin.Grading(alg,
+wd)` from a weighted diagram.
 """
 
 import argparse
@@ -22,14 +26,16 @@ from .rootsys import CartanType, build_root_system
 class VerdictReport:
     name: str
     ref: str
-    status: str                 # 'pass' | 'fail' | 'probabilistic' | 'error'
+    status: str                 # 'pass' | 'fail' | 'error'
     detail: str = ""
     witness: dict = field(default_factory=dict)
     runtime: float = 0.0
+    # when the verdict was made; `run_suites` turns it into `runtime`
+    created: float = field(default_factory=time.monotonic, repr=False, compare=False)
 
     @property
     def ok(self):
-        return self.status in ("pass", "probabilistic")
+        return self.status == "pass"
 
     def to_json(self):
         # runtime intentionally excluded: JSON output is byte-stable
@@ -42,12 +48,8 @@ class VerdictReport:
         }
 
 
-def _report(name, ref, ok, detail="", witness=None, probabilistic=False):
-    if ok:
-        status = "probabilistic" if probabilistic else "pass"
-    else:
-        status = "fail"
-    return VerdictReport(name, ref, status, detail, witness or {})
+def _report(name, ref, ok, detail="", witness=None):
+    return VerdictReport(name, ref, "pass" if ok else "fail", detail, witness or {})
 
 
 # ---------------------------------------------------------------- suites
@@ -159,24 +161,21 @@ def suite_g2_classification(seed):
     sub_wd = dynkin.WeightedDiagram(t, (0, 2))
     reg_wd = dynkin.WeightedDiagram(t, (2, 2))
     out = []
+    # the pairing must hold exactly, or fail with a witness
     expectations = [
-        ("minimal", min_wd, True),
-        ("short-root", short_wd, True),
-        ("subregular", sub_wd, False),
-        ("regular", reg_wd, False),
+        ("minimal", min_wd, "holds"),
+        ("short-root", short_wd, "holds"),
+        ("subregular", sub_wd, "fails"),
+        ("regular", reg_wd, "fails"),
     ]
-    for name, wd, expect_holds in expectations:
-        grading = dynkin.grading_from_diagram(alg, wd)
-        verdict = dynkin.pairing_criterion(alg, grading, seed=seed)
-        holds = verdict.status in ("holds", "probabilistic_holds")
-        ok = holds == expect_holds
-        if not expect_holds:
-            ok = ok and verdict.witness is not None
+    for name, wd, expect in expectations:
+        verdict = dynkin.pairing_criterion(alg, dynkin.Grading(alg, wd), seed=seed)
+        ok = verdict.status == expect and (
+            expect == "holds" or verdict.witness is not None)
         out.append(_report(
             f"pairing-G2-{name}", "g2-classification", ok,
             f"diagram {wd.labels}: {verdict.status}",
-            witness={"witness": repr(verdict.witness)} if verdict.witness else {},
-            probabilistic=(verdict.status == "probabilistic_holds")))
+            witness={"witness": repr(verdict.witness)} if verdict.witness else {}))
     return out
 
 
@@ -211,7 +210,7 @@ def suite_short_diagrams(seed):
     for fam, l in _CLASSICAL_SMALL:
         alg = chevalley.build_algebra(f"{fam}{l}")
         wd = dynkin.minimal_orbit_diagram(alg)
-        grading = dynkin.grading_from_diagram(alg, wd)
+        grading = dynkin.Grading(alg, wd)
         theta = alg.rs.highest_root()
         out.append(_report(
             f"theta-H-2-{fam}{l}", "short-diagrams",
@@ -220,7 +219,7 @@ def suite_short_diagrams(seed):
     for name in ("G2", "F4", "E6", "E7", "E8"):
         alg = chevalley.build_algebra(name)
         wd = dynkin.minimal_orbit_diagram(alg)
-        grading = dynkin.grading_from_diagram(alg, wd)
+        grading = dynkin.Grading(alg, wd)
         theta = alg.rs.highest_root()
         out.append(_report(
             f"theta-H-2-{name}", "short-diagrams",
@@ -265,7 +264,7 @@ def suite_e_type_facts(seed):
         facts = rs.simple_root_sum_facts()
         ok = facts["sigma_is_root"] and all(
             facts["sigma_minus_end_is_root"].values()
-        ) and any(facts["orthogonal_pairs"].values())
+        ) and all(facts["orthogonal_pairs"].values())
         out.append(_report(
             f"simple-root-sum-{name}", "e-type-facts", ok,
             f"sigma root, ends {facts['ends']}, "
@@ -278,7 +277,7 @@ def suite_e_type_facts(seed):
     mu_eps[6], mu_eps[7] = Fraction(-1), Fraction(1)
     mu = rs.root_from_epsilon(mu_eps)
     wd = dynkin.WeightedDiagram(CartanType("E", 8), (1, 0, 0, 0, 0, 0, 0, 1))
-    grading = dynkin.grading_from_diagram(alg, wd)
+    grading = dynkin.Grading(alg, wd)
     ok = (
         lam is not None and mu is not None
         and rs.is_root(lam) and rs.is_root(mu)
@@ -358,7 +357,7 @@ def suite_property_battery(seed):
     for name, labels_wd in [("G2", (0, 2)), ("C3", (1, 0, 0)), ("B3", (0, 1, 0))]:
         alg = chevalley.build_algebra(name)
         wd = dynkin.WeightedDiagram(alg.rs.cartan_type, labels_wd)
-        grading = dynkin.grading_from_diagram(alg, wd)
+        grading = dynkin.Grading(alg, wd)
         labels = list(alg.basis_labels)
         for _ in range(40):
             a, b = rng.choice(labels), rng.choice(labels)
@@ -376,7 +375,7 @@ def suite_property_battery(seed):
                             ("C3", (1, 0, 0)), ("B3", (0, 1, 0))]:
         alg = chevalley.build_algebra(name)
         wd = dynkin.WeightedDiagram(alg.rs.cartan_type, labels_wd)
-        grading = dynkin.grading_from_diagram(alg, wd)
+        grading = dynkin.Grading(alg, wd)
         n = dynkin.generic_degree_two(alg, grading)
         k = dynkin.omega_kernel_dim(alg, grading, n)
         if k != 0:
@@ -412,16 +411,16 @@ def run_suites(only=None, seed=0):
         raise ValueError(f"unknown suite: {only}")
     reports = []
     for name, fn in selected:
-        t0 = time.monotonic()
+        prev = time.monotonic()
         try:
             suite_reports = fn(seed)
         except Exception as exc:  # suite boundary: report it, run the others
             suite_reports = [VerdictReport(
                 name, name, "error", f"{type(exc).__name__}: {exc}",
                 {"traceback": traceback.format_exc().splitlines()})]
-        dt = time.monotonic() - t0
+        # a check's runtime is the time since its suite's previous verdict
         for r in suite_reports:
-            r.runtime = dt / max(1, len(suite_reports))
+            r.runtime, prev = r.created - prev, r.created
         reports.extend(suite_reports)
     return reports
 
@@ -487,7 +486,7 @@ def cmd_check(args):
         return 0 if rep.ok else 1
     alg = chevalley.build_algebra(args.type)
     wd = dynkin.WeightedDiagram(alg.rs.cartan_type, _parse_labels(args.diagram))
-    grading = dynkin.grading_from_diagram(alg, wd)
+    grading = dynkin.Grading(alg, wd)
     if args.what == "pairing":
         v = dynkin.pairing_criterion(alg, grading, seed=args.seed)
         print(f"pairing criterion: {v.status}")
@@ -544,8 +543,7 @@ def cmd_verify(args):
             indent=2, sort_keys=True))
     else:
         for r in reports:
-            mark = {"pass": "PASS", "probabilistic": "PROB", "fail": "FAIL",
-                    "error": "ERROR"}[r.status]
+            mark = {"pass": "PASS", "fail": "FAIL", "error": "ERROR"}[r.status]
             print(f"[{mark}] {r.ref}/{r.name} ({r.runtime:.2f}s) {r.detail}")
             if not r.ok and r.witness:
                 print(f"       witness: {r.witness}")

@@ -92,20 +92,11 @@ class Grading:
     def n_perp_labels(self):
         return self.labels_with(lambda d: d >= -1)
 
-    def degree_of(self, x):
-        """Degree of a homogeneous element, or None for 0 / mixed."""
-        degs = {self.degree[lbl] for lbl in x.coeffs}
-        return degs.pop() if len(degs) == 1 else None
-
     def in_n(self, x):
         return all(self.degree[lbl] >= 2 for lbl in x.coeffs)
 
     def in_n_perp(self, x):
         return all(self.degree[lbl] >= -1 for lbl in x.coeffs)
-
-
-def grading_from_diagram(alg, wd):
-    return Grading(alg, wd)
 
 
 def _ad_entries(alg, labels, src, dst):
@@ -249,12 +240,9 @@ def nilpotency_report(alg, n):
     if n.is_zero():
         raise ValueError("zero element")
     cols = alg.ad_columns(n)
-    rows = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows[i][j] = v
     # [H, N] = N  <=>  ad(N) H = -N
-    sol, kernel = linalg.solve_with_kernel(rows, [-v for v in n.to_vector()])
+    sol, kernel = linalg.solve_with_kernel(
+        alg._dense(cols), [-v for v in n.to_vector()])
     iv = sol is not None
     labels = alg.basis_labels
     v = all(

@@ -25,15 +25,6 @@ def matrix_size(family, rank):
     raise ValueError(f"not a classical family: {family}")
 
 
-def algebra_dim(family, rank):
-    n = matrix_size(family, rank)
-    if family == "A":
-        return n * n - 1
-    if family in ("B", "D"):
-        return n * (n - 1) // 2
-    return n * (n + 1) // 2
-
-
 def dual_partition(parts):
     if not parts:
         return ()
@@ -216,9 +207,6 @@ class OrbitPoset:
         self.orbits = sorted(
             orbits, key=lambda o: (orbit_dim(o), o.partition, o.very_even_label)
         )
-
-    def leq(self, o1, o2):
-        return closure_leq(o1, o2)
 
     def nonzero_orbits(self):
         return [o for o in self.orbits if not o.is_zero()]

@@ -1,230 +1,110 @@
-"""Acceptance gate: eleven end-to-end criteria, one pass/fail line each.
+"""Acceptance gate: the eleven `verify-paper` suites, one pass/fail line each.
 
-Each test prints exactly one `ACCEPTANCE <n> <PASS|FAIL>` line and then
-asserts, so the printed verdicts match the pytest outcome.
+The module runs `nilorb verify-paper --json --seed 0` once.  Criterion n
+asserts that every report of the n-th suite of `cli.SUITES` passed; each
+test prints exactly one `ACCEPTANCE <n> <PASS|FAIL>` line and then
+asserts, so the printed verdicts match the pytest outcome.  The same run
+must reproduce the committed seed-0 report byte for byte.
 """
 
-from fractions import Fraction
+import contextlib
+import io
+import json
+from pathlib import Path
 
-import random
+import pytest
 
-from nilorb import cli, curated, dynkin, matmodel, partitions
-from nilorb.chevalley import build_algebra
-from nilorb.dynkin import (
-    WeightedDiagram,
-    diagram_of_root_vector_orbit,
-    generic_degree_two,
-    grading_from_diagram,
-    minimal_orbit_diagram,
-    nilpotency_report,
-    omega_kernel_dim,
-    pairing_criterion,
-)
-from nilorb.rootsys import CartanType, build_root_system
+from nilorb import cli
 
-F = Fraction
+GOLDEN = (Path(__file__).resolve().parent.parent
+          / "perfbench" / "golden" / "verify-paper-seed0.json")
 
 
-def _verdict(n, desc, ok):
+@pytest.fixture(scope="module")
+def verify_paper():
+    """(exit code, stdout) of `nilorb verify-paper --json --seed 0`."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["verify-paper", "--json", "--seed", "0"])
+    return code, buf.getvalue()
+
+
+def _criterion(verify_paper, n, suite, desc):
+    name = cli.SUITES[n - 1][0]
+    assert name == suite, f"criterion {n} is suite {suite}, SUITES has {name}"
+    reports = [r for r in json.loads(verify_paper[1])["reports"]
+               if r["ref"] == suite]
+    failed = [r["name"] for r in reports if r["status"] != "pass"]
+    ok = bool(reports) and not failed
     print(f"ACCEPTANCE {n} {'PASS' if ok else 'FAIL'}: {desc}")
-    assert ok, f"acceptance criterion {n} failed: {desc}"
+    assert ok, f"acceptance criterion {n} ({suite}) failed: {failed or 'no reports'}"
 
 
-def test_01_exceptional_minimal_orbit_dimensions():
-    expected = {"G2": 5, "F4": 15, "E6": 21, "E7": 33, "E8": 57}
-    got = {}
-    for name in expected:
-        alg = build_algebra(name)
-        x = alg.root_vector(alg.rs.highest_root())
-        got[name] = alg.projective_orbit_dimension(x)
-    _verdict(1, f"exceptional projective minimal-orbit dims {got}",
-             got == expected)
+def test_verify_paper_seed0_matches_golden_report(verify_paper):
+    code, text = verify_paper
+    assert code == 0
+    assert text == GOLDEN.read_text(encoding="utf-8")
 
 
-def test_02_classical_minimal_orbit_dimensions():
-    ok = True
-    for fam, l in [("A", 1), ("A", 2), ("A", 3), ("A", 4),
-                   ("B", 2), ("B", 3), ("B", 4),
-                   ("C", 2), ("C", 3), ("C", 4),
-                   ("D", 3), ("D", 4)]:
-        alg = build_algebra(f"{fam}{l}")
-        x = alg.root_vector(alg.rs.highest_root())
-        ok &= partitions.orbit_dim(partitions.minimal_orbit(fam, l)) \
-            == alg.orbit_dimension(x)
-        if fam == "C":
-            ok &= alg.projective_orbit_dimension(x) == 2 * l - 1
-    _verdict(2, "partition formula = centralizer computation, rank <= 4; "
-             "C_l projective dim 2l-1", ok)
+def test_01_exceptional_minimal_orbit_dimensions(verify_paper):
+    _criterion(verify_paper, 1, "exceptional-dimensions",
+               "exceptional projective minimal-orbit dims 5/15/21/33/57")
 
 
-def test_03_unique_closed_orbit_and_boundary_codim():
-    ok = True
-    for fam, l in [("A", 3), ("C", 2), ("C", 3), ("B", 3), ("D", 4)]:
-        poset = partitions.OrbitPoset(fam, l)
-        ok &= poset.minimal_nonzero() == [partitions.minimal_orbit(fam, l)]
-        ok &= all(poset.boundary_codim(o) >= 2 for o in poset.nonzero_orbits())
-    _verdict(3, "unique minimal nonzero orbit; boundary codim >= 2 in "
-             "sl4/sp4/sp6/so7/so8", ok)
+def test_02_classical_minimal_orbit_dimensions(verify_paper):
+    _criterion(verify_paper, 2, "classical-dimensions",
+               "partition formula = centralizer computation, rank <= 4; "
+               "C_l projective dim 2l-1")
 
 
-def test_04_nilpotency_equivalences():
-    rng = random.Random(0)
-    names = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
-    algs = [build_algebra(t) for t in names]
-    ok = True
-    for i in range(50):
-        alg = algs[i % len(algs)]
-        coeffs = {
-            tuple(r): F(rng.randint(-3, 3)) for r in alg.rs.positive_roots
-        }
-        n = alg.element({k: v for k, v in coeffs.items() if v} or
-                        {tuple(alg.rs.positive_roots[0]): F(1)})
-        rep = nilpotency_report(alg, n)  # asserts mutual agreement
-        ok &= rep.ad_nilpotent and rep.bracket_eigen_solvable \
-            and rep.centralizer_orthogonal
-    for i in range(50):
-        alg = algs[i % len(algs)]
-        vals = [F(rng.randint(-3, 3)) for _ in range(alg.rank)]
-        if all(v == 0 for v in vals):
-            vals[0] = F(1)
-        h = alg.element({("H", j): v for j, v in enumerate(vals) if v})
-        rep = nilpotency_report(alg, h)
-        ok &= not (rep.ad_nilpotent or rep.bracket_eigen_solvable
-                   or rep.centralizer_orthogonal)
-    _verdict(4, "three nilpotency criteria agree on 50 nilpotent and 50 "
-             "semisimple fixtures", ok)
+def test_03_unique_closed_orbit_and_boundary_codim(verify_paper):
+    _criterion(verify_paper, 3, "closure-order",
+               "unique minimal nonzero orbit; boundary codim >= 2 in "
+               "sl4/sp4/sp6/so7/so8")
 
 
-def test_05_g2_pairing_classification():
-    alg = build_algebra("G2")
-    results = {}
-    for labels in [(0, 1), (1, 0), (0, 2)]:
-        grading = grading_from_diagram(alg, WeightedDiagram(
-            CartanType("G", 2), labels))
-        results[labels] = pairing_criterion(alg, grading, seed=0)
-    ok = (results[(0, 1)].status == "holds"
-          and results[(1, 0)].status == "holds"
-          and results[(0, 2)].status == "fails"
-          and results[(0, 2)].witness is not None)
-    _verdict(5, "pairing holds exactly on G2 minimal and short-root "
-             "diagrams, fails with witness on subregular", ok)
+def test_04_nilpotency_equivalences(verify_paper):
+    _criterion(verify_paper, 4, "nilpotency-equivalences",
+               "three nilpotency criteria agree on 50 nilpotent and 50 "
+               "semisimple fixtures")
 
 
-def test_06_short_root_diagrams_and_theta():
-    ok = True
-    for name in ("B3", "B4", "C2", "C3", "F4"):
-        alg = build_algebra(name)
-        wd = diagram_of_root_vector_orbit(
-            alg, alg.rs.short_positive_roots()[0])
-        ok &= cli._matches_display(name[0], wd.labels)
-    for name in ("A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"):
-        alg = build_algebra(name)
-        grading = grading_from_diagram(alg, minimal_orbit_diagram(alg))
-        ok &= grading.degree[alg.rs.highest_root()] == 2
-    _verdict(6, "short-root diagrams match the three displayed shapes; "
-             "theta(H) = 2 on minimal diagrams", ok)
+def test_05_g2_pairing_classification(verify_paper):
+    _criterion(verify_paper, 5, "g2-classification",
+               "pairing holds exactly on G2 minimal and short-root "
+               "diagrams, fails with witness on subregular and regular")
 
 
-def test_07_f4_exclusion():
-    alg = build_algebra("F4")
-    a = alg.root_vector(dynkin.F4_ALPHA)
-    b = alg.root_vector(dynkin.F4_BETA)
-    g = alg.root_vector(tuple(-c for c in dynkin.F4_GAMMA))
-    ok = alg.bracket(a + b, g).is_zero()
-    from itertools import product
-    for labels in product((0, 1, 2), repeat=4):
-        if sum(labels[:3]) >= 2:
-            wd = WeightedDiagram(CartanType("F", 4), labels)
-            ok &= dynkin.f4_exclusion(alg, wd).status == "excluded"
-    _verdict(7, "F4 bracket vanishes; exclusion fires whenever "
-             "l1+l2+l3 >= 2", ok)
+def test_06_short_root_diagrams_and_theta(verify_paper):
+    _criterion(verify_paper, 6, "short-diagrams",
+               "short-root diagrams match the three displayed shapes; "
+               "theta(H) = 2 on minimal diagrams")
 
 
-def test_08_e_type_facts():
-    ok = True
-    for name in ("E6", "E7", "E8"):
-        facts = build_root_system(name).simple_root_sum_facts()
-        ok &= facts["sigma_is_root"]
-        ok &= all(facts["sigma_minus_end_is_root"].values())
-        ok &= all(facts["orthogonal_pairs"].values())
-    alg = build_algebra("E8")
-    rs = alg.rs
-    lam = rs.root_from_epsilon([F(1, 2)] * 8)
-    mu_root = rs.root_from_epsilon([0, 0, 0, 0, 0, 0, -1, 1])
-    grading = grading_from_diagram(alg, WeightedDiagram(
-        CartanType("E", 8), (1, 0, 0, 0, 0, 0, 0, 1)))
-    ok &= rs.is_root(lam) and rs.is_root(mu_root)
-    ok &= grading.degree[lam] == 2 and grading.degree[mu_root] == 2
-    ok &= rs.inner(lam, mu_root) == 0
-    _verdict(8, "E-type simple-root-sum facts and the E8 diagram's two "
-             "orthogonal value-2 roots", ok)
+def test_07_f4_exclusion(verify_paper):
+    _criterion(verify_paper, 7, "f4-exclusion",
+               "F4 bracket vanishes; exclusion fires whenever l1+l2+l3 >= 2")
 
 
-def test_09_shared_orbit_table():
-    shared, exceptional = curated.load_tables()
-    rep = curated.validate_tables(shared, exceptional)
-    ok = len(shared) == 9 and rep.ok
-    _verdict(9, f"nine table rows validated ({rep.summary().splitlines()[0]})",
-             ok)
+def test_08_e_type_facts(verify_paper):
+    _criterion(verify_paper, 8, "e-type-facts",
+               "E-type simple-root-sum facts and the E8 diagram's two "
+               "orthogonal value-2 roots")
 
 
-def test_10_sp_model():
-    ok = True
-    for n in (1, 2, 3):
-        sp = matmodel.SymplecticSpace(n)
-        v = tuple(F(i + 1) for i in range(2 * n))
-        e = matmodel.mu(sp, v)
-        ok &= len(matmodel.fiber(sp, e)) == 2
-        ok &= matmodel.kk_rank_at(sp, v) == 2 * n
-    ok &= matmodel.product_cover_degree([1]) == 1
-    ok &= matmodel.product_cover_degree([1, 1]) == 2
-    ok &= matmodel.product_cover_degree([1, 2, 1]) == 4
-    _verdict(10, "2-element fibers, product cover degrees 2^(k-1), "
-             "KK rank 2n for n <= 3", ok)
+def test_09_shared_orbit_table(verify_paper):
+    _criterion(verify_paper, 9, "shared-orbit-table",
+               "nine table rows validated against the partition calculus "
+               "and the exceptional metadata")
 
 
-def test_11_algebraic_property_battery():
-    rng = random.Random(0)
-    checks = 0
-    ok = True
-    for name in ("A2", "B2", "G2"):
-        alg = build_algebra(name)
-        labels = list(alg.basis_labels)
+def test_10_sp_model(verify_paper):
+    _criterion(verify_paper, 10, "sp-model",
+               "2-element fibers, product cover degrees 2^(k-1), "
+               "KK rank 2n for n <= 3")
 
-        def rand_elt():
-            coeffs = {lbl: F(rng.randint(-2, 2)) for lbl in rng.sample(labels, 3)}
-            e = alg.element({k: v for k, v in coeffs.items() if v})
-            return e if not e.is_zero() else alg.element({labels[0]: F(1)})
 
-        for _ in range(25):
-            x, y, z = rand_elt(), rand_elt(), rand_elt()
-            jac = (alg.bracket(x, alg.bracket(y, z))
-                   + alg.bracket(y, alg.bracket(z, x))
-                   + alg.bracket(z, alg.bracket(x, y)))
-            ok &= jac.is_zero()
-            ok &= alg.killing(alg.bracket(x, y), z) == alg.killing(
-                x, alg.bracket(y, z))
-            checks += 2
-    for name, wlabels in [("G2", (0, 2)), ("C3", (1, 0, 0)), ("B3", (0, 1, 0))]:
-        alg = build_algebra(name)
-        grading = grading_from_diagram(alg, WeightedDiagram(
-            alg.rs.cartan_type, wlabels))
-        labels = list(alg.basis_labels)
-        for _ in range(20):
-            a, b = rng.choice(labels), rng.choice(labels)
-            br = alg.bracket(alg.element({a: F(1)}), alg.element({b: F(1)}))
-            ok &= all(
-                grading.degree[x] == grading.degree[a] + grading.degree[b]
-                for x in br.coeffs
-            )
-            checks += 1
-    for name, wlabels in [("G2", (0, 1)), ("G2", (1, 0)), ("C2", (1, 0)),
-                          ("B3", (0, 1, 0))]:
-        alg = build_algebra(name)
-        grading = grading_from_diagram(alg, WeightedDiagram(
-            alg.rs.cartan_type, wlabels))
-        n = generic_degree_two(alg, grading)
-        ok &= omega_kernel_dim(alg, grading, n) == 0
-        checks += 1
-    _verdict(11, f"{checks} exact fixtures: Jacobi, Killing invariance, "
-             "grading compatibility, open-orbit kernel", ok and checks >= 100)
+def test_11_algebraic_property_battery(verify_paper):
+    _criterion(verify_paper, 11, "property-battery",
+               "exact Jacobi, Killing invariance, grading compatibility "
+               "and open-orbit kernel fixtures")

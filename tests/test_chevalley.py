@@ -6,6 +6,7 @@ import pytest
 
 from nilorb import linalg
 from nilorb.chevalley import build_algebra
+from oracles import is_ad_nilpotent
 
 F = Fraction
 
@@ -24,7 +25,7 @@ def test_dimensions(name, dim):
 def test_sl2_relations():
     alg = build_algebra("A1")
     a = (1,)
-    x, y, h = alg.root_vector(a), alg.root_vector((-1,)), alg.h(0)
+    x, y, h = alg.root_vector(a), alg.root_vector((-1,)), alg.cartan_element([1])
     assert alg.bracket(h, x) == 2 * x
     assert alg.bracket(h, y) == (-2) * y
     assert alg.bracket(x, y) == h
@@ -32,7 +33,7 @@ def test_sl2_relations():
 
 def test_killing_form_sl2():
     alg = build_algebra("A1")
-    h = alg.h(0)
+    h = alg.cartan_element([1])
     assert alg.killing(h, h) == 8
 
 
@@ -74,7 +75,7 @@ def test_structure_constants_are_pm_p_plus_one():
                 t = tuple(a + b for a, b in zip(r, s))
                 if not rs.is_root(t) or r == tuple(-c for c in s):
                     continue
-                n = alg.struct_const(r, s)
+                n = alg.bracket(alg.root_vector(r), alg.root_vector(s)).coeffs[t]
                 # |N(r,s)| = p + 1 where p is the length of the string below
                 p = 0
                 cur = r
@@ -103,7 +104,7 @@ def test_highest_root_vector_ad_cubed_zero():
         for lbl in alg.basis_labels:
             b = alg.element({lbl: F(1)})
             assert alg.bracket(x, alg.bracket(x, alg.bracket(x, b))).is_zero()
-        assert alg.is_ad_nilpotent(x)
+        assert is_ad_nilpotent(alg, x)
 
 
 def _sl3_matrix_centralizer_dim():
@@ -180,7 +181,7 @@ def test_cartan_bracket_diagonal():
     alg = build_algebra("G2")
     for r in alg.rs.all_roots:
         for i in range(2):
-            got = alg.bracket(alg.h(i), alg.root_vector(r))
+            got = alg.bracket(alg.element({("H", i): 1}), alg.root_vector(r))
             pairing = sum(
                 r[k] * alg.rs.cartan_matrix[k][i] for k in range(2)
             )
@@ -190,7 +191,7 @@ def test_cartan_bracket_diagonal():
 def test_mixed_algebra_rejected():
     a1, a2 = build_algebra("A1"), build_algebra("A2")
     with pytest.raises((ValueError, AssertionError)):
-        a1.h(0) + a2.h(0)
+        a1.cartan_element([1]) + a2.cartan_element([1, 0])
 
 
 def _trace_killing(alg, x, y):

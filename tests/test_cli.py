@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,17 @@ def test_verify_suite_exception_becomes_error_report(capsys, monkeypatch):
         ("broken", "ValueError: suite crashed")]
     refs = {r["ref"] for r in payload["reports"] if r["status"] == "pass"}
     assert refs == {"closure-order", "g2-classification"}
+
+
+def test_verify_runtimes_are_per_check(monkeypatch):
+    def two_checks(seed):
+        time.sleep(0.05)
+        first = cli._report("slow", "two-checks", True)
+        return [first, cli._report("fast", "two-checks", True)]
+
+    monkeypatch.setattr(cli, "SUITES", [("two-checks", (), two_checks)])
+    slow, fast = cli.run_suites()
+    assert slow.runtime > fast.runtime
 
 
 def test_sp_model_passes_under_optimize_flag():

@@ -89,7 +89,7 @@ def test_dim_agrees_with_grading_decomposition():
         alg = build_algebra(f"{fam}{l}")
         for o in OrbitPoset(fam, l).orbits:
             wd = weighted_diagram(o)
-            grading = dynkin.grading_from_diagram(alg, wd)
+            grading = dynkin.Grading(alg, wd)
             d0 = len(grading.piece(0))
             d1 = len(grading.piece(1))
             assert orbit_dim(o) == alg.dim - d0 - d1, str(o)
