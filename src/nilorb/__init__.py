@@ -1,9 +1,11 @@
 """Exact computations with nilpotent orbits of simple complex Lie algebras.
 
 Modules:
-    linalg      exact linear algebra: fraction-free integer rref, kernel, sparse rank
+    linalg      exact linear algebra on dense rows: fraction-free rref, kernel,
+                rank, nilpotency
     rootsys     root systems from Cartan matrices, Bourbaki realizations
-    chevalley   Chevalley bases, structure constants, brackets, centralizers
+    chevalley   Chevalley bases, structure constants, brackets, ad(x) matrices,
+                Killing form, centralizers
     dynkin      weighted diagrams, gradings (Grading(alg, wd)), sl2 triples,
                 decision procedures
     partitions  classical orbits as partitions: dimension, closure, pi1

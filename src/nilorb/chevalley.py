@@ -11,11 +11,13 @@ convention over the height-then-lexicographic order on positive roots; the
 build verifies the Jacobi identity on a deterministic sample and aborts on
 any inconsistency.
 
+Every matrix of ad(x) is built here, by `ad_matrix` from the integer entries
+of `ad_entries`, which read the brackets of basis elements.
+
 The Killing form K(x, y) = trace(ad x ad y) is read from a Gram table over
 the basis that each algebra builds on first use.  Only the pairs (X_r, X_-r)
 and (H_i, H_j) can be nonzero, because ad e_i ad e_j shifts every weight by
-wt_i + wt_j; their traces are computed from the structure constants and the
-Cartan pairings.
+wt_i + wt_j; their traces are read from the `ad_entries` of the pair.
 """
 
 from fractions import Fraction
@@ -232,55 +234,52 @@ class ChevalleyAlgebra:
                     out[k] = out.get(k, 0) + c1 * c2 * v
         return LieElement(self, out)
 
-    def ad_columns(self, a):
-        """Sparse columns of ad(a): column j holds [a, e_j]."""
-        cols = []
-        for lbl in self.basis_labels:
-            img = self.bracket(a, LieElement(self, {lbl: 1}))
-            cols.append({self.index[k]: v for k, v in img.coeffs.items()})
-        return cols
+    def ad_entries(self, labels, src, dst):
+        """For each basis label k in `labels`, the nonzero entries (i, j, v)
+        of the matrix of ad(e_k) from the span of the `src` labels to the
+        span of the `dst` labels: v is the integer dst[i] coefficient of
+        [e_k, src[j]], read from the brackets of basis elements.  Raises
+        ValueError if some [e_k, src[j]] has a component outside the `dst`
+        labels."""
+        row_of = {lbl: i for i, lbl in enumerate(dst)}
+        entries = {}
+        for k in labels:
+            ek = entries[k] = []
+            for j, lbl in enumerate(src):
+                for d, v in self._bracket_basis(k, lbl).items():
+                    i = row_of.get(d)
+                    if i is None:
+                        raise ValueError(f"[{k}, {lbl}] has a component along {d}, "
+                                         "outside the destination labels")
+                    if v != int(v):
+                        raise AssertionError(f"[{k}, {lbl}] has a non-integral "
+                                             f"coefficient {v} along {d}")
+                    ek.append((i, j, int(v)))
+        return entries
 
-    def _dense(self, cols):
-        """The dim x dim Fraction matrix with the sparse columns `cols`
-        (as returned by `ad_columns`)."""
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
+    def ad_matrix(self, x, src, dst):
+        """Matrix of ad(x) from the span of the `src` labels to the span of
+        the `dst` labels: row i, column j holds the dst[i] coefficient of
+        [x, src[j]].  Its entries are ints when x is integral.  Raises
+        ValueError as `ad_entries` does."""
+        return combine(self.ad_entries(x.coeffs, src, dst), x.coeffs,
+                       len(dst), len(src))
 
     @cached_property
     def _killing_gram(self):
         """K(e_i, e_j) for the basis pairs of opposite weight, as
-        label -> {label: value}; every other pair has K = 0."""
-        rs = self.rs
+        label -> {label: value}; every other pair has K = 0.  Each value is
+        trace(ad e_i ad e_j), read from the `ad_entries` of the pair."""
+        labels = self.basis_labels
         gram = {}
         for r in self._pos:
             neg = tuple(-c for c in r)
-            co = rs.coroot(r)
-            # e = H_i: [X_r, [X_-r, H_i]] = <r, a_i^vee> H_r adds
-            # <r, a_i^vee> co_i, in all r(H_r); e = X_r:
-            # [X_r, [X_-r, X_r]] = [H_r, X_r] = r(H_r) X_r adds r(H_r) again
-            k = 2 * sum(c * rs._cartan_pairing(r, i) for i, c in enumerate(co))
-            # e = X_s, s != r: [X_r, [X_-r, X_s]] = N_{-r,s} N_{r,s-r} X_s
-            for s in rs.all_roots:
-                d = tuple(a - b for a, b in zip(s, r))
-                if s != r and rs.is_root(d):
-                    k += self._nany(neg, s) * self._nany(r, d)
-            # trace(ad X_-r ad X_r) = trace(ad X_r ad X_-r)
-            gram[r] = {neg: k}
-            gram[neg] = {r: k}
-        for i in range(self.rank):
-            row = {}
-            for j in range(self.rank):
-                # [H_i, [H_j, X_a]] = <a, a_i^vee> <a, a_j^vee> X_a
-                k = sum(
-                    rs._cartan_pairing(a, i) * rs._cartan_pairing(a, j)
-                    for a in rs.all_roots
-                )
-                if k:
-                    row[("H", j)] = k
-            gram[("H", i)] = row
+            ent = self.ad_entries((r, neg), labels, labels)
+            k = _trace(ent[r], ent[neg])
+            gram[r], gram[neg] = {neg: k}, {r: k}
+        hs = self.ad_entries([("H", i) for i in range(self.rank)], labels, labels)
+        for hi, ei in hs.items():
+            gram[hi] = {hj: k for hj, ej in hs.items() if (k := _trace(ei, ej))}
         return gram
 
     def killing(self, a, b):
@@ -302,7 +301,8 @@ class ChevalleyAlgebra:
         if a.is_zero():
             return [LieElement(self, {lbl: 1}) for lbl in self.basis_labels]
         basis = []
-        for vec in linalg.kernel_basis(self._dense(self.ad_columns(a))):
+        labels = self.basis_labels
+        for vec in linalg.kernel_basis(self.ad_matrix(a, labels, labels)):
             basis.append(
                 LieElement(
                     self,
@@ -314,12 +314,8 @@ class ChevalleyAlgebra:
     def centralizer_dim(self, a):
         if a.is_zero():
             return self.dim
-        cols = self.ad_columns(a)
-        sparse_rows = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                sparse_rows.setdefault(i, {})[j] = v
-        return self.dim - linalg.sparse_rank(list(sparse_rows.values()))
+        labels = self.basis_labels
+        return self.dim - linalg.rank(self.ad_matrix(a, labels, labels))
 
     def orbit_dimension(self, a):
         if a.is_zero():
@@ -370,6 +366,25 @@ class ChevalleyAlgebra:
                 raise AssertionError(
                     f"Jacobi identity fails on basis triple {i},{j},{k}: {r}"
                 )
+
+
+def combine(entries, coeffs, nrows, ncols):
+    """The nrows x ncols matrix sum_k coeffs[k] * ad(e_k), from the
+    `ad_entries` of the labels k; integral coefficients are used as ints,
+    so an integral combination stays over the integers."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    for k, c in coeffs.items():
+        if c.denominator == 1:
+            c = c.numerator
+        for i, j, v in entries[k]:
+            rows[i][j] += c * v
+    return rows
+
+
+def _trace(a, b):
+    """trace(A B) for the matrices with the `ad_entries` lists a and b."""
+    at = {(i, j): v for i, j, v in a}
+    return sum(v * at.get((j, i), 0) for i, j, v in b)
 
 
 @cache

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .chevalley import LieElement, build_algebra
+from .chevalley import LieElement, build_algebra, combine
 from .rootsys import CartanType
 
 
@@ -78,8 +78,9 @@ class Grading:
     @cached_property
     def sl2_block(self):
         """ad(e_k) on g_-2 -> g_0 for every degree-2 label k, as integer
-        entries (see `_ad_entries`); built once per grading."""
-        return _ad_entries(self.alg, self.piece(2), self.piece(-2), self.piece(0))
+        entries (see `ChevalleyAlgebra.ad_entries`); built once per
+        grading."""
+        return self.alg.ad_entries(self.piece(2), self.piece(-2), self.piece(0))
 
     def labels_with(self, pred):
         return [lbl for lbl, d in self.degree.items() if pred(d)]
@@ -97,52 +98,6 @@ class Grading:
 
     def in_n_perp(self, x):
         return all(self.degree[lbl] >= -1 for lbl in x.coeffs)
-
-
-def _ad_entries(alg, labels, src, dst):
-    """For each basis label k in `labels`, the nonzero entries (i, j, v)
-    of the matrix of ad(e_k) from the span of the `src` labels to the span
-    of the `dst` labels: v is the integer dst[i] coefficient of
-    [e_k, src[j]], read from the brackets of basis elements.  Raises
-    ValueError if some [e_k, src[j]] has a component outside the `dst`
-    labels."""
-    row_of = {lbl: i for i, lbl in enumerate(dst)}
-    entries = {}
-    for k in labels:
-        ek = entries[k] = []
-        for j, lbl in enumerate(src):
-            for d, v in alg._bracket_basis(k, lbl).items():
-                i = row_of.get(d)
-                if i is None:
-                    raise ValueError(f"[{k}, {lbl}] has a component along {d}, "
-                                     "outside the destination labels")
-                if v != int(v):
-                    raise AssertionError(f"[{k}, {lbl}] has a non-integral "
-                                         f"coefficient {v} along {d}")
-                ek.append((i, j, int(v)))
-    return entries
-
-
-def _combine(entries, coeffs, nrows, ncols):
-    """The nrows x ncols matrix sum_k coeffs[k] * ad(e_k) from `entries`;
-    integral coefficients are used as ints, so an integral combination
-    stays over the integers."""
-    rows = [[0] * ncols for _ in range(nrows)]
-    for k, c in coeffs.items():
-        if c.denominator == 1:
-            c = c.numerator
-        for i, j, v in entries[k]:
-            rows[i][j] += c * v
-    return rows
-
-
-def ad_restricted(alg, x, src, dst):
-    """Matrix of ad(x) from the span of the `src` labels to the span of the
-    `dst` labels: row i, column j holds the dst[i] coefficient of
-    [x, src[j]].  Raises ValueError if the image of some basis element of
-    x's support has a component outside the `dst` labels."""
-    return _combine(_ad_entries(alg, x.coeffs, src, dst), x.coeffs,
-                    len(dst), len(src))
 
 
 def weight_multiplicities_nonnegative(grading):
@@ -174,7 +129,7 @@ def sl2_complete(alg, grading, n0):
     if not neg:
         raise NoTripleError("no degree -2 subspace")
     g0 = grading.piece(0)
-    rows = _combine(grading.sl2_block, n0.coeffs, len(g0), len(neg))
+    rows = combine(grading.sl2_block, n0.coeffs, len(g0), len(neg))
     sol = linalg.solve(rows, [-grading.H.coeffs.get(lbl, 0) for lbl in g0])
     if sol is None:
         raise NoTripleError("[N1, N0] = H has no solution in degree -2")
@@ -236,20 +191,19 @@ def nilpotency_report(alg, n):
 
     ad(N) is built once.  One reduction of [ad(N) | -N] decides whether
     some H solves [H, N] = N and gives the centralizer ker ad(N); the
-    power test applies the same sparse columns."""
+    power test takes powers of the same matrix."""
     if n.is_zero():
         raise ValueError("zero element")
-    cols = alg.ad_columns(n)
-    # [H, N] = N  <=>  ad(N) H = -N
-    sol, kernel = linalg.solve_with_kernel(
-        alg._dense(cols), [-v for v in n.to_vector()])
-    iv = sol is not None
     labels = alg.basis_labels
+    ad = alg.ad_matrix(n, labels, labels)
+    # [H, N] = N  <=>  ad(N) H = -N
+    sol, kernel = linalg.solve_with_kernel(ad, [-v for v in n.to_vector()])
+    iv = sol is not None
     v = all(
         alg.killing(alg.element({labels[j]: c for j, c in enumerate(z)}), n) == 0
         for z in kernel
     )
-    nil = linalg.sparse_is_nilpotent(cols)
+    nil = linalg.is_nilpotent(ad)
     if not iv == v == nil:
         raise AssertionError(
             f"nilpotency criteria disagree: [H, N] = N solvable {iv}, "
@@ -277,7 +231,7 @@ def omega_kernel_dim(alg, grading, n):
     perp = grading.n_perp_labels
     # [N, X] has degree >= 1; it lies in n unless its degree-1 part is nonzero
     dst = grading.labels_with(lambda d: d >= 1)
-    block = ad_restricted(alg, n, perp, dst)
+    block = alg.ad_matrix(n, perp, dst)
     rows = [row for lbl, row in zip(dst, block) if grading.degree[lbl] == 1]
     sol_dim = len(perp) - linalg.rank(rows)
     result = sol_dim - len(grading.p_labels)
@@ -299,7 +253,7 @@ class PairingVerdict:
 def _bracket_kernel(grading, n_coeffs):
     """Kernel of Q -> [N, Q] on the degree -2 piece, for N of degree 2
     (the map g_-2 -> g_0, combined from the grading's `sl2_block`)."""
-    return linalg.kernel_basis(_combine(
+    return linalg.kernel_basis(combine(
         grading.sl2_block, n_coeffs, len(grading.piece(0)), len(grading.piece(-2))))
 
 

@@ -1,12 +1,16 @@
-"""Exact rational linear algebra on small dense/sparse matrices.
+"""Exact rational linear algebra on small matrices.
 
-Results are fractions.Fraction (inputs may be ints or Fractions); no
-floating point anywhere.  Dense elimination is fraction-free: `rref`
-clears each row's denominators and reduces over Python ints with exact
-Bareiss divisions, then converts the reduced rows to Fractions once.
+Every function takes a matrix as a list of dense rows of ints or
+Fractions; results are fractions.Fraction, with no floating point
+anywhere.  Elimination is fraction-free: each row is first scaled to
+coprime integers.  `rref` (and `solve`, `kernel_basis` on top of it)
+reduces over Python ints with exact Bareiss divisions, then converts the
+reduced rows to Fractions once; `rank` and `is_nilpotent` eliminate on
+the nonzero entries only.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
@@ -68,10 +72,57 @@ def rref(rows):
     return out, pivots
 
 
+def _nonzero(row):
+    """The nonzero entries of a dense row, as {column: value}."""
+    return {j: row[j] for j in compress(range(len(row)), row)}
+
+
+def _integer(entries):
+    """{column: value} scaled to coprime integers."""
+    return dict(zip(entries, _integer_row(list(entries.values()))))
+
+
+def _independent(rows):
+    """Linearly independent sparse integer rows with the same span as the
+    sparse integer rows `rows`.
+
+    Each step takes a row as pivot row and clears its first column from
+    every other row r as (p * r - f * pivot) / g, where p and f are the
+    pivot row's and r's entries in that column and g = gcd(p, f); the
+    result is scaled back to coprime integers.  Only nonzero entries are
+    touched, and there is no division that is not exact."""
+    basis = []
+    while rows:
+        row = rows.pop()
+        c = min(row)
+        p = row[c]
+        basis.append(row)
+        reduced = []
+        for other in rows:
+            f = other.get(c)
+            if f is None:
+                reduced.append(other)
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = {cc: a * v for cc, v in other.items() if cc != c}
+            for cc, v in row.items():
+                if cc != c:
+                    w = new.get(cc, 0) - b * v
+                    if w:
+                        new[cc] = w
+                    else:
+                        new.pop(cc, None)
+            if new:
+                g = gcd(*new.values())
+                reduced.append({cc: v // g for cc, v in new.items()} if g > 1 else new)
+        rows = reduced
+    return basis
+
+
 def rank(rows):
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+    """Rank of the matrix."""
+    return len(_independent([_integer(e) for e in map(_nonzero, rows) if e]))
 
 
 def _kernel(m, pivots, ncols):
@@ -129,60 +180,28 @@ def solve_with_kernel(rows, rhs):
     return _solution(m, pivots, ncols), _kernel(m, pivots, ncols)
 
 
-def sparse_rank(cols_by_row):
-    """Rank of a sparse matrix given as a list of {col: value} dicts.
+def is_nilpotent(rows):
+    """True iff the square matrix A is nilpotent.
 
-    Gaussian elimination touching only nonzero entries; entries are
-    exact rationals throughout.
-    """
-    rows = [dict(r) for r in cols_by_row if r]
-    rk = 0
-    while rows:
-        row = rows.pop()
-        if not row:
-            continue
-        # pick the column with fewest competing rows to limit fill-in
-        c = min(row)
-        pv = row[c]
-        rk += 1
-        reduced = []
-        for other in rows:
-            if c in other:
-                f = other[c] / pv
-                new = dict(other)
-                del new[c]
-                for cc, vv in row.items():
-                    if cc == c:
-                        continue
-                    w = new.get(cc, 0) - f * vv
-                    if w:
-                        new[cc] = w
-                    elif cc in new:
-                        del new[cc]
-                if new:
-                    reduced.append(new)
-            elif other:
-                reduced.append(other)
-        rows = reduced
-    return rk
-
-
-def sparse_is_nilpotent(cols):
-    """True iff the square matrix given by its sparse columns ({row: value}
-    dicts) has a zero power with exponent at most its size + 1: the images
-    of the basis vectors are multiplied by the matrix until all vanish."""
-    cur = [col for col in cols if col]
-    for _ in range(len(cols)):
-        if not cur:
-            return True
+    Row space of A^(k+1) = (row space of A^k) A lies in that of A^k, so
+    the ranks of the powers decrease until they stop for good: A is
+    nilpotent iff they reach 0, and is not as soon as one power has the
+    same nonzero rank as the one before.  Each round keeps an independent
+    spanning set of integer rows and multiplies it by A."""
+    a = [_nonzero(row) for row in rows]
+    cur = _independent([_integer(e) for e in a if e])
+    while cur:
         nxt = []
         for vec in cur:
             out = {}
             for j, c in vec.items():
-                for i, a in cols[j].items():
-                    out[i] = out.get(i, 0) + c * a
+                for i, v in a[j].items():
+                    out[i] = out.get(i, 0) + c * v
             out = {i: x for i, x in out.items() if x}
             if out:
-                nxt.append(out)
+                nxt.append(_integer(out))
+        nxt = _independent(nxt)
+        if len(nxt) == len(cur):
+            return False
         cur = nxt
-    return not cur
+    return True

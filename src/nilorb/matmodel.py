@@ -16,6 +16,7 @@ All arithmetic is exact (fractions.Fraction).
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 from . import linalg
 
@@ -143,20 +144,8 @@ def _rational_sqrt(q):
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
         return None
-    if q == 0:
-        return F0
-    num, den = q.numerator, q.denominator
-    rn = round(num ** 0.5)
-    while rn * rn < num:
-        rn += 1
-    while rn * rn > num:
-        rn -= 1
-    rd = round(den ** 0.5)
-    while rd * rd < den:
-        rd += 1
-    while rd * rd > den:
-        rd -= 1
-    if rn * rn != num or rd * rd != den:
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
         return None
     return Fraction(rn, rd)
 

@@ -172,10 +172,6 @@ def minimal_orbit(family, rank):
     return JordanOrbit(family, rank, parts)
 
 
-def zero_orbit(family, rank):
-    return JordanOrbit(family, rank, (1,) * matrix_size(family, rank))
-
-
 def _partitions(n, maxpart=None):
     if n == 0:
         yield ()

@@ -180,14 +180,6 @@ class RootSystem:
     def is_root(self, coords):
         return tuple(coords) in self._root_set
 
-    def epsilon_coords(self, coords):
-        dim = len(self._simple_eps[0])
-        v = [Fraction(0)] * dim
-        for c, s in zip(coords, self._simple_eps):
-            for i in range(dim):
-                v[i] += c * s[i]
-        return tuple(v)
-
     def inner(self, r1, r2):
         """Exact inner product, long roots normalized to squared length 2."""
         return sum(

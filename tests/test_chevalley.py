@@ -232,6 +232,27 @@ def test_killing_gram_matches_trace_on_e6_basis_pairs():
         assert alg.killing(x, y) == _trace_killing(alg, x, y)
 
 
+# dual Coxeter numbers (Bourbaki, planches)
+DUAL_COXETER = {"A3": 4, "B3": 5, "C3": 4, "D4": 6,
+                "G2": 4, "F4": 9, "E6": 12, "E7": 18, "E8": 30}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_COXETER))
+def test_killing_gram_closed_form(name):
+    # with long roots of squared length 2: K(X_r, X_-r) = 4 h^v / (r, r)
+    # and K(H_i, H_j) = 8 h^v (a_i, a_j) / ((a_i, a_i) (a_j, a_j))
+    alg = build_algebra(name)
+    rs, hv = alg.rs, DUAL_COXETER[name]
+    for r in rs.all_roots:
+        x, y = alg.element({r: 1}), alg.element({tuple(-c for c in r): 1})
+        assert alg.killing(x, y) == F(4 * hv) / rs.inner(r, r)
+    simple = rs.simple_roots
+    for i, a in enumerate(simple):
+        for j, b in enumerate(simple):
+            k = alg.killing(alg.element({("H", i): 1}), alg.element({("H", j): 1}))
+            assert k == F(8 * hv) * rs.inner(a, b) / (rs.inner(a, a) * rs.inner(b, b))
+
+
 def test_build_algebra_cached_per_type():
     from nilorb.rootsys import CartanType, build_root_system
 

@@ -183,3 +183,29 @@ def test_sp_model_passes_under_optimize_flag():
         env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
     assert "6/6 checks passed" in out.stdout
+
+
+def _readme_cli_lines():
+    """The `nilorb ...` command lines of the README's CLI block, without
+    their comments; the synopsis line `verify-paper [...]` is left out."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [line[1:] for line in lines
+            if line[:1] == ["nilorb"] and not any("[" in w for w in line)]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_lines_run(capsys, argv):
+    # 0 or 1 is a verdict; 2 (or an argparse exit) means the README shows a
+    # command or flag the CLI no longer accepts
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+
+
+def test_readme_cli_block_found():
+    assert len(_readme_cli_lines()) == 9

@@ -303,11 +303,11 @@ def test_ad_restricted_rejects_image_outside_destination():
     alg = build_algebra("G2")
     grading = Grading(alg, _wd("G2", (0, 1)))
     n = alg.element({lbl: 1 for lbl in grading.piece(2)})
-    rows = dynkin.ad_restricted(alg, n, grading.piece(-2), grading.piece(0))
+    rows = alg.ad_matrix(n, grading.piece(-2), grading.piece(0))
     assert len(rows) == len(grading.piece(0))
     assert all(len(row) == len(grading.piece(-2)) for row in rows)
     with pytest.raises(ValueError, match="outside the destination"):
-        dynkin.ad_restricted(alg, n, grading.piece(-2), grading.piece(2))
+        alg.ad_matrix(n, grading.piece(-2), grading.piece(2))
 
 
 def _grading(name, labels):
@@ -419,14 +419,14 @@ def test_ad_restricted_matches_per_column_brackets(name, diagrams):
                     src, dst = grading.piece(s), grading.piece(s + d)
                     if not dst:
                         continue
-                    got = dynkin.ad_restricted(alg, x, src, dst)
+                    got = alg.ad_matrix(x, src, dst)
                     assert got == _ad_by_columns(alg, x, src, dst)
                     checked += 1
         n = alg.element({lbl: F(rng.randint(1, 9), rng.randint(1, 3))
                          for lbl in grading.labels_with(lambda d: d >= 2)})
         perp = grading.n_perp_labels
         dst = grading.labels_with(lambda d: d >= 1)
-        assert dynkin.ad_restricted(alg, n, perp, dst) == _ad_by_columns(alg, n, perp, dst)
+        assert alg.ad_matrix(n, perp, dst) == _ad_by_columns(alg, n, perp, dst)
     assert checked > 20
 
 

@@ -32,14 +32,12 @@ def test_solve_consistent_and_inconsistent():
 
 
 def test_sparse_rank_matches_dense():
+    # rank eliminates on the nonzero entries; rref is the dense reference
     rng = random.Random(7)
     for _ in range(20):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         dense = [[F(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)]
-        sparse = [
-            {j: v for j, v in enumerate(row) if v != 0} for row in dense
-        ]
-        assert linalg.sparse_rank(sparse) == linalg.rank(dense)
+        assert linalg.rank(dense) == len(linalg.rref(dense)[1])
 
 
 def test_kernel_dimension_theorem():
@@ -51,16 +49,39 @@ def test_kernel_dimension_theorem():
 
 
 
+def _from_columns(cols):
+    """The dense rows of the square matrix with the sparse columns `cols`
+    ({row: value} dicts)."""
+    rows = [[F(0)] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
+
+
 def test_sparse_is_nilpotent():
     # columns {row: value}: a strictly triangular shift, a permutation cycle
     shift = [{}, {0: F(2)}, {1: F(-1)}, {2: F(1, 3)}]
     cycle = [{1: F(1)}, {2: F(1)}, {0: F(1)}]
-    assert linalg.sparse_is_nilpotent(shift)
-    assert linalg.sparse_is_nilpotent([{}, {}])
-    assert not linalg.sparse_is_nilpotent(cycle)
-    assert not linalg.sparse_is_nilpotent([{0: F(1)}, {}])
+    assert linalg.is_nilpotent(_from_columns(shift))
+    assert linalg.is_nilpotent(_from_columns([{}, {}]))
+    assert not linalg.is_nilpotent(_from_columns(cycle))
+    assert not linalg.is_nilpotent(_from_columns([{0: F(1)}, {}]))
     # the shift with its corner closed is a cycle up to scalars
-    assert not linalg.sparse_is_nilpotent([{3: F(1)}] + shift[1:])
+    assert not linalg.is_nilpotent(_from_columns([{3: F(1)}] + shift[1:]))
+
+
+def test_is_nilpotent_shift_beside_invertible_block():
+    # the image shrinks while the shift dies, then stays the line of the
+    # 1 x 1 block: the test stops there, with every power nonzero
+    for n in (1, 3, 40):
+        rows = [[F(0)] * (n + 1) for _ in range(n + 1)]
+        for i in range(n - 1):
+            rows[i][i + 1] = F(i + 2)
+        rows[n][n] = F(-7, 3)
+        assert not linalg.is_nilpotent(rows)
+        rows[n][n] = F(0)
+        assert linalg.is_nilpotent(rows)
 
 
 def test_solve_with_kernel_agrees_with_solve_and_annihilates():

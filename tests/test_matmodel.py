@@ -76,6 +76,13 @@ def test_fiber_is_sign_pair():
     assert set(sols) == {v, tuple(-c for c in v)}
 
 
+def test_fiber_beyond_float_range():
+    # 10**400 overflows a float; the square root must stay exact
+    sp = SymplecticSpace(1)
+    v = (1, 10**200)
+    assert set(fiber(sp, mu(sp, v))) == {v, (-1, -10**200)}
+
+
 def test_fiber_of_zero_rejected():
     sp = SymplecticSpace(1)
     z = mu(sp, (0, 0))

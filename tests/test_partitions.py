@@ -7,11 +7,11 @@ from nilorb.partitions import (
     OrbitPoset,
     closure_leq,
     dual_partition,
+    matrix_size,
     minimal_orbit,
     orbit_dim,
     pi1_order,
     weighted_diagram,
-    zero_orbit,
 )
 
 # orbit counts including the split very even classes in type D
@@ -80,7 +80,7 @@ def test_known_dimensions():
     assert orbit_dim(JordanOrbit("D", 4, (5, 3))) == 22
     for l in range(2, 7):
         assert orbit_dim(minimal_orbit("C", l)) == 2 * l
-        assert orbit_dim(zero_orbit("C", l)) == 0
+        assert orbit_dim(JordanOrbit("C", l, (1,) * matrix_size("C", l))) == 0
 
 
 def test_dim_agrees_with_grading_decomposition():
@@ -100,7 +100,7 @@ def test_weighted_diagram_values():
     assert weighted_diagram(minimal_orbit("C", 3)).labels == (1, 0, 0)
     assert weighted_diagram(JordanOrbit("C", 2, (2, 2))).labels == (0, 2)
     assert weighted_diagram(JordanOrbit("A", 2, (3,))).labels == (2, 2)
-    assert weighted_diagram(zero_orbit("D", 4)).labels == (0, 0, 0, 0)
+    assert weighted_diagram(JordanOrbit("D", 4, (1,) * matrix_size("D", 4))).labels == (0, 0, 0, 0)
     one = weighted_diagram(JordanOrbit("D", 4, (2, 2, 2, 2), "I")).labels
     two = weighted_diagram(JordanOrbit("D", 4, (2, 2, 2, 2), "II")).labels
     assert one == (0, 0, 0, 2) and two == (0, 0, 2, 0)
@@ -129,7 +129,7 @@ def test_pi1_orders():
     assert pi1_order(JordanOrbit("B", 4, (2, 2, 2, 2, 1))) == 2
     assert pi1_order(minimal_orbit("D", 4)) == 1
     with pytest.raises(ValueError):
-        pi1_order(zero_orbit("C", 2))
+        pi1_order(JordanOrbit("C", 2, (1,) * matrix_size("C", 2)))
 
 
 def test_closure_order_dominance():
@@ -138,7 +138,7 @@ def test_closure_order_dominance():
     c = JordanOrbit("C", 3, (4, 2))
     assert closure_leq(a, b) and closure_leq(b, c) and closure_leq(a, c)
     assert not closure_leq(c, a)
-    z = zero_orbit("C", 3)
+    z = JordanOrbit("C", 3, (1,) * matrix_size("C", 3))
     for o in OrbitPoset("C", 3).orbits:
         assert closure_leq(z, o)
 
@@ -161,7 +161,7 @@ def test_unique_minimal_and_boundary():
     m = minimal_orbit("C", 2)
     assert poset.boundary_codim(m) == orbit_dim(m) == 4
     with pytest.raises(ValueError):
-        poset.boundary_codim(zero_orbit("C", 2))
+        poset.boundary_codim(JordanOrbit("C", 2, (1,) * matrix_size("C", 2)))
 
 
 def test_cross_family_comparison_rejected():
