@@ -477,8 +477,12 @@ def cmd_orbit(args):
 def cmd_check(args):
     if args.what == "table":
         if args.file:
-            with open(args.file, encoding="utf-8") as f:
-                shared = curated.load_shared_table(f.read())
+            try:
+                with open(args.file, encoding="utf-8") as f:
+                    text = f.read()
+            except OSError as e:
+                raise ValueError(f"cannot read {args.file}: {e.strerror}") from None
+            shared = curated.load_shared_table(text)
         else:
             shared = curated.load_shared_table()
         rep = curated.validate_tables(shared, curated.load_exceptional_table())

@@ -23,19 +23,20 @@ from importlib import resources
 from . import chevalley, dynkin, partitions
 from .rootsys import CartanType
 
-_RANK_RE = re.compile(r"^([A-G])\(?(?:(\d*)l)?([+-]\d+)?(\d+)?\)?$")
+_RANK_RE = re.compile(r"([A-G])(?:(\d+)|l|\(([1-9]\d*)?l([+-]\d+)\))")
 
 
 def parse_type_spec(spec):
-    """Parse 'A2', 'Bl', 'D(l+1)', 'A(2l-1)' into (family, rank_fn, generic).
+    """Parse 'A2', 'Bl', 'D(l+1)', 'A(2l-1)' into (family, rank_fn, generic);
+    these three forms are the only ones accepted.
 
     rank_fn maps a rank parameter l to a concrete rank; for concrete specs
     it ignores its argument.
     """
-    m = _RANK_RE.match(spec)
+    m = _RANK_RE.fullmatch(spec)
     if not m:
         raise ValueError(f"bad type spec: {spec!r}")
-    fam, coeff, shift, const = m.groups()
+    fam, const, coeff, shift = m.groups()
     if const is not None:
         return fam, (lambda l, c=int(const): c), False
     a = int(coeff) if coeff else 1
@@ -228,7 +229,8 @@ class ValidationReport:
 
 
 # Rank ranges used to instantiate the generic rows during validation.
-_GENERIC_RANKS = {"B": range(2, 6), "C": range(2, 6), "D": range(3, 6)}
+_GENERIC_RANKS = {"A": range(1, 6), "B": range(2, 6), "C": range(2, 6),
+                  "D": range(3, 6)}
 
 # Generic-rank instances are dimension-checked against the graded algebra
 # only at small rank, where building the Chevalley basis is cheap.

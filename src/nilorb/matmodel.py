@@ -40,10 +40,6 @@ def _trace_product(a, b):
     )
 
 
-def _is_zero_mat(a):
-    return all(x == 0 for row in a for x in row)
-
-
 @dataclass(frozen=True)
 class SymplecticSpace:
     n: int
@@ -104,13 +100,10 @@ class RankOneElement:
 
     def jordan_type(self):
         """Jordan partition from the ranks of the powers."""
-        d = self.space.dim
-        ranks = [d]
-        p = self.rows()
-        while not _is_zero_mat(p):
-            ranks.append(linalg.rank(p))
-            p = _mat_mul(p, self.rows())
-        ranks.extend([0, 0])
+        ranks = [self.space.dim] + linalg.power_ranks(self.rows())
+        if ranks[-1]:
+            raise ValueError("matrix is not nilpotent")
+        ranks.append(0)
         # number of blocks of size exactly k: r_{k-1} - 2 r_k + r_{k+1}
         parts = []
         for k in range(1, len(ranks) - 1):
@@ -133,7 +126,7 @@ def mu(space, v):
     rows = elt.rows()
     if not space.in_sp(rows):
         raise AssertionError("mu(v) is not in sp(2n)")
-    if not _is_zero_mat(_mat_mul(rows, rows)):
+    if any(x for row in _mat_mul(rows, rows) for x in row):
         raise AssertionError("mu(v) does not square to zero")
     if any(c != 0 for c in v) and linalg.rank(rows) != 1:
         raise AssertionError("mu(v) of a nonzero v does not have rank one")

@@ -153,6 +153,19 @@ def test_centralizer_dims_sparse_vs_dense():
         assert alg.centralizer_dim(x) == len(alg.centralizer(x))
 
 
+def test_e7_centralizer_of_ten_term_element():
+    # kernel_basis of the 133 x 133 ad matrix: every vector commutes with
+    # x, and there are dim - rank of them
+    alg = build_algebra("E7")
+    rng = random.Random(10)
+    labels = rng.sample(list(alg.rs.positive_roots), 10)
+    x = alg.element({lbl: rng.choice([-2, -1, 1, 2, 3]) for lbl in labels})
+    cent = alg.centralizer(x)
+    assert all(alg.bracket(x, v).is_zero() for v in cent)
+    ad = alg.ad_matrix(x, alg.basis_labels, alg.basis_labels)
+    assert len(cent) == alg.dim - linalg.rank(ad) == 39
+
+
 def test_orbit_dimension_e8_minimal():
     alg = build_algebra("E8")
     x = alg.root_vector(alg.rs.highest_root())

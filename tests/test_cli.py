@@ -85,6 +85,13 @@ def test_check_table(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_check_table_missing_file_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.tsv"
+    code, _, err = run(capsys, "check", "table", "--file", str(missing))
+    assert code == 2
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
 def test_check_key_lemma(capsys):
     code, out, _ = run(capsys, "check", "key-lemma", "--type", "G2",
                        "--diagram", "0,1")

@@ -75,6 +75,26 @@ def test_parse_errors_carry_line_numbers():
             "g\tg_prime\torbit\tdegree\nA2\tG2\t3\t3\nA2\tG2\t3\n")
 
 
+@pytest.mark.parametrize("spec", ["A", "A+1", "B(l", "Bl)", "Al2", "A(l)"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_malformed_type_spec_rejected_with_line(spec, column):
+    cols = ["A2", "G2"]
+    cols[column] = spec
+    text = "g\tg_prime\torbit\tdegree\nA2\tG2\t3\t3\n" + "\t".join(cols) + "\t3\t3\n"
+    with pytest.raises(ValueError, match="line 3: bad type spec"):
+        load_shared_table(text)
+
+
+def test_generic_type_a_row_is_validated():
+    rec = SharedOrbitRecord("Al", "A(l+1)", "2,1*", 1, line=2)
+    rep = validate_tables([rec], load_exceptional_table())
+    pi1 = {r.row for r in rep.results if r.check == "pi1_vs_degree"}
+    assert pi1 == {f"line 2 (Al,A(l+1)) l={l}" for l in range(1, 6)}
+    dims = [r for r in rep.results if r.check == "dim_vs_grading"
+            and r.row.startswith("line 2")]
+    assert len(dims) == 4 and all(r.ok for r in dims)
+
+
 def test_exceptional_record_validation():
     with pytest.raises(ValueError):
         ExceptionalOrbitRecord("A2", "short", (1, 0), 8, 1, False, "x")

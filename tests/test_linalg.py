@@ -141,15 +141,29 @@ def _random_matrix(rng, nrows, ncols):
     return m
 
 
+def _sparse_matrix(rng, nrows, ncols):
+    """Seeded matrix with about one entry in eight nonzero, and some rows
+    that are sums of two others."""
+    m = [[F(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.12
+          else F(0) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        if rng.random() < 0.2:
+            a, b = rng.randrange(nrows), rng.randrange(nrows)
+            m[i] = [x + y for x, y in zip(m[a], m[b])]
+    return m
+
+
 def test_rref_matches_naive_gauss_jordan():
     rng = random.Random(2024)
     shapes = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (12, 5), (5, 12)]
-    for _ in range(40):
-        for nrows, ncols in shapes:
-            rows = _random_matrix(rng, nrows, ncols)
-            if rng.random() < 0.3:  # integer input, as the ad blocks give
-                rows = [[int(x * 36) for x in row] for row in rows]
-            assert linalg.rref(rows) == _naive_rref(rows)
+    cases = [(40, shapes, _random_matrix), (10, [(24, 30), (30, 24)], _sparse_matrix)]
+    for repeats, case_shapes, make in cases:
+        for _ in range(repeats):
+            for nrows, ncols in case_shapes:
+                rows = make(rng, nrows, ncols)
+                if rng.random() < 0.3:  # integer input, as the ad blocks give
+                    rows = [[int(x * 36) for x in row] for row in rows]
+                assert linalg.rref(rows) == _naive_rref(rows)
 
 
 def test_rref_edge_cases():

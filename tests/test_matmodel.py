@@ -68,6 +68,12 @@ def test_jordan_type_is_minimal_orbit_partition():
         assert mu(sp, v).jordan_type() == partitions.minimal_orbit("C", n).partition
 
 
+def test_jordan_type_rejects_non_nilpotent_matrix():
+    identity = RankOneElement(SymplecticSpace(1), (1, 0), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="not nilpotent"):
+        identity.jordan_type()
+
+
 def test_fiber_is_sign_pair():
     sp = SymplecticSpace(2)
     v = (F(2), F(-1), F(3), F(1, 2))
