@@ -8,8 +8,11 @@ root.  Brackets follow the Chevalley relations
 with integer constants N_{r,s}, |N_{r,s}| = p+1 for a root string of length
 p below s in the direction of r.  Signs are fixed by the extraspecial-pair
 convention over the height-then-lexicographic order on positive roots; the
-build verifies the Jacobi identity on a deterministic sample and aborts on
-any inconsistency.
+build computes the positive-pair constants once, verifies the Jacobi
+identity on a deterministic sample and aborts on any inconsistency.  Every
+other constant is read from them by one rule over the root lengths
+`RootSystem.len2` (see `_nany`).  Element coefficients are ints or
+Fractions, kept as given; floats raise TypeError.
 
 Every matrix of ad(x) is built here, by `ad_matrix` from the integer entries
 of `ad_entries`, which read the brackets of basis elements.
@@ -31,14 +34,19 @@ class LieElement:
     """Sparse coefficient vector over the algebra basis.
 
     Labels are root tuples (for X_r) or ('H', i) for the Cartan generators.
-    Zero coefficients are never stored, so equality is coefficientwise.
+    Coefficients are ints or Fractions, kept as given; any other type raises
+    TypeError.  Zero coefficients are never stored, so equality is
+    coefficientwise.
     """
 
     __slots__ = ("alg", "coeffs")
 
     def __init__(self, alg, coeffs):
+        for v in coeffs.values():
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"coefficient {v!r} is not an int or a Fraction")
         self.alg = alg
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     def __eq__(self, other):
         return (
@@ -102,15 +110,11 @@ class ChevalleyAlgebra:
         self.index = {lbl: i for i, lbl in enumerate(self.basis_labels)}
         self._pos = rs.positive_roots
         self._pos_index = {r: i for i, r in enumerate(self._pos)}
-        self._len2 = {r: rs.inner(r, r) for r in rs.all_roots}
         self._npos = {}
         self._fill_structure_constants()
         self._jacobi_gate(jacobi_samples)
 
     # -- structure constants --------------------------------------------
-
-    def _is_pos(self, r):
-        return r in self._pos_index
 
     def _string_below(self, r, s):
         """Largest p with s - p r a root."""
@@ -122,71 +126,60 @@ class ChevalleyAlgebra:
         return p
 
     def _fill_structure_constants(self):
+        """N(r, s) for the positive pairs with r + s a root, in both orders,
+        height by height: the extraspecial pair of each root gets p + 1, and
+        every other pair follows from it (Carter, ch. 4)."""
+        len2 = self.rs.len2
+        index = self._pos_index
         for t in self._pos:
-            ht = sum(t)
-            decomps = []
-            for r in self._pos:
-                if sum(r) >= ht:
-                    break
-                s = tuple(a - b for a, b in zip(t, r))
-                if s in self._pos_index and self._pos_index[r] < self._pos_index[s]:
-                    decomps.append((r, s))
+            # t = r + s with r before s, in the order of the positive roots
+            decomps = [(r, s) for r in self._pos[:index[t]]
+                       if (s := tuple(a - b for a, b in zip(t, r))) in index
+                       and index[r] < index[s]]
             if not decomps:
                 continue
             r0, s0 = decomps[0]  # extraspecial: minimal first member
             n0 = self._string_below(r0, s0) + 1
-            self._npos[(r0, s0)] = n0
-            tt = self._len2[t]
+            self._npos[r0, s0], self._npos[s0, r0] = n0, -n0
             for r, s in decomps[1:]:
                 d1 = tuple(a - b for a, b in zip(r0, r))
                 d2 = tuple(a - b for a, b in zip(s0, r))
                 term = Fraction(0)
                 if self.rs.is_root(d1):
-                    term += (
-                        self._nany(r0, tuple(-c for c in r))
-                        * self._nany(s0, tuple(-c for c in s))
-                        / self._len2[d1]
-                    )
+                    term += self._nany(r0, _neg(r)) * self._nany(s0, _neg(s)) / len2[d1]
                 if self.rs.is_root(d2):
-                    term += (
-                        self._nany(tuple(-c for c in r), s0)
-                        * self._nany(r0, tuple(-c for c in s))
-                        / self._len2[d2]
-                    )
-                val = -tt * term / n0
+                    term += self._nany(_neg(r), s0) * self._nany(r0, _neg(s)) / len2[d2]
+                val = -len2[t] * term / n0
                 if val.denominator != 1 or val == 0:
                     raise AssertionError(f"N{r, s} = {val} for root {t} is not a nonzero integer")
                 n = int(val)
                 if abs(n) != self._string_below(r, s) + 1:
                     raise AssertionError(f"|N{r, s}| = {abs(n)} is not p + 1 for root {t}")
-                self._npos[(r, s)] = n
-
-    def _npos_any_order(self, r, s):
-        if (r, s) in self._npos:
-            return self._npos[(r, s)]
-        return -self._npos[(s, r)]
+                self._npos[r, s], self._npos[s, r] = n, -n
 
     def _nany(self, a, b):
-        """N_{a,b} for arbitrary roots a, b with a+b a root."""
-        apos, bpos = self._is_pos(a), self._is_pos(b)
-        if apos and bpos:
-            return self._npos_any_order(a, b)
-        if not apos and not bpos:
-            return -self._npos_any_order(
-                tuple(-c for c in a), tuple(-c for c in b)
-            )
-        if not apos:
-            return -self._nany(b, a)
-        r, u = a, tuple(-c for c in b)
-        v = tuple(x - y for x, y in zip(r, u))
-        if self._is_pos(v):
-            val = -Fraction(self._len2[v], self._len2[r]) * self._npos_any_order(u, v)
+        """N(a, b) for roots a, b with a + b a root (Carter, Thm 4.1.2).
+
+        With c = -(a + b), exactly one cyclic pair (x, y) of (a, b, c) has
+        both roots of the same sign; z is the third root.  N(x, y) is read
+        from the positive constants, with N(-x, -y) = -N(x, y), and
+        N(a, b) / (c, c) = N(x, y) / (z, z)."""
+        ha, hb = sum(a), sum(b)
+        c = tuple(-x - y for x, y in zip(a, b))
+        if (ha > 0) == (hb > 0):
+            x, y, z = a, b, c
+        elif (hb > 0) == (ha + hb < 0):
+            x, y, z = b, c, a
         else:
-            v = tuple(-c for c in v)
-            val = Fraction(self._len2[v], self._len2[u]) * self._npos_any_order(v, r)
-        if val.denominator != 1:
-            raise AssertionError(f"N{a, b} = {val} is not an integer")
-        return int(val)
+            x, y, z = c, a, b
+        n = self._npos[x, y] if sum(x) > 0 else -self._npos[_neg(x), _neg(y)]
+        lc, lz = self.rs.len2[c], self.rs.len2[z]
+        if lc == lz:
+            return n
+        n, rem = divmod(n * lc, lz)
+        if rem:
+            raise AssertionError(f"N{a, b} = {n + rem / lz} is not an integer")
+        return n
 
     # -- elements -------------------------------------------------------
 
@@ -217,7 +210,7 @@ class ChevalleyAlgebra:
         if h2:
             return {k1: -self.rs._cartan_pairing(k1, k2[1])}
         t = tuple(a + b for a, b in zip(k1, k2))
-        if all(c == 0 for c in t):
+        if not any(t):
             return {("H", i): c for i, c in enumerate(self.rs.coroot(k1)) if c}
         if self.rs.is_root(t):
             return {t: self._nany(k1, k2)}
@@ -273,7 +266,7 @@ class ChevalleyAlgebra:
         labels = self.basis_labels
         gram = {}
         for r in self._pos:
-            neg = tuple(-c for c in r)
+            neg = _neg(r)
             ent = self.ad_entries((r, neg), labels, labels)
             k = _trace(ent[r], ent[neg])
             gram[r], gram[neg] = {neg: k}, {r: k}
@@ -379,6 +372,10 @@ def combine(entries, coeffs, nrows, ncols):
         for i, j, v in entries[k]:
             rows[i][j] += c * v
     return rows
+
+
+def _neg(r):
+    return tuple(-c for c in r)
 
 
 def _trace(a, b):

@@ -282,7 +282,11 @@ def validate_tables(shared=None, exceptional=None):
                     rep.add(tag, "dim_vs_grading", d_part == d_grad,
                             f"partition={d_part} grading={d_grad}")
         else:
-            t, t2, name = rec.instantiate()
+            try:
+                t, t2, name = rec.instantiate()
+            except ValueError as e:
+                rep.add(row, "orbit_valid", False, str(e))
+                continue
             meta = _exceptional_lookup(exceptional, rec.g, name)
             rep.add(row, "exceptional_metadata_present", meta is not None)
             if meta is None:

@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from . import linalg
 from .chevalley import LieElement, build_algebra, combine
@@ -242,12 +243,19 @@ def omega_kernel_dim(alg, grading, n):
     return result
 
 
+# Seeded exact-rational samples `pairing_criterion` tries before it reports
+# a probabilistic verdict.
+PAIRING_SAMPLES = 1000
+
+
 @dataclass(frozen=True)
 class PairingVerdict:
     status: str                    # 'holds' | 'fails' | 'probabilistic_holds'
     witness: tuple = None          # (N coeffs, Q coeffs) when status == 'fails'
-    samples: int = 0
-    exact: bool = True
+
+    @property
+    def exact(self):
+        return self.status != "probabilistic_holds"
 
 
 def _bracket_kernel(grading, n_coeffs):
@@ -257,11 +265,11 @@ def _bracket_kernel(grading, n_coeffs):
         grading.sl2_block, n_coeffs, len(grading.piece(0)), len(grading.piece(-2))))
 
 
-def pairing_criterion(alg, grading, seed=0, samples=1000):
+def pairing_criterion(alg, grading, seed=0):
     """Decide whether [N, Q] != 0 for all nonzero N of degree 2 and Q of
     degree -2.  Exact when the degree-2 piece is a line; otherwise a
-    deterministic witness search followed by seeded exact-rational
-    sampling."""
+    deterministic witness search followed by `PAIRING_SAMPLES` seeded
+    exact-rational samples."""
     g2 = grading.piece(2)
     gm2 = grading.piece(-2)
     if not g2 or not gm2:
@@ -276,34 +284,18 @@ def pairing_criterion(alg, grading, seed=0, samples=1000):
         return None
 
     if len(g2) == 1:
-        bad = check([{g2[0]: 1}])
-        return bad if bad else PairingVerdict("holds")
+        return check([{g2[0]: 1}]) or PairingVerdict("holds")
 
-    # witness search over small integer combinations
+    # witness search over small integer combinations, then seeded samples
     candidates = [{lbl: 1} for lbl in g2]
     for i, a in enumerate(g2):
         for b in g2[i + 1 :]:
-            candidates.append({a: 1, b: 1})
-            candidates.append({a: 1, b: -1})
-            candidates.append({a: 1, b: 2})
-            candidates.append({a: 2, b: 1})
-    bad = check(candidates)
-    if bad:
-        return bad
+            candidates += [{a: 1, b: 1}, {a: 1, b: -1}, {a: 1, b: 2}, {a: 2, b: 1}]
     rng = random.Random(seed)
-    for _ in range(samples):
-        coeffs = {
-            lbl: Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for lbl in g2
-        }
-        if all(c == 0 for c in coeffs.values()):
-            continue
-        ker = _bracket_kernel(grading, coeffs)
-        if ker:
-            q = {lbl: c for lbl, c in zip(gm2, ker[0]) if c}
-            return PairingVerdict("fails", witness=(coeffs, q))
-    return PairingVerdict(
-        "probabilistic_holds", samples=samples, exact=False
-    )
+    samples = ({lbl: Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for lbl in g2}
+               for _ in range(PAIRING_SAMPLES))
+    return (check(chain(candidates, (c for c in samples if any(c.values()))))
+            or PairingVerdict("probabilistic_holds"))
 
 
 @dataclass(frozen=True)

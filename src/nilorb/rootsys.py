@@ -2,14 +2,18 @@
 
 Simple roots are numbered as in Bourbaki's planches (see README for the
 table).  Roots are stored as integer coordinate tuples in the simple-root
-basis; inner products come from a realization of the simple roots in a
-rational Euclidean space, rescaled so that long roots have squared
-length 2.
+basis.  The symmetric form comes from a realization of the simple roots in
+a rational Euclidean space, rescaled so that long roots have squared
+length 2; after that, inner products are integer sums over the Cartan
+matrix, (r, s) = sum_j s_j d_j <r, alpha_j^vee> with d_j = (alpha_j,
+alpha_j)/2 over one common denominator.  The squared length of every root
+is computed once, at build, into `len2`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 
 FAMILIES = "ABCDEFG"
 
@@ -119,7 +123,6 @@ class RootSystem:
         self.rank = cartan_type.rank
         simple_eps, scale = _simple_roots_epsilon(cartan_type)
         self._simple_eps = simple_eps
-        self._scale = scale
         n = self.rank
         # sym_form[i][j] = (alpha_i, alpha_j), long roots of squared length 2
         self.sym_form = [
@@ -131,6 +134,10 @@ class RootSystem:
             [int(2 * self.sym_form[i][j] / self.sym_form[j][j]) for j in range(n)]
             for i in range(n)
         ]
+        # d_j = (alpha_j, alpha_j) / 2 = self._d[j] / self._denom
+        half = [self.sym_form[j][j] / 2 for j in range(n)]
+        self._denom = lcm(*(h.denominator for h in half))
+        self._d = [int(h * self._denom) for h in half]
         self.simple_roots = [
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         ]
@@ -139,6 +146,9 @@ class RootSystem:
             tuple(-c for c in r) for r in self.positive_roots
         ]
         self._root_set = set(self.all_roots)
+        # squared length of every root, long roots 2; (-r, -r) = (r, r)
+        lengths = [self.inner(r, r) for r in self.positive_roots]
+        self.len2 = dict(zip(self.all_roots, lengths + lengths))
         self._coroots = {}
 
     # -- construction ---------------------------------------------------
@@ -180,23 +190,15 @@ class RootSystem:
     def is_root(self, coords):
         return tuple(coords) in self._root_set
 
-    def inner(self, r1, r2):
-        """Exact inner product, long roots normalized to squared length 2."""
-        return sum(
-            ci * cj * self.sym_form[i][j]
-            for i, ci in enumerate(r1)
-            for j, cj in enumerate(r2)
-        )
-
-    def squared_lengths(self):
-        return sorted({self.inner(r, r) for r in self.all_roots})
-
-    @cached_property
-    def _long_len2(self):
-        return max(self.squared_lengths())
+    def inner(self, r, s):
+        """Exact inner product (r, s) = sum_j s_j d_j <r, alpha_j^vee>, long
+        roots normalized to squared length 2, as a Fraction."""
+        return Fraction(sum(c * d * self._cartan_pairing(r, j)
+                            for j, (c, d) in enumerate(zip(s, self._d)) if c),
+                        self._denom)
 
     def is_long(self, r):
-        return self.inner(r, r) == self._long_len2
+        return self.len2[tuple(r)] == 2
 
     def highest_root(self):
         """The unique root maximal in the coordinatewise order."""
@@ -234,10 +236,10 @@ class RootSystem:
         r = tuple(r)
         co = self._coroots.get(r)
         if co is None:
-            rr = self.inner(r, r)
-            co = self._coroots[r] = tuple(
-                Fraction(2 * c * self.sym_form[i][i], 2) / rr for i, c in enumerate(r)
-            )
+            # (alpha_i, alpha_i) / (r, r) = 2 d_i / (denom (r, r))
+            q = self._denom * self.len2[r]
+            co = self._coroots[r] = tuple(Fraction(2 * c * d) / q
+                                          for c, d in zip(r, self._d))
         return co
 
     def root_from_epsilon(self, eps):

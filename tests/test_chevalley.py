@@ -66,25 +66,38 @@ def test_jacobi_fuzz_large(name):
         assert s.is_zero()
 
 
+def _neg(r):
+    return tuple(-c for c in r)
+
+
 def test_structure_constants_are_pm_p_plus_one():
-    for name in ("B2", "G2", "F4"):
+    for name in ("B2", "G2", "F4", "E6", "E7", "E8"):
         alg = build_algebra(name)
         rs = alg.rs
+        len2 = {r: rs.inner(r, r) for r in rs.all_roots}
+        # N(r, s) for every pair of roots with r + s a root, through bracket
+        n = {}
         for r in rs.all_roots:
             for s in rs.all_roots:
                 t = tuple(a + b for a, b in zip(r, s))
-                if not rs.is_root(t) or r == tuple(-c for c in s):
-                    continue
-                n = alg.bracket(alg.root_vector(r), alg.root_vector(s)).coeffs[t]
-                # |N(r,s)| = p + 1 where p is the length of the string below
-                p = 0
-                cur = r
-                while True:
-                    cur = tuple(a - b for a, b in zip(cur, s))
-                    if not rs.is_root(cur):
-                        break
-                    p += 1
-                assert abs(n) == p + 1
+                if rs.is_root(t):
+                    n[r, s] = alg.bracket(alg.root_vector(r), alg.root_vector(s)).coeffs[t]
+        for (r, s), nrs in n.items():
+            # |N(r,s)| = p + 1 where p is the length of the string below
+            p = 0
+            cur = r
+            while True:
+                cur = tuple(a - b for a, b in zip(cur, s))
+                if not rs.is_root(cur):
+                    break
+                p += 1
+            assert abs(nrs) == p + 1
+            assert n[s, r] == -nrs
+            assert n[_neg(r), _neg(s)] == -nrs
+            # r + s + u = 0: N(r,s)/(u,u) = N(s,u)/(r,r) = N(u,r)/(s,s)
+            u = _neg(tuple(a + b for a, b in zip(r, s)))
+            assert n[s, u] * len2[u] == nrs * len2[r]
+            assert n[u, r] * len2[u] == nrs * len2[s]
 
 
 def test_weight_space_orthogonality():
@@ -199,6 +212,19 @@ def test_cartan_bracket_diagonal():
                 r[k] * alg.rs.cartan_matrix[k][i] for k in range(2)
             )
             assert got == pairing * alg.root_vector(r)
+
+
+def test_coefficients_are_exact():
+    alg = build_algebra("A2")
+    x = alg.element({(1, 0): 2, (0, 1): F(1, 3), (1, 1): 0})
+    assert x.coeffs == {(1, 0): 2, (0, 1): F(1, 3)}
+    assert type(x.coeffs[(1, 0)]) is int
+    with pytest.raises(TypeError):
+        alg.element({(1, 0): 0.1})
+    with pytest.raises(TypeError):
+        alg.cartan_element([1, 0.5])
+    with pytest.raises(TypeError):
+        x.scale(0.5)
 
 
 def test_mixed_algebra_rejected():

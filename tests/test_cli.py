@@ -79,10 +79,13 @@ def test_check_table(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "table")
     assert code == 0 and "54/54" in out
     bad = tmp_path / "bad.tsv"
-    bad.write_text("g\tg_prime\torbit\tdegree\nA2\tG2\t3\t7\n")
+    bad.write_text("g\tg_prime\torbit\tdegree\nA2\tG2\t3\t7\n"
+                   "G2\tBl\tshort\t1\nEl\tF4\tshort\t2\n")
     code, out, _ = run(capsys, "check", "table", "--file", str(bad))
     assert code == 1
-    assert "FAIL" in out
+    assert "FAIL line 2 (A2,G2)" in out
+    assert "FAIL line 3 (G2,Bl): orbit_valid" in out
+    assert "FAIL line 4 (El,F4): orbit_valid" in out
 
 
 def test_check_table_missing_file_is_usage_error(capsys, tmp_path):

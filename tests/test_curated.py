@@ -73,6 +73,13 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ValueError, match="line 3"):
         load_shared_table(
             "g\tg_prime\torbit\tdegree\nA2\tG2\t3\t3\nA2\tG2\t3\n")
+    # rows that parse but name no algebra fail validation at their line
+    for g, g_prime, family in (("G2", "Bl", "B"), ("El", "F4", "E")):
+        shared = load_shared_table(f"g\tg_prime\torbit\tdegree\n{g}\t{g_prime}\tshort\t1\n")
+        rep = validate_tables(shared, load_exceptional_table())
+        bad = [f for f in rep.failures() if f.check != "row_count"]
+        assert [(f.row, f.check, f.detail) for f in bad] == [
+            (f"line 2 ({g},{g_prime})", "orbit_valid", f"invalid rank 0 for family {family}")]
 
 
 @pytest.mark.parametrize("spec", ["A", "A+1", "B(l", "Bl)", "Al2", "A(l)"])
