@@ -75,6 +75,8 @@ class LieElement:
         return LieElement(self.alg, {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, c):
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"scalar {c!r} is not an int or a Fraction")
         return LieElement(self.alg, {k: c * v for k, v in self.coeffs.items()})
 
     def __rmul__(self, c):

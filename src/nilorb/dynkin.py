@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import mul
 
 from . import linalg
 from .chevalley import LieElement, build_algebra, combine
@@ -18,10 +19,11 @@ class NoTripleError(Exception):
     """Raised when a degree-2 element cannot be completed to an sl2-triple
     with the grading's defining Cartan element.
 
-    `exact` is True when the error is a proof: the given N0 has no
-    completion, or the graded dimensions rule out every triple.  It is
-    False when it only means that the deterministic attempts of
-    `generic_degree_two` ran out."""
+    `exact` is True when the error is a proof about the diagram: no
+    element of g_2 completes with H, because the graded dimensions rule
+    it out or because one N0 certifies it (see `sl2_complete`).  It is
+    False when only the given N0, or only every N0 that
+    `generic_degree_two` tried, fails to complete."""
 
     def __init__(self, message, exact=True):
         super().__init__(message)
@@ -57,18 +59,15 @@ class Grading:
         self.alg = alg
         self.diagram = diagram
         labels = diagram.labels
+        rs = alg.rs
         # H = sum x_j H_j with alpha_i(H) = sum_j C[i][j] x_j = labels_i
-        self.h_coeffs = [
-            sum(c * v for c, v in zip(row, labels))
-            for row in alg.rs.inverse_cartan_matrix
-        ]
-        self.H = alg.cartan_element(self.h_coeffs)
-        self.degree = {}
-        for lbl in alg.basis_labels:
-            if isinstance(lbl[0], str):  # ('H', i)
-                self.degree[lbl] = 0
-            else:
-                self.degree[lbl] = sum(c * v for c, v in zip(lbl, labels))
+        denom, inverse = rs.inverse_cartan_numerators
+        self.H = alg.cartan_element(
+            [Fraction(sum(map(mul, row, labels)), denom) for row in inverse])
+        # basis_labels: the positive roots, their negatives, then ('H', i)
+        pos = [sum(map(mul, r, labels)) for r in rs.positive_roots]
+        self.degree = dict(zip(alg.basis_labels,
+                               chain(pos, [-v for v in pos], [0] * rs.rank)))
         self.pieces = {}
         for lbl, d in self.degree.items():
             self.pieces.setdefault(d, []).append(lbl)
@@ -121,7 +120,16 @@ def sl2_complete(alg, grading, n0):
     [N1, N0] = H is solved as ad(N0) N1 = -H on the map g_-2 -> g_0, the
     only rows where either side can be nonzero.  The matrix is combined
     from the grading's `sl2_block`; the three relations of a solution are
-    checked with `bracket`."""
+    checked with `bracket`.
+
+    The same reduction gives the kernel of ad(N0) on g_-2.  When there is
+    no solution and that kernel is zero, the columns of ad(N0) and H are
+    linearly independent, and the error is exact: no element of g_2
+    completes.  If some e did, G_0.e would be open and dense in g_2
+    (Kostant 1959; Collingwood & McGovern ch. 3-4), so H would lie in the
+    image of ad(N) for N in a dense open set, which meets the open set
+    where the columns and H are independent.  With a nonzero kernel the
+    error is not exact: only this N0 fails."""
     if n0.is_zero():
         raise ValueError("N0 must be nonzero")
     if not all(grading.degree[lbl] == 2 for lbl in n0.coeffs):
@@ -131,9 +139,14 @@ def sl2_complete(alg, grading, n0):
         raise NoTripleError("no degree -2 subspace")
     g0 = grading.piece(0)
     rows = combine(grading.sl2_block, n0.coeffs, len(g0), len(neg))
-    sol = linalg.solve(rows, [-grading.H.coeffs.get(lbl, 0) for lbl in g0])
+    sol, kernel = linalg.solve_with_kernel(
+        rows, [-grading.H.coeffs.get(lbl, 0) for lbl in g0])
     if sol is None:
-        raise NoTripleError("[N1, N0] = H has no solution in degree -2")
+        if kernel:
+            raise NoTripleError("[N1, N0] = H has no solution in degree -2 at "
+                                "this N0 (not exact)", exact=False)
+        raise NoTripleError("[N1, N0] = H has no solution in degree -2, and "
+                            "ad(N0) is injective there (exact)")
     n1 = LieElement(alg, {lbl: c for lbl, c in zip(neg, sol)})
     h = grading.H
     if alg.bracket(h, n0) != n0.scale(2):
@@ -155,12 +168,14 @@ def _attempt_coeffs(n):
 
 def generic_degree_two(alg, grading):
     """Deterministic generic element of the degree-2 piece that completes
-    to an sl2-triple.
+    to an sl2-triple: the first vector of `_attempt_coeffs` that does.
 
-    Raises NoTripleError with `exact` True when the graded dimensions
-    rule out every triple (`weight_multiplicities_nonnegative`), and with
-    `exact` False when none of the coefficient vectors of
-    `_attempt_coeffs` completes."""
+    Raises NoTripleError with `exact` True when the diagram has no
+    triple: the graded dimensions rule one out
+    (`weight_multiplicities_nonnegative`), or one attempt certifies it
+    (`sl2_complete`), which ends the attempts.  Raises it with `exact`
+    False when every vector fails without a certificate; no such diagram
+    is known."""
     g2 = grading.piece(2)
     if not g2:
         raise ValueError("degree-2 piece is zero")
@@ -172,8 +187,9 @@ def generic_degree_two(alg, grading):
         try:
             sl2_complete(alg, grading, n0)
             return n0
-        except NoTripleError:
-            continue
+        except NoTripleError as e:
+            if e.exact:
+                raise
     raise NoTripleError(
         "no generic sl2 representative found by the deterministic attempts "
         "(not exact)", exact=False)

@@ -227,6 +227,14 @@ class RootSystem:
                             for i, row in enumerate(self.cartan_matrix)])
         return [row[n:] for row in m]
 
+    @cached_property
+    def inverse_cartan_numerators(self):
+        """(d, rows): the inverse Cartan matrix as integer rows over one
+        common denominator d, computed on first use."""
+        inv = self.inverse_cartan_matrix
+        d = lcm(*(x.denominator for row in inv for x in row))
+        return d, [[int(x * d) for x in row] for row in inv]
+
     def coroot(self, r):
         """r^vee = 2 r / (r,r) expressed in the simple-coroot basis.
 

@@ -227,6 +227,16 @@ def test_coefficients_are_exact():
         x.scale(0.5)
 
 
+def test_scale_rejects_a_float_scalar():
+    alg = build_algebra("A2")
+    for x in (alg.element({}), alg.element({(1, 0): 1})):
+        with pytest.raises(TypeError):
+            x.scale(0.5)
+        with pytest.raises(TypeError):
+            0.5 * x
+    assert alg.element({(1, 0): 3}).scale(F(1, 3)) == alg.element({(1, 0): 1})
+
+
 def test_mixed_algebra_rejected():
     a1, a2 = build_algebra("A1"), build_algebra("A2")
     with pytest.raises((ValueError, AssertionError)):

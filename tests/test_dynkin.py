@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -142,21 +143,34 @@ def test_nilpotency_report_against_independent_oracles(name):
     assert verdicts == {True, False}
 
 
-def _scan_diagrams(name):
-    """Nonzero diagrams whose generic degree-2 element completes to an
-    sl2-triple with the grading element (de Graaf's scan)."""
+@functools.cache
+def _scan(name):
+    """De Graaf's scan: the nonzero diagrams whose generic degree-2 element
+    completes to an sl2-triple with the grading element, and the diagrams
+    rejected without a proof (`exact` False)."""
     alg = build_algebra(name)
-    found = set()
+    found, inexact = set(), []
     for labels in itertools.product((0, 1, 2), repeat=alg.rank):
         grading = Grading(alg, _wd(name, labels))
         if not any(labels) or not grading.piece(2):
             continue
         try:
             generic_degree_two(alg, grading)
-        except NoTripleError:
+        except NoTripleError as e:
+            if not e.exact:
+                inexact.append(labels)
             continue
         found.add(labels)
-    return found
+    return frozenset(found), tuple(inexact)
+
+
+def _scan_diagrams(name):
+    return _scan(name)[0]
+
+
+def _partition_diagrams(name):
+    poset = partitions.OrbitPoset(name[0], int(name[1:]))
+    return {partitions.weighted_diagram(o).labels for o in poset.nonzero_orbits()}
 
 
 @pytest.mark.parametrize("name,count", [("G2", 4), ("F4", 15)])
@@ -167,10 +181,17 @@ def test_diagram_scan_finds_every_exceptional_orbit(name, count):
 
 @pytest.mark.parametrize("name", ["B4", "C4", "D4"])
 def test_diagram_scan_matches_partition_diagrams(name):
-    poset = partitions.OrbitPoset(name[0], int(name[1:]))
-    expected = {partitions.weighted_diagram(o).labels
-                for o in poset.nonzero_orbits()}
-    assert _scan_diagrams(name) == expected
+    assert _scan_diagrams(name) == _partition_diagrams(name)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "B4", "C4", "D4"])
+def test_diagram_scan_rejections_are_exact(name):
+    kept, inexact = _scan(name)
+    assert inexact == ()
+    if name[0] in "BCD":
+        assert kept == _partition_diagrams(name)
+    else:
+        assert len(kept) == {"G2": 4, "F4": 15, "E6": 20}[name]
 
 
 def test_pairing_criterion_g2():
@@ -323,12 +344,45 @@ def test_fake_g2_diagram_rejected_exactly():
     assert exc.value.exact is True
 
 
-def test_rejection_after_attempts_is_not_exact():
-    # (1, 1) passes the dimension test; no orbit has this diagram
+def test_certified_rejection_is_exact():
+    # (1, 1) passes the dimension test; no orbit has this diagram, and the
+    # first attempt certifies it
     grading = _grading("G2", (1, 1))
     assert dynkin.weight_multiplicities_nonnegative(grading)
-    with pytest.raises(NoTripleError, match="not exact") as exc:
+    with pytest.raises(NoTripleError, match=r"\(exact\)") as exc:
         generic_degree_two(build_algebra("G2"), grading)
+    assert exc.value.exact is True
+
+
+def _root_vector_with_kernel(alg, grading):
+    """A root vector of g_2 whose ad map g_-2 -> g_0 has a nonzero kernel."""
+    for lbl in grading.piece(2):
+        rows = alg.ad_matrix(alg.element({lbl: 1}), grading.piece(-2), grading.piece(0))
+        if linalg.kernel_basis(rows):
+            return lbl
+    raise AssertionError("every root vector of g_2 is injective on g_-2")
+
+
+def test_sl2_complete_on_non_generic_n0_is_not_exact():
+    # (0, 2) is the diagram of the orbit G2(a1); a root vector is not generic
+    alg = build_algebra("G2")
+    grading = _grading("G2", (0, 2))
+    generic_degree_two(alg, grading)
+    lbl = _root_vector_with_kernel(alg, grading)
+    with pytest.raises(NoTripleError, match="not exact") as exc:
+        sl2_complete(alg, grading, alg.element({lbl: 1}))
+    assert exc.value.exact is False
+
+
+def test_attempts_without_certificate_are_not_exact(monkeypatch):
+    alg = build_algebra("G2")
+    grading = _grading("G2", (0, 2))
+    g2 = grading.piece(2)
+    lbl = _root_vector_with_kernel(alg, grading)
+    vector = [int(x == lbl) for x in g2]
+    monkeypatch.setattr(dynkin, "_attempt_coeffs", lambda n: iter([vector] * 3))
+    with pytest.raises(NoTripleError, match="not exact") as exc:
+        generic_degree_two(alg, grading)
     assert exc.value.exact is False
 
 
@@ -457,3 +511,25 @@ def test_inverse_cartan_matrix(name):
     assert [[sum(C[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
     assert rs.inverse_cartan_matrix is inv
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C4", "D5", "F4", "E6", "E7", "E8"])
+def test_inverse_cartan_numerators(name):
+    rs = build_algebra(name).rs
+    d, rows = rs.inverse_cartan_numerators
+    assert [[F(v, d) for v in row] for row in rows] == rs.inverse_cartan_matrix
+    assert all(type(v) is int for row in rows for v in row)
+
+
+@pytest.mark.parametrize("name,labels", [
+    ("G2", (0, 1)), ("B3", (1, 0, 2)), ("F4", (0, 1, 0, 2)), ("E7", (2, 0, 1, 0, 0, 1, 0)),
+])
+def test_grading_element_and_degrees(name, labels):
+    alg = build_algebra(name)
+    grading = _grading(name, labels)
+    for r, v in zip(alg.rs.simple_roots, labels):
+        x = alg.root_vector(r)
+        assert alg.bracket(grading.H, x) == x.scale(v)
+    for lbl in alg.basis_labels:
+        x = alg.element({lbl: 1})
+        assert alg.bracket(grading.H, x) == x.scale(grading.degree[lbl])
