@@ -8,11 +8,16 @@ root.  Brackets follow the Chevalley relations
 with integer constants N_{r,s}, |N_{r,s}| = p+1 for a root string of length
 p below s in the direction of r.  Signs are fixed by the extraspecial-pair
 convention over the height-then-lexicographic order on positive roots; the
-build computes the positive-pair constants once, verifies the Jacobi
-identity on a deterministic sample and aborts on any inconsistency.  Every
-other constant is read from them by one rule over the root lengths
-`RootSystem.len2` (see `_nany`).  Element coefficients are ints or
-Fractions, kept as given; floats raise TypeError.
+build computes the positive-pair constants once and aborts on any
+inconsistency.  Its Jacobi gate checks every basis triple up to dimension
+16; above that, its stride sampler reaches 0 or 1 triples (see ROADMAP.md,
+open item 3), and `tests/test_chevalley.py` checks every unordered basis
+triple of G2, B3, C3, F4 and E6 instead.
+Every other constant is read from the positive ones by one rule over the
+integer squared-length numerators `RootSystem.len2_numerators` (see
+`_nany`), so every bracket of basis elements has integer coefficients.
+Element coefficients are ints or Fractions, kept as given; floats raise
+TypeError.
 
 Every matrix of ad(x) is built here, by `ad_matrix` from the integer entries
 of `ad_entries`, which read the brackets of basis elements.
@@ -87,7 +92,7 @@ class LieElement:
             raise ValueError("elements belong to different algebras")
 
     def to_vector(self):
-        v = [Fraction(0)] * self.alg.dim
+        v = [0] * self.alg.dim
         for k, c in self.coeffs.items():
             v[self.alg.index[k]] = c
         return v
@@ -175,12 +180,14 @@ class ChevalleyAlgebra:
         else:
             x, y, z = c, a, b
         n = self._npos[x, y] if sum(x) > 0 else -self._npos[_neg(x), _neg(y)]
-        lc, lz = self.rs.len2[c], self.rs.len2[z]
+        # (c, c) / (z, z) as a ratio of the integer numerators of len2
+        lc, lz = self.rs.len2_numerators[c], self.rs.len2_numerators[z]
         if lc == lz:
             return n
         n, rem = divmod(n * lc, lz)
         if rem:
-            raise AssertionError(f"N{a, b} = {n + rem / lz} is not an integer")
+            raise AssertionError(f"N{a, b} = {Fraction(n * lz + rem, lz)} "
+                                 "is not an integer")
         return n
 
     # -- elements -------------------------------------------------------
@@ -283,7 +290,7 @@ class ChevalleyAlgebra:
         if a.alg is not self:
             raise ValueError("elements belong to a different algebra")
         gram = self._killing_gram
-        tot = Fraction(0)
+        tot = 0
         for k1, c1 in a.coeffs.items():
             for k2, g in gram[k1].items():
                 c2 = b.coeffs.get(k2)

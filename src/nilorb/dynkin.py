@@ -65,12 +65,25 @@ class Grading:
         self.H = alg.cartan_element(
             [Fraction(sum(map(mul, row, labels)), denom) for row in inverse])
         # basis_labels: the positive roots, their negatives, then ('H', i)
+        basis = alg.basis_labels
+        npos = len(rs.positive_roots)
         pos = [sum(map(mul, r, labels)) for r in rs.positive_roots]
-        self.degree = dict(zip(alg.basis_labels,
+        self.degree = dict(zip(basis,
                                chain(pos, [-v for v in pos], [0] * rs.rank)))
-        self.pieces = {}
-        for lbl, d in self.degree.items():
-            self.pieces.setdefault(d, []).append(lbl)
+        # each piece in basis order, from one pass over the positive roots:
+        # piece -d holds the negatives of piece d, and piece 0 its positive
+        # roots, their negatives, then the H labels
+        up, down = {0: []}, {0: []}
+        for r, neg, d in zip(basis, basis[npos:], pos):
+            if d in up:
+                up[d].append(r)
+                down[d].append(neg)
+            else:
+                up[d], down[d] = [r], [neg]
+        up[0] += down.pop(0) + basis[2 * npos:]
+        for d, lbls in down.items():
+            up[-d] = lbls
+        self.pieces = up
 
     def piece(self, i):
         return self.pieces.get(i, [])
@@ -430,12 +443,8 @@ def diagram_of_root_vector_orbit(alg, r):
         guard += 1
         if guard >= 10_000:
             raise AssertionError(f"no dominant coroot for {r} after {guard} reflections")
-    ints = []
-    for v in lab:
-        if Fraction(v).denominator != 1:
-            raise AssertionError(f"diagram of {r} has a non-integral label {v}")
-        ints.append(int(v))
-    return WeightedDiagram(rs.cartan_type, tuple(ints))
+    # the coroot is integral, so the labels are ints
+    return WeightedDiagram(rs.cartan_type, tuple(lab))
 
 
 def minimal_orbit_diagram(alg):

@@ -10,7 +10,8 @@ Kostant-Kirillov form, of rank 2n.  Its Gram matrix over the sp(2n) basis
 is formed from the identity trace(N [X, Y]) = trace((N X) Y) - trace((N Y) X),
 so each product N X is computed once and no commutator is formed.
 
-All arithmetic is exact (fractions.Fraction).
+All arithmetic is exact: values are ints where they are integral and
+Fractions where a quotient appears (the fiber's scalar), never floats.
 """
 
 from dataclasses import dataclass
@@ -20,14 +21,11 @@ from math import isqrt
 
 from . import linalg
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
 
 def _mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
     return [
-        [sum((a[i][k] * b[k][j] for k in range(m)), F0) for j in range(p)]
+        [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]
         for i in range(n)
     ]
 
@@ -36,7 +34,7 @@ def _trace_product(a, b):
     """trace(A B) of square matrices, without forming A B."""
     n = len(a)
     return sum(
-        (a[i][k] * b[k][i] for i in range(n) for k in range(n) if b[k][i]), F0
+        a[i][k] * b[k][i] for i in range(n) for k in range(n) if b[k][i]
     )
 
 
@@ -55,15 +53,15 @@ class SymplecticSpace:
     def form(self):
         """The standard alternating matrix [[0, I], [-I, 0]]."""
         n = self.n
-        m = [[F0] * (2 * n) for _ in range(2 * n)]
+        m = [[0] * (2 * n) for _ in range(2 * n)]
         for i in range(n):
-            m[i][n + i] = F1
-            m[n + i][i] = -F1
+            m[i][n + i] = 1
+            m[n + i][i] = -1
         return m
 
     def omega(self, u, v):
         n = self.n
-        return sum((u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)), F0)
+        return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n))
 
     def sp_basis(self):
         """Basis of sp(2n) = {X : Omega X symmetric}, via X = -Omega S
@@ -73,9 +71,9 @@ class SymplecticSpace:
         basis = []
         for a in range(d):
             for b in range(a, d):
-                s = [[F0] * d for _ in range(d)]
-                s[a][b] = F1
-                s[b][a] = F1
+                s = [[0] * d for _ in range(d)]
+                s[a][b] = 1
+                s[b][a] = 1
                 basis.append([[-x for x in row] for row in _mat_mul(omega, s)])
         return basis
 
@@ -114,12 +112,18 @@ class RankOneElement:
 
 
 def mu(space, v):
-    """The degree-2 map v -> (u -> omega(v,u) v), landing in sp(2n)."""
-    v = tuple(Fraction(c) for c in v)
+    """The degree-2 map v -> (u -> omega(v,u) v), landing in sp(2n).
+
+    The coordinates of v are ints or Fractions, kept as given; any other
+    type raises TypeError."""
+    v = tuple(v)
+    for c in v:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coordinate {c!r} is not an int or a Fraction")
     if len(v) != space.dim:
         raise ValueError("vector has wrong dimension")
     omega = space.form()
-    w = [sum((v[i] * omega[i][j] for i in range(space.dim)), F0)
+    w = [sum(v[i] * omega[i][j] for i in range(space.dim))
          for j in range(space.dim)]   # row vector v^T Omega
     x = tuple(tuple(v[i] * w[j] for j in range(space.dim)) for i in range(space.dim))
     elt = RankOneElement(space, v, x)
@@ -157,7 +161,7 @@ def fiber(space, elt):
     base = mu(space, u)
     # mu(c u) = c^2 mu(u): solve c^2 exactly at a nonzero entry
     i = next(i for i in range(d) if base.matrix[i][col] != 0)
-    c2 = rows[i][col] / base.matrix[i][col]
+    c2 = Fraction(rows[i][col], base.matrix[i][col])
     c = _rational_sqrt(c2)
     if c is None:
         raise ValueError("fiber is irrational at this point")
@@ -172,7 +176,7 @@ def fiber(space, elt):
 
 
 def _fixture_vector(n):
-    return tuple(Fraction(i + 1) for i in range(2 * n))
+    return tuple(range(1, 2 * n + 1))
 
 
 def product_cover_degree(n_list):
@@ -205,7 +209,7 @@ def product_cover_degree(n_list):
 def kk_rank_at(space, v):
     """Rank of the alternating form (X, Y) -> trace(mu(v) [X, Y]) on
     sp(2n); equals the minimal-orbit dimension 2n."""
-    if all(Fraction(c) == 0 for c in v):
+    if all(c == 0 for c in v):
         raise ValueError("zero vector")
     return linalg.rank(_kk_gram(space, v))
 

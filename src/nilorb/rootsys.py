@@ -146,9 +146,12 @@ class RootSystem:
             tuple(-c for c in r) for r in self.positive_roots
         ]
         self._root_set = set(self.all_roots)
-        # squared length of every root, long roots 2; (-r, -r) = (r, r)
-        lengths = [self.inner(r, r) for r in self.positive_roots]
-        self.len2 = dict(zip(self.all_roots, lengths + lengths))
+        # squared length of every root, long roots 2; (-r, -r) = (r, r);
+        # len2_numerators[r] = (r, r) * _denom, an int
+        nums = [self._inner_numerator(r, r) for r in self.positive_roots]
+        self.len2_numerators = dict(zip(self.all_roots, nums + nums))
+        self.len2 = {r: Fraction(n, self._denom)
+                     for r, n in self.len2_numerators.items()}
         self._coroots = {}
 
     # -- construction ---------------------------------------------------
@@ -190,12 +193,15 @@ class RootSystem:
     def is_root(self, coords):
         return tuple(coords) in self._root_set
 
+    def _inner_numerator(self, r, s):
+        """(r, s) * _denom = sum_j s_j _d[j] <r, alpha_j^vee>, an int."""
+        return sum(c * d * self._cartan_pairing(r, j)
+                   for j, (c, d) in enumerate(zip(s, self._d)) if c)
+
     def inner(self, r, s):
         """Exact inner product (r, s) = sum_j s_j d_j <r, alpha_j^vee>, long
         roots normalized to squared length 2, as a Fraction."""
-        return Fraction(sum(c * d * self._cartan_pairing(r, j)
-                            for j, (c, d) in enumerate(zip(s, self._d)) if c),
-                        self._denom)
+        return Fraction(self._inner_numerator(r, s), self._denom)
 
     def is_long(self, r):
         return self.len2[tuple(r)] == 2
@@ -238,16 +244,24 @@ class RootSystem:
     def coroot(self, r):
         """r^vee = 2 r / (r,r) expressed in the simple-coroot basis.
 
-        Returns rational coefficients c_i with r^vee = sum c_i alpha_i^vee,
-        computed on the first call for each root and memoised.
+        Returns the integer coefficients c_i with r^vee = sum c_i
+        alpha_i^vee, computed on the first call for each root and memoised;
+        raises if one is not integral (the coroots span a lattice with the
+        simple coroots as a basis).
         """
         r = tuple(r)
         co = self._coroots.get(r)
         if co is None:
-            # (alpha_i, alpha_i) / (r, r) = 2 d_i / (denom (r, r))
-            q = self._denom * self.len2[r]
-            co = self._coroots[r] = tuple(Fraction(2 * c * d) / q
-                                          for c, d in zip(r, self._d))
+            # c_i = r_i (alpha_i, alpha_i) / (r, r) = 2 r_i d_i / (denom (r, r))
+            q = self.len2_numerators[r]
+            co = []
+            for c, d in zip(r, self._d):
+                n, rem = divmod(2 * c * d, q)
+                if rem:
+                    raise AssertionError(f"coroot of {r} has a non-integral "
+                                         f"coefficient {Fraction(2 * c * d, q)}")
+                co.append(n)
+            co = self._coroots[r] = tuple(co)
         return co
 
     def root_from_epsilon(self, eps):

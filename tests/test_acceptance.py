@@ -4,7 +4,8 @@ The module runs `nilorb verify-paper --json --seed 0` once.  Criterion n
 asserts that every report of the n-th suite of `cli.SUITES` passed; each
 test prints exactly one `ACCEPTANCE <n> <PASS|FAIL>` line and then
 asserts, so the printed verdicts match the pytest outcome.  The same run
-must reproduce the committed seed-0 report byte for byte.
+must reproduce the committed seed-0 report byte for byte, and the runs for
+seeds 1-3 the reports in `tests/golden/`.
 """
 
 import contextlib
@@ -20,13 +21,21 @@ GOLDEN = (Path(__file__).resolve().parent.parent
           / "perfbench" / "golden" / "verify-paper-seed0.json")
 
 
+GOLDEN_SEEDS = Path(__file__).resolve().parent / "golden"
+
+
+def _run_verify_paper(seed):
+    """(exit code, stdout) of `nilorb verify-paper --json --seed <seed>`."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["verify-paper", "--json", "--seed", str(seed)])
+    return code, buf.getvalue()
+
+
 @pytest.fixture(scope="module")
 def verify_paper():
     """(exit code, stdout) of `nilorb verify-paper --json --seed 0`."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(["verify-paper", "--json", "--seed", "0"])
-    return code, buf.getvalue()
+    return _run_verify_paper(0)
 
 
 def _criterion(verify_paper, n, suite, desc):
@@ -44,6 +53,14 @@ def test_verify_paper_seed0_matches_golden_report(verify_paper):
     code, text = verify_paper
     assert code == 0
     assert text == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_paper_matches_golden_report_for_seed(seed):
+    code, text = _run_verify_paper(seed)
+    assert code == 0
+    golden = GOLDEN_SEEDS / f"verify-paper-seed{seed}.json"
+    assert text == golden.read_text(encoding="utf-8")
 
 
 def test_01_exceptional_minimal_orbit_dimensions(verify_paper):

@@ -50,6 +50,44 @@ def test_jacobi_exhaustive_small(name):
                 assert s.is_zero()
 
 
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "E6"])
+def test_jacobi_exhaustive_unordered_triples(name):
+    """Jacobi on every triple i < j < k of basis elements, H labels
+    included, from a table of the brackets of basis pairs; the table is
+    also antisymmetric."""
+    alg = build_algebra(name)
+    labels = alg.basis_labels
+    n = alg.dim
+    index = alg.index
+    # table[i][j]: [e_i, e_j] as {basis index: coefficient}
+    table = [[{index[k]: c for k, c in alg.bracket(
+        alg.element({a: 1}), alg.element({b: 1})).coeffs.items()}
+        for b in labels] for a in labels]
+    for i in range(n):
+        for j in range(n):
+            assert table[i][j] == {k: -c for k, c in table[j][i].items()}
+
+    def outer(i, inner):
+        # [e_i, sum_m c_m e_m]
+        out = {}
+        for m, c in inner.items():
+            for k, v in table[i][m].items():
+                out[k] = out.get(k, 0) + c * v
+        return out
+
+    triples = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, v in outer(a, table[b][c]).items():
+                        total[m] = total.get(m, 0) + v
+                assert not any(total.values()), (labels[i], labels[j], labels[k])
+                triples += 1
+    assert triples == n * (n - 1) * (n - 2) // 6
+
+
 @pytest.mark.parametrize("name", ["F4", "E7"])
 def test_jacobi_fuzz_large(name):
     alg = build_algebra(name)
@@ -225,6 +263,27 @@ def test_coefficients_are_exact():
         alg.cartan_element([1, 0.5])
     with pytest.raises(TypeError):
         x.scale(0.5)
+
+
+@pytest.mark.parametrize("name", ["G2", "B2", "F4"])
+def test_integral_elements_stay_integral(name):
+    alg = build_algebra(name)
+    basis = [alg.element({lbl: 1}) for lbl in alg.basis_labels]
+    # every basis bracket, the H terms of [X_r, X_-r] included
+    for x in basis:
+        for y in basis:
+            assert all(type(c) is int for c in alg.bracket(x, y).coeffs.values())
+    for r in alg.rs.positive_roots:
+        h = alg.bracket(alg.root_vector(r), alg.root_vector(_neg(r)))
+        assert h.coeffs and all(type(c) is int for c in h.coeffs.values())
+    rng = random.Random(5)
+    labels = list(alg.basis_labels)
+    for _ in range(10):
+        x, y = (alg.element({lbl: rng.randint(-3, 3) for lbl in labels})
+                for _ in range(2))
+        assert all(type(c) is int for c in alg.bracket(x, y).coeffs.values())
+        assert type(alg.killing(x, y)) is int
+        assert all(type(c) is int for c in x.to_vector())
 
 
 def test_scale_rejects_a_float_scalar():

@@ -43,6 +43,11 @@ def test_grading_pieces_partition_algebra():
         alg = build_algebra(name)
         grading = Grading(alg, _wd(name, labels))
         assert sum(len(v) for v in grading.pieces.values()) == alg.dim
+        # each piece lists its labels in basis order
+        expected = {}
+        for lbl in alg.basis_labels:
+            expected.setdefault(grading.degree[lbl], []).append(lbl)
+        assert grading.pieces == expected
         # bracket compatibility on every basis pair
         for a in alg.basis_labels:
             for b in alg.basis_labels:

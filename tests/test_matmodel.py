@@ -61,6 +61,22 @@ def test_mu_zero():
     assert all(x == 0 for row in e.matrix for x in row)
 
 
+def test_mu_keeps_integer_coordinates():
+    sp = SymplecticSpace(2)
+    e = mu(sp, (1, -2, 3, 5))
+    assert all(type(c) is int for c in e.v)
+    assert all(type(x) is int for row in e.matrix for x in row)
+    assert mu(sp, (F(1), F(-2), F(3), F(5))).matrix == e.matrix
+
+
+def test_mu_rejects_a_float_coordinate():
+    sp = SymplecticSpace(1)
+    with pytest.raises(TypeError):
+        mu(sp, (1, 0.5))
+    with pytest.raises(TypeError):
+        mu(sp, (0.0, 0))
+
+
 def test_jordan_type_is_minimal_orbit_partition():
     for n in (1, 2, 3):
         sp = SymplecticSpace(n)

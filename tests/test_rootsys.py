@@ -164,7 +164,7 @@ def test_build_root_system_cached_per_type():
     assert build_root_system("E8") is build_root_system(CartanType.parse("E8"))
 
 
-@pytest.mark.parametrize("name", ["B3", "G2", "E6"])
+@pytest.mark.parametrize("name", ["B3", "G2", "E6", "C3", "F4", "E8"])
 def test_coroot_memo_matches_closed_formula(name):
     rs = build_root_system(name)
     for r in rs.all_roots:
@@ -173,4 +173,5 @@ def test_coroot_memo_matches_closed_formula(name):
         expected = tuple(Fraction(c * rs.sym_form[i][i]) / rr for i, c in enumerate(r))
         first = rs.coroot(r)
         assert first == expected
+        assert all(type(c) is int for c in first)
         assert rs.coroot(list(r)) is first
