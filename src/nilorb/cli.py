@@ -169,7 +169,7 @@ def suite_g2_classification(seed):
         ("regular", reg_wd, "fails"),
     ]
     for name, wd, expect in expectations:
-        verdict = dynkin.pairing_criterion(alg, dynkin.Grading(alg, wd), seed=seed)
+        verdict = dynkin.pairing_criterion(alg, dynkin.Grading(alg, wd))
         ok = verdict.status == expect and (
             expect == "holds" or verdict.witness is not None)
         out.append(_report(
@@ -489,11 +489,11 @@ def cmd_check(args):
     wd = dynkin.WeightedDiagram(alg.rs.cartan_type, _parse_labels(args.diagram))
     grading = dynkin.Grading(alg, wd)
     if args.what == "pairing":
-        v = dynkin.pairing_criterion(alg, grading, seed=args.seed)
+        v = dynkin.pairing_criterion(alg, grading)
         print(f"pairing criterion: {v.status}")
         if v.witness:
             print(f"witness: {v.witness}")
-        return 0 if v.status in ("holds", "probabilistic_holds") else 1
+        return 0 if v.status == "holds" else 1
     if args.what == "exclusion":
         fam = alg.rs.cartan_type.family
         if fam == "E":
@@ -580,7 +580,6 @@ def build_parser():
     sp.add_argument("--type")
     sp.add_argument("--diagram")
     sp.add_argument("--file")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("model", help="sp(2n) minimal-orbit matrix model")

@@ -3,7 +3,6 @@ decision procedures (centralizer location, extended-form kernel,
 pairing criterion, type-by-type exclusion tests).
 """
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -11,6 +10,7 @@ from itertools import chain
 from operator import mul
 
 from . import linalg
+# build_algebra is unused here, but perfbench's tracer test reads dynkin.build_algebra
 from .chevalley import LieElement, build_algebra, combine
 from .rootsys import CartanType
 
@@ -272,19 +272,10 @@ def omega_kernel_dim(alg, grading, n):
     return result
 
 
-# Seeded exact-rational samples `pairing_criterion` tries before it reports
-# a probabilistic verdict.
-PAIRING_SAMPLES = 1000
-
-
 @dataclass(frozen=True)
 class PairingVerdict:
-    status: str                    # 'holds' | 'fails' | 'probabilistic_holds'
+    status: str                    # 'holds' | 'fails'
     witness: tuple = None          # (N coeffs, Q coeffs) when status == 'fails'
-
-    @property
-    def exact(self):
-        return self.status != "probabilistic_holds"
 
 
 def _bracket_kernel(grading, n_coeffs):
@@ -294,37 +285,25 @@ def _bracket_kernel(grading, n_coeffs):
         grading.sl2_block, n_coeffs, len(grading.piece(0)), len(grading.piece(-2))))
 
 
-def pairing_criterion(alg, grading, seed=0):
-    """Decide whether [N, Q] != 0 for all nonzero N of degree 2 and Q of
-    degree -2.  Exact when the degree-2 piece is a line; otherwise a
-    deterministic witness search followed by `PAIRING_SAMPLES` seeded
-    exact-rational samples."""
-    g2 = grading.piece(2)
+def pairing_criterion(alg, grading):
+    """Decide exactly whether [N, Q] != 0 for all nonzero N of degree 2
+    and Q of degree -2, by testing the root vectors X_beta of degree 2.
+
+    They suffice.  The set B of N in g_2 with [N, Q] = 0 for some nonzero
+    Q in g_-2 is a closed cone (ad(N): g_-2 -> g_0 drops rank there) and
+    is stable under G_0, since [gN, gQ] = g[N, Q].  If B is not 0, a
+    Borel subgroup of G_0 containing T fixes a line in the projective
+    variety P(B) (Borel fixed-point theorem; Humphreys, *Linear Algebraic
+    Groups* 21.2), and a T-fixed line in g_2 is a weight line C X_beta,
+    because the weights of g_2 are distinct roots.  The first root of
+    `piece(2)` whose ad(X_beta) has a kernel on g_-2 gives the witness."""
     gm2 = grading.piece(-2)
-    if not g2 or not gm2:
-        return PairingVerdict("holds")
-
-    def check(coeff_sets):
-        for coeffs in coeff_sets:
-            ker = _bracket_kernel(grading, coeffs)
-            if ker:
-                q = {lbl: c for lbl, c in zip(gm2, ker[0]) if c}
-                return PairingVerdict("fails", witness=(dict(coeffs), q))
-        return None
-
-    if len(g2) == 1:
-        return check([{g2[0]: 1}]) or PairingVerdict("holds")
-
-    # witness search over small integer combinations, then seeded samples
-    candidates = [{lbl: 1} for lbl in g2]
-    for i, a in enumerate(g2):
-        for b in g2[i + 1 :]:
-            candidates += [{a: 1, b: 1}, {a: 1, b: -1}, {a: 1, b: 2}, {a: 2, b: 1}]
-    rng = random.Random(seed)
-    samples = ({lbl: Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for lbl in g2}
-               for _ in range(PAIRING_SAMPLES))
-    return (check(chain(candidates, (c for c in samples if any(c.values()))))
-            or PairingVerdict("probabilistic_holds"))
+    for lbl in grading.piece(2):
+        ker = _bracket_kernel(grading, {lbl: 1})
+        if ker:
+            q = {m: c for m, c in zip(gm2, ker[0]) if c}
+            return PairingVerdict("fails", witness=({lbl: 1}, q))
+    return PairingVerdict("holds")
 
 
 @dataclass(frozen=True)

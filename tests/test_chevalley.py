@@ -50,7 +50,8 @@ def test_jacobi_exhaustive_small(name):
                 assert s.is_zero()
 
 
-@pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "E6"])
+@pytest.mark.parametrize(
+    "name", ["G2", "B3", "C3", "B4", "C4", "D4", "B5", "C5", "D5", "F4", "E6"])
 def test_jacobi_exhaustive_unordered_triples(name):
     """Jacobi on every triple i < j < k of basis elements, H labels
     included, from a table of the brackets of basis pairs; the table is

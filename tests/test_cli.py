@@ -147,7 +147,9 @@ def test_usage_error_exit_2():
 
 @pytest.mark.parametrize("argv", [("verify-paper", "--jobs", "2"),
                                   ("algebra", "G2", "--dim"),
-                                  ("model", "sp", "--demo")])
+                                  ("model", "sp", "--demo"),
+                                  ("check", "pairing", "--type", "G2",
+                                   "--diagram", "2,0", "--seed", "1")])
 def test_removed_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))

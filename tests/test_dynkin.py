@@ -204,7 +204,7 @@ def test_pairing_criterion_g2():
     verdicts = {}
     for labels in [(0, 1), (1, 0), (0, 2), (2, 2)]:
         grading = Grading(alg, _wd("G2", labels))
-        verdicts[labels] = pairing_criterion(alg, grading, seed=0)
+        verdicts[labels] = pairing_criterion(alg, grading)
     assert verdicts[(0, 1)].status == "holds"
     assert verdicts[(1, 0)].status == "holds"
     assert verdicts[(0, 2)].status == "fails"
@@ -215,7 +215,7 @@ def test_pairing_criterion_g2():
 def test_pairing_witness_is_genuine():
     alg = build_algebra("G2")
     grading = Grading(alg, _wd("G2", (0, 2)))
-    v = pairing_criterion(alg, grading, seed=0)
+    v = pairing_criterion(alg, grading)
     n_coeffs, q_coeffs = v.witness
     n = alg.element({lbl: F(c) for lbl, c in n_coeffs.items()})
     q = alg.element({lbl: F(c) for lbl, c in q_coeffs.items()})
@@ -498,14 +498,64 @@ def test_pairing_criterion_verdicts_and_witnesses():
         ("G2", (2, 1)): ("holds", None),
         ("G2", (0, 2)): ("fails", ({(0, 1): 1}, {(-2, -1): F(1)})),
         ("G2", (2, 2)): ("fails", ({(0, 1): 1}, {(-1, 0): F(1)})),
-        ("G2", (2, 0)): ("probabilistic_holds", None),
+        ("G2", (2, 0)): ("holds", None),
         ("B3", (0, 1, 0)): ("holds", None),
         ("C3", (1, 0, 0)): ("holds", None),
     }
     for (name, labels), (status, witness) in expected.items():
-        v = pairing_criterion(build_algebra(name), _grading(name, labels), seed=0)
+        v = pairing_criterion(build_algebra(name), _grading(name, labels))
         assert (v.status, v.witness) == (status, witness), (name, labels)
-        assert v.exact == (status != "probabilistic_holds")
+
+
+def test_pairing_criterion_tests_every_degree_two_root():
+    """On B3 (2,0,0), g_2 = C^5 and ad(X_beta) is injective on g_-2 only
+    for its zero weight (1,1,1); the pairing fails also when that root
+    comes first in `piece(2)`."""
+    alg = build_algebra("B3")
+    grading = _grading("B3", (2, 0, 0))
+    zero_weight = (1, 1, 1)
+    assert not dynkin._bracket_kernel(grading, {zero_weight: 1})
+    g2 = grading.pieces[2]
+    g2.insert(0, g2.pop(g2.index(zero_weight)))
+    v = pairing_criterion(alg, grading)
+    assert v.status == "fails"
+    n_coeffs, q_coeffs = v.witness
+    assert n_coeffs == {(1, 0, 0): 1}
+    assert alg.bracket(alg.element(n_coeffs), alg.element(q_coeffs)).is_zero()
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4"])
+def test_pairing_criterion_on_every_diagram(name):
+    """On every nonzero diagram: g_2 holds root vectors only (the weights
+    of g_2 are distinct, as the criterion's proof needs), every `fails`
+    witness is a degree-2 root vector N and a nonzero degree -2 Q with
+    [N, Q] = 0 under `bracket`, and among the orbits the pairing holds
+    exactly on the minimal one, plus G2's short-root orbit (1,0)."""
+    alg = build_algebra(name)
+    roots = set(alg.rs.all_roots)
+    holds = set()
+    for labels in itertools.product((0, 1, 2), repeat=alg.rank):
+        if not any(labels):
+            continue
+        grading = Grading(alg, _wd(name, labels))
+        assert set(grading.piece(2)) <= roots, labels
+        v = pairing_criterion(alg, grading)
+        if v.status == "holds":
+            assert v.witness is None
+            holds.add(labels)
+            continue
+        assert v.status == "fails"
+        n_coeffs, q_coeffs = v.witness
+        assert len(n_coeffs) == 1 and list(n_coeffs.values()) == [1]
+        assert {grading.degree[lbl] for lbl in n_coeffs} == {2}
+        q = alg.element(q_coeffs)
+        assert not q.is_zero()
+        assert {grading.degree[lbl] for lbl in q_coeffs} == {-2}
+        assert alg.bracket(alg.element(n_coeffs), q).is_zero(), labels
+    expected = {minimal_orbit_diagram(alg).labels}
+    if name == "G2":
+        expected.add((1, 0))
+    assert holds & _scan_diagrams(name) == expected
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C4", "D5", "F4", "E6", "E7", "E8"])
