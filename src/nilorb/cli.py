@@ -17,6 +17,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from . import chevalley, curated, dynkin, matmodel, partitions
 from .rootsys import CartanType, build_root_system
@@ -83,12 +84,12 @@ def suite_classical_dimensions(seed):
         alg = chevalley.build_algebra(f"{fam}{l}")
         o = partitions.minimal_orbit(fam, l)
         d_part = partitions.orbit_dim(o)
-        d_chev = alg.orbit_dimension(alg.root_vector(alg.rs.highest_root()))
+        x = alg.root_vector(alg.rs.highest_root())
+        d_chev = alg.orbit_dimension(x)
         ok = d_part == d_chev
         detail = f"partition {d_part} vs centralizer {d_chev}"
         if fam == "C":
-            proj = alg.projective_orbit_dimension(
-                alg.root_vector(alg.rs.highest_root()))
+            proj = alg.projective_orbit_dimension(x)
             ok = ok and proj == 2 * l - 1
             detail += f"; projective {proj} (expect {2 * l - 1})"
         out.append(_report(
@@ -207,16 +208,8 @@ def suite_short_diagrams(seed):
             f"short-diagram-{name}", "short-diagrams", ok,
             f"computed {wd.labels}"))
     # highest-root value 2 on every minimal-orbit grading element
-    for fam, l in _CLASSICAL_SMALL:
-        alg = chevalley.build_algebra(f"{fam}{l}")
-        wd = dynkin.minimal_orbit_diagram(alg)
-        grading = dynkin.Grading(alg, wd)
-        theta = alg.rs.highest_root()
-        out.append(_report(
-            f"theta-H-2-{fam}{l}", "short-diagrams",
-            grading.degree[theta] == 2,
-            f"theta degree {grading.degree[theta]}"))
-    for name in ("G2", "F4", "E6", "E7", "E8"):
+    for name in ([f"{fam}{l}" for fam, l in _CLASSICAL_SMALL]
+                 + ["G2", "F4", "E6", "E7", "E8"]):
         alg = chevalley.build_algebra(name)
         wd = dynkin.minimal_orbit_diagram(alg)
         grading = dynkin.Grading(alg, wd)
@@ -238,7 +231,7 @@ def suite_f4_exclusion(seed):
         "f4-bracket-vanishes", "f4-exclusion", br.is_zero(),
         f"[X_a + X_b, X_-c] = {br!r}")]
     missed = []
-    for labels in _all_labels(4):
+    for labels in product((0, 1, 2), repeat=4):
         if sum(labels[:3]) < 2:
             continue
         wd = dynkin.WeightedDiagram(CartanType("F", 4), labels)
@@ -250,11 +243,6 @@ def suite_f4_exclusion(seed):
         "all diagrams with l1+l2+l3 >= 2 excluded",
         witness={"missed": [list(m) for m in missed]}))
     return out
-
-
-def _all_labels(rank):
-    from itertools import product
-    return product((0, 1, 2), repeat=rank)
 
 
 def suite_e_type_facts(seed):

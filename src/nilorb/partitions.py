@@ -48,6 +48,10 @@ def is_valid_partition(family, rank, parts):
     return all(m % 2 == 0 for p, m in mult.items() if p % 2 == 1)
 
 
+def _very_even(family, parts):
+    return family == "D" and all(p % 2 == 0 for p in parts)
+
+
 @dataclass(frozen=True)
 class JordanOrbit:
     family: str
@@ -62,9 +66,13 @@ class JordanOrbit:
             )
         if self.very_even_label and not self.is_very_even():
             raise ValueError("label only allowed on very even D-type partitions")
+        if self.is_very_even() and not self.very_even_label:
+            raise ValueError(
+                f"very even partition {self.partition} names two {self.family}"
+                f"{self.rank} orbits; label it I or II (--very-even)")
 
     def is_very_even(self):
-        return self.family == "D" and all(p % 2 == 0 for p in self.partition)
+        return _very_even(self.family, self.partition)
 
     def is_zero(self):
         return all(p == 1 for p in self.partition)
@@ -194,12 +202,8 @@ class OrbitPoset:
         for parts in _partitions(n):
             if not is_valid_partition(family, rank, parts):
                 continue
-            o = JordanOrbit(family, rank, parts)
-            if o.is_very_even() and not o.is_zero():
-                orbits.append(JordanOrbit(family, rank, parts, "I"))
-                orbits.append(JordanOrbit(family, rank, parts, "II"))
-            else:
-                orbits.append(o)
+            labels = ("I", "II") if _very_even(family, parts) else ("",)
+            orbits += (JordanOrbit(family, rank, parts, lbl) for lbl in labels)
         self.orbits = sorted(
             orbits, key=lambda o: (orbit_dim(o), o.partition, o.very_even_label)
         )

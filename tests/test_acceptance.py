@@ -4,8 +4,9 @@ The module runs `nilorb verify-paper --json --seed 0` once.  Criterion n
 asserts that every report of the n-th suite of `cli.SUITES` passed; each
 test prints exactly one `ACCEPTANCE <n> <PASS|FAIL>` line and then
 asserts, so the printed verdicts match the pytest outcome.  The same run
-must reproduce the committed seed-0 report byte for byte, and the runs for
-seeds 1-3 the reports in `tests/golden/`.
+must reproduce the committed seed-0 report byte for byte.  The report
+does not depend on `--seed`, so the runs for seeds 1-3 must reproduce the
+same bytes.
 """
 
 import contextlib
@@ -19,9 +20,6 @@ from nilorb import cli
 
 GOLDEN = (Path(__file__).resolve().parent.parent
           / "perfbench" / "golden" / "verify-paper-seed0.json")
-
-
-GOLDEN_SEEDS = Path(__file__).resolve().parent / "golden"
 
 
 def _run_verify_paper(seed):
@@ -59,8 +57,7 @@ def test_verify_paper_seed0_matches_golden_report(verify_paper):
 def test_verify_paper_matches_golden_report_for_seed(seed):
     code, text = _run_verify_paper(seed)
     assert code == 0
-    golden = GOLDEN_SEEDS / f"verify-paper-seed{seed}.json"
-    assert text == golden.read_text(encoding="utf-8")
+    assert text == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_01_exceptional_minimal_orbit_dimensions(verify_paper):

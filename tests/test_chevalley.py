@@ -10,6 +10,15 @@ from oracles import is_ad_nilpotent
 
 F = Fraction
 
+
+def _neg(r):
+    return tuple(-c for c in r)
+
+
+def _times(c, r):
+    return tuple(c * x for x in r)
+
+
 DIMENSIONS = {
     "A1": 3, "A2": 8, "A3": 15,
     "B2": 10, "B3": 21, "C3": 21, "D4": 28,
@@ -37,7 +46,84 @@ def test_killing_form_sl2():
     assert alg.killing(h, h) == 8
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+# every type that a verify-paper suite or a benchmark workload builds, and
+# B5, C5, D5
+JACOBI_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "B5", "C2", "C3",
+                "C4", "C5", "D3", "D4", "D5", "G2", "F4", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", JACOBI_TYPES)
+def test_jacobi_identity_from_chevalley_generators(name):
+    """The bracket is antisymmetric and satisfies the Jacobi identity.
+
+    Let D be the set of x whose ad(x) is a derivation:
+    [x, [a, b]] = [[x, a], b] + [a, [x, b]] for all a, b.  D is a subspace,
+    because the bracket is bilinear.  For x in D, the rule applied to
+    [y, b] says ad[x, y] = [ad x, ad y]; if y is in D too, that commutator
+    of derivations is a derivation, so D is a subalgebra.  The test checks
+    that the generators X_{+-alpha_i} lie in D and generate g (Carter,
+    *Simple Groups of Lie Type*, ch. 4), so D = g: with antisymmetry, that
+    is the Jacobi identity.
+
+    With the table antisymmetric, the rule for x on (a, b) reads
+    [x, [a, b]] + [a, [b, x]] + [b, [x, a]] = 0.  That sum changes sign
+    when a and b swap and vanishes when a = b, so the pairs a < b suffice.
+    """
+    alg = build_algebra(name)
+    rs, index, n = alg.rs, alg.index, alg.dim
+    basis = [alg.element({lbl: 1}) for lbl in alg.basis_labels]
+    # table[i][j]: [e_i, e_j] as {basis index: coefficient}
+    table = [[{index[k]: c for k, c in alg.bracket(x, y).coeffs.items()}
+              for y in basis] for x in basis]
+    for i in range(n):
+        for j in range(i, n):
+            assert table[i][j] == {k: -c for k, c in table[j][i].items()}
+
+    # the generators span g: H_i = [X_alpha_i, X_-alpha_i], and every other
+    # X_{+-t} is a nonzero multiple of [X_{+-alpha_i}, X_{+-s}] for some
+    # root s = t - alpha_i of lower height
+    simple = rs.simple_roots
+    for i, alpha in enumerate(simple):
+        assert table[index[alpha]][index[_neg(alpha)]] == {index["H", i]: 1}
+    for t in rs.positive_roots:
+        if t in simple:
+            continue
+        for sign in (1, -1):
+            assert any(
+                table[index[_times(sign, alpha)]][index[_times(sign, s)]]
+                .get(index[_times(sign, t)])
+                for alpha in simple
+                if rs.is_root(s := tuple(x - y for x, y in zip(t, alpha)))
+            ), (t, sign)
+
+    def outer(i, inner):
+        # [e_i, sum_m c_m e_m]
+        out = {}
+        for m, c in inner.items():
+            for k, v in table[i][m].items():
+                out[k] = out.get(k, 0) + c * v
+        return out
+
+    for g in (index[_times(sign, alpha)]
+              for sign in (1, -1) for alpha in simple):
+        tg = table[g]
+        for a in range(n):
+            ta, tga = table[a], tg[a]
+            for b in range(a + 1, n):
+                if not (tga or ta[b] or tg[b]):
+                    continue  # all three terms vanish
+                total = {}
+                for x, y, z in ((g, a, b), (a, b, g), (b, g, a)):
+                    for m, v in outer(x, table[y][z]).items():
+                        total[m] = total.get(m, 0) + v
+                assert not any(total.values()), (alg.basis_labels[g],
+                                                 alg.basis_labels[a],
+                                                 alg.basis_labels[b])
+
+
+# Brute force on G2, the smallest type with root strings of every length
+# up to 4: a check of the generator argument above that does not rely on it.
+@pytest.mark.parametrize("name", ["G2"])
 def test_jacobi_exhaustive_small(name):
     alg = build_algebra(name)
     basis = [alg.element({lbl: F(1)}) for lbl in alg.basis_labels]
@@ -50,8 +136,7 @@ def test_jacobi_exhaustive_small(name):
                 assert s.is_zero()
 
 
-@pytest.mark.parametrize(
-    "name", ["G2", "B3", "C3", "B4", "C4", "D4", "B5", "C5", "D5", "F4", "E6"])
+@pytest.mark.parametrize("name", ["G2"])
 def test_jacobi_exhaustive_unordered_triples(name):
     """Jacobi on every triple i < j < k of basis elements, H labels
     included, from a table of the brackets of basis pairs; the table is
@@ -103,10 +188,6 @@ def test_jacobi_fuzz_large(name):
              + alg.bracket(y, alg.bracket(z, x))
              + alg.bracket(z, alg.bracket(x, y)))
         assert s.is_zero()
-
-
-def _neg(r):
-    return tuple(-c for c in r)
 
 
 def test_structure_constants_are_pm_p_plus_one():

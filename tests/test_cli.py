@@ -57,6 +57,18 @@ def test_orbit_invalid_partition_exit_2(capsys):
     assert "error" in err
 
 
+def test_orbit_info_very_even_needs_a_label(capsys):
+    code, out, err = run(capsys, "orbit", "info", "--type", "D4",
+                         "--partition", "2,2,2,2")
+    assert code == 2 and not out
+    assert "--very-even" in err
+    for label, diagram in (("I", "(0, 0, 0, 2)"), ("II", "(0, 0, 2, 0)")):
+        code, out, _ = run(capsys, "orbit", "info", "--type", "D4",
+                           "--partition", "2,2,2,2", "--very-even", label)
+        assert code == 0
+        assert f"weighted diagram {diagram}" in out
+
+
 def test_check_pairing_pass_and_fail(capsys):
     code, out, _ = run(capsys, "check", "pairing", "--type", "G2",
                        "--diagram", "0,1")

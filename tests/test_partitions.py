@@ -63,6 +63,10 @@ def test_validity_filters():
         JordanOrbit("C", 2, (3, 1))
     with pytest.raises(ValueError):
         JordanOrbit("B", 3, (3, 3, 1), "I")  # label on non-very-even
+    with pytest.raises(ValueError, match="names two D4 orbits"):
+        JordanOrbit("D", 4, (2, 2, 2, 2))  # very even: two classes, no label
+    with pytest.raises(ValueError):
+        JordanOrbit("D", 4, (4, 4))
 
 
 def test_dual_partition():
