@@ -75,9 +75,6 @@ class LieElement:
             out[k] = out.get(k, 0) + v
         return LieElement(self.alg, out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return LieElement(self.alg, {k: -v for k, v in self.coeffs.items()})
 
@@ -240,10 +237,12 @@ class ChevalleyAlgebra:
     def ad_entries(self, labels, src, dst):
         """For each basis label k in `labels`, the nonzero entries (i, j, v)
         of the matrix of ad(e_k) from the span of the `src` labels to the
-        span of the `dst` labels: v is the integer dst[i] coefficient of
-        [e_k, src[j]], read from the brackets of basis elements.  Raises
-        ValueError if some [e_k, src[j]] has a component outside the `dst`
-        labels."""
+        span of the `dst` labels: v is the dst[i] coefficient of
+        [e_k, src[j]], read from the brackets of basis elements.  Every v
+        is an int, because every basis bracket is one (`_cartan_pairing`
+        sums integer products, and `coroot` and `_nany` raise on a
+        remainder).  Raises ValueError if some [e_k, src[j]] has a
+        component outside the `dst` labels."""
         row_of = {lbl: i for i, lbl in enumerate(dst)}
         entries = {}
         for k in labels:
@@ -254,10 +253,7 @@ class ChevalleyAlgebra:
                     if i is None:
                         raise ValueError(f"[{k}, {lbl}] has a component along {d}, "
                                          "outside the destination labels")
-                    if v != int(v):
-                        raise AssertionError(f"[{k}, {lbl}] has a non-integral "
-                                             f"coefficient {v} along {d}")
-                    ek.append((i, j, int(v)))
+                    ek.append((i, j, v))
         return entries
 
     def ad_matrix(self, x, src, dst):

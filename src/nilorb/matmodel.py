@@ -90,9 +90,6 @@ class RankOneElement:
     v: tuple
     matrix: tuple   # tuple of row tuples
 
-    def is_zero(self):
-        return all(c == 0 for c in self.v)
-
     def rows(self):
         return [list(r) for r in self.matrix]
 

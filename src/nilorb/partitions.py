@@ -64,6 +64,9 @@ class JordanOrbit:
             raise ValueError(
                 f"invalid {self.family}{self.rank} partition {self.partition}"
             )
+        if self.very_even_label not in ("", "I", "II"):
+            raise ValueError(
+                f"very even label {self.very_even_label!r} is not I or II")
         if self.very_even_label and not self.is_very_even():
             raise ValueError("label only allowed on very even D-type partitions")
         if self.is_very_even() and not self.very_even_label:

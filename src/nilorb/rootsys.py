@@ -222,24 +222,26 @@ class RootSystem:
         return [r for r in self.positive_roots if not self.is_long(r)]
 
     @cached_property
-    def inverse_cartan_matrix(self):
-        """Inverse of the Cartan matrix as rows of Fractions, computed on
-        first use: column k holds the simple-coroot coordinates of the k-th
-        fundamental coweight."""
+    def inverse_cartan_numerators(self):
+        """(d, rows): the inverse of the Cartan matrix C as integer rows
+        over one common denominator d, computed on first use; column k
+        holds d times the simple-coroot coordinates of the k-th fundamental
+        coweight.  Raises unless C rows = d I, which every grading element
+        H relies on (see `dynkin.sl2_complete`)."""
         from . import linalg
 
         n = self.rank
+        C = self.cartan_matrix
         m, _ = linalg.rref([row + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(self.cartan_matrix)])
-        return [row[n:] for row in m]
-
-    @cached_property
-    def inverse_cartan_numerators(self):
-        """(d, rows): the inverse Cartan matrix as integer rows over one
-        common denominator d, computed on first use."""
-        inv = self.inverse_cartan_matrix
+                            for i, row in enumerate(C)])
+        inv = [row[n:] for row in m]
         d = lcm(*(x.denominator for row in inv for x in row))
-        return d, [[int(x * d) for x in row] for row in inv]
+        rows = [[int(x * d) for x in row] for row in inv]
+        if any(sum(C[i][j] * rows[j][k] for j in range(n)) != d * (i == k)
+               for i in range(n) for k in range(n)):
+            raise AssertionError(f"{self.cartan_type}: C times the inverse "
+                                 f"Cartan rows is not {d} I")
+        return d, rows
 
     def coroot(self, r):
         """r^vee = 2 r / (r,r) expressed in the simple-coroot basis.

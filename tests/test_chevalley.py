@@ -54,7 +54,8 @@ JACOBI_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "B5", "C2", "C3",
 
 @pytest.mark.parametrize("name", JACOBI_TYPES)
 def test_jacobi_identity_from_chevalley_generators(name):
-    """The bracket is antisymmetric and satisfies the Jacobi identity.
+    """The bracket is antisymmetric, integral on basis pairs, and
+    satisfies the Jacobi identity.
 
     Let D be the set of x whose ad(x) is a derivation:
     [x, [a, b]] = [[x, a], b] + [a, [x, b]] for all a, b.  D is a subspace,
@@ -78,6 +79,7 @@ def test_jacobi_identity_from_chevalley_generators(name):
     for i in range(n):
         for j in range(i, n):
             assert table[i][j] == {k: -c for k, c in table[j][i].items()}
+            assert all(type(c) is int for c in table[i][j].values())
 
     # the generators span g: H_i = [X_alpha_i, X_-alpha_i], and every other
     # X_{+-t} is a nonzero multiple of [X_{+-alpha_i}, X_{+-s}] for some

@@ -65,6 +65,9 @@ def test_validity_filters():
         JordanOrbit("B", 3, (3, 3, 1), "I")  # label on non-very-even
     with pytest.raises(ValueError, match="names two D4 orbits"):
         JordanOrbit("D", 4, (2, 2, 2, 2))  # very even: two classes, no label
+    for label in ("III", "ii"):
+        with pytest.raises(ValueError, match="is not I or II"):
+            JordanOrbit("D", 4, (2, 2, 2, 2), label)
     with pytest.raises(ValueError):
         JordanOrbit("D", 4, (4, 4))
 
