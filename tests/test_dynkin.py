@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -562,6 +563,23 @@ def test_pairing_criterion_on_every_diagram(name):
     if name == "G2":
         expected.add((1, 0))
     assert holds & _scan_diagrams(name) == expected
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C4", "D5", "F4", "E6", "E7", "E8"])
+def test_inverse_cartan_matrix(name):
+    """rows / d is the two-sided inverse of C, and d is the least common
+    denominator of its entries."""
+    rs = build_algebra(name).rs
+    C = rs.cartan_matrix
+    d, rows = rs.inverse_cartan_numerators
+    inv = [[F(v, d) for v in row] for row in rows]
+    n = rs.rank
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert [[sum(C[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == identity
+    assert [[sum(inv[i][k] * C[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == identity
+    assert math.gcd(d, *(v for row in rows for v in row)) == 1
 
 
 @pytest.mark.parametrize("name", JACOBI_TYPES)
