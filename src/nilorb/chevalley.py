@@ -40,18 +40,21 @@ from .rootsys import CartanType, RootSystem, build_root_system
 class LieElement:
     """Sparse coefficient vector over the algebra basis.
 
-    Labels are root tuples (for X_r) or ('H', i) for the Cartan generators.
-    Coefficients are ints or Fractions, kept as given; any other type raises
-    TypeError.  Zero coefficients are never stored, so equality is
-    coefficientwise.
+    Labels are root tuples (for X_r) or ('H', i) for the Cartan generators;
+    a label outside `alg.index` raises ValueError.  Coefficients are ints or
+    Fractions, kept as given; any other type raises TypeError.  Zero
+    coefficients are never stored, so equality is coefficientwise.
     """
 
     __slots__ = ("alg", "coeffs")
 
     def __init__(self, alg, coeffs):
-        for v in coeffs.values():
+        for k, v in coeffs.items():
             if not isinstance(v, (int, Fraction)):
                 raise TypeError(f"coefficient {v!r} is not an int or a Fraction")
+            if k not in alg.index:
+                raise ValueError(f"{k!r} is not a basis label of "
+                                 f"{alg.rs.cartan_type}")
         self.alg = alg
         self.coeffs = {k: v for k, v in coeffs.items() if v}
 
@@ -102,7 +105,7 @@ class LieElement:
         parts = []
         for k in sorted(self.coeffs, key=lambda k: self.alg.index[k]):
             c = self.coeffs[k]
-            name = f"H{k[1]+1}" if isinstance(k, tuple) and k and k[0] == "H" else f"X{k}"
+            name = f"H{k[1]+1}" if k[0] == "H" else f"X{k}"
             parts.append(f"{c}*{name}")
         return " + ".join(parts)
 
@@ -133,8 +136,10 @@ class ChevalleyAlgebra:
     def _fill_structure_constants(self):
         """N(r, s) for the positive pairs with r + s a root, in both orders,
         height by height: the extraspecial pair of each root gets p + 1, and
-        every other pair follows from it (Carter, ch. 4)."""
-        len2 = self.rs.len2
+        every other pair follows from it (Carter, ch. 4).  The squared
+        lengths are read as the integer numerators `len2_numerators`; their
+        common denominator cancels in -len2[t] * term / n0."""
+        len2 = self.rs.len2_numerators
         index = self._pos_index
         for t in self._pos:
             # t = r + s with r before s, in the order of the positive roots
@@ -151,9 +156,9 @@ class ChevalleyAlgebra:
                 d2 = tuple(a - b for a, b in zip(s0, r))
                 term = Fraction(0)
                 if self.rs.is_root(d1):
-                    term += self._nany(r0, _neg(r)) * self._nany(s0, _neg(s)) / len2[d1]
+                    term += Fraction(self._nany(r0, _neg(r)) * self._nany(s0, _neg(s)), len2[d1])
                 if self.rs.is_root(d2):
-                    term += self._nany(_neg(r), s0) * self._nany(r0, _neg(s)) / len2[d2]
+                    term += Fraction(self._nany(_neg(r), s0) * self._nany(r0, _neg(s)), len2[d2])
                 val = -len2[t] * term / n0
                 if val.denominator != 1 or val == 0:
                     raise AssertionError(f"N{r, s} = {val} for root {t} is not a nonzero integer")
@@ -178,7 +183,7 @@ class ChevalleyAlgebra:
         else:
             x, y, z = c, a, b
         n = self._npos[x, y] if sum(x) > 0 else -self._npos[_neg(x), _neg(y)]
-        # (c, c) / (z, z) as a ratio of the integer numerators of len2
+        # (c, c) / (z, z) as a ratio of the integer `len2_numerators`
         lc, lz = self.rs.len2_numerators[c], self.rs.len2_numerators[z]
         if lc == lz:
             return n
@@ -208,8 +213,8 @@ class ChevalleyAlgebra:
 
     def _bracket_basis(self, k1, k2):
         """Bracket of two basis elements, as a sparse coeff dict."""
-        h1 = isinstance(k1, tuple) and k1 and k1[0] == "H"
-        h2 = isinstance(k2, tuple) and k2 and k2[0] == "H"
+        h1 = k1[0] == "H"
+        h2 = k2[0] == "H"
         if h1 and h2:
             return {}
         if h1:

@@ -252,8 +252,10 @@ def _exceptional_lookup(exceptional, type_name, orbit_name):
 
 
 def validate_tables(shared=None, exceptional=None):
-    if shared is None or exceptional is None:
-        shared, exceptional = load_tables()
+    if shared is None:
+        shared = load_shared_table()
+    if exceptional is None:
+        exceptional = load_exceptional_table()
     rep = ValidationReport()
 
     rep.add("table", "row_count", len(shared) == 9, f"got {len(shared)}")

@@ -16,8 +16,7 @@ Fractions where a quotient appears (the fiber's scalar), never floats.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import isqrt
+from math import isqrt, prod
 
 from . import linalg
 
@@ -145,62 +144,46 @@ def _rational_sqrt(q):
 
 
 def fiber(space, elt):
-    """Exact fiber of mu over a nonzero image point: {v, -v}."""
+    """Exact fiber of mu over a nonzero image point: [w, -w].
+
+    If elt = mu(v) = v (v^T Omega), every nonzero column of elt is a
+    multiple of v, so every preimage is lambda u for the first nonzero
+    column u.  Since mu(lambda u) = lambda^2 mu(u), lambda = +-c with c^2
+    solved at one nonzero entry of mu(u), and since mu is quadratic,
+    mu(-w) = mu(w) for w = c u.  So one check of mu(w) == elt decides the
+    whole fiber; an element outside the image of mu raises ValueError."""
     rows = elt.rows()
     d = space.dim
-    # every nonzero column of the rank-one matrix is proportional to v
     col = next(
         (j for j in range(d) if any(rows[i][j] != 0 for i in range(d))), None
     )
     if col is None:
         raise ValueError("zero element has no finite fiber")
     u = tuple(rows[i][col] for i in range(d))
-    base = mu(space, u)
-    # mu(c u) = c^2 mu(u): solve c^2 exactly at a nonzero entry
-    i = next(i for i in range(d) if base.matrix[i][col] != 0)
-    c2 = Fraction(rows[i][col], base.matrix[i][col])
+    # mu(u) has a nonzero entry, because u is not 0 (see `mu`)
+    c2 = next(Fraction(x, b) for row, brow in zip(rows, mu(space, u).matrix)
+              for x, b in zip(row, brow) if b)
     c = _rational_sqrt(c2)
     if c is None:
         raise ValueError("fiber is irrational at this point")
-    sols = []
-    for s in (c, -c):
-        w = tuple(s * x for x in u)
-        if mu(space, w).matrix == elt.matrix:
-            sols.append(w)
-    if len(sols) != 2 or sols[0] != tuple(-x for x in sols[1]):
-        raise AssertionError(f"fiber {sols} is not a sign pair")
-    return sols
-
-
-def _fixture_vector(n):
-    return tuple(range(1, 2 * n + 1))
+    w = tuple(c * x for x in u)
+    if mu(space, w).matrix != elt.matrix:
+        raise ValueError("element is not in the image of mu")
+    return [w, tuple(-x for x in w)]
 
 
 def product_cover_degree(n_list):
-    """Degree of the product covering at a sample point with all
-    components nonzero: sign tuples modulo the global scalar."""
+    """Degree of the product covering at v = (1, ..., 2n) in every
+    component: the product of the fiber sizes, modulo the global sign.
+
+    The global sign acts freely on the product of the fibers, because no
+    fiber point is 0; each fiber is the sign pair (see `fiber`), so the
+    degree is 2^(k-1) for k components."""
     if not n_list or any(n < 1 for n in n_list):
         raise ValueError("need a nonempty list of positive integers")
-    spaces = [SymplecticSpace(n) for n in n_list]
-    vs = [_fixture_vector(n) for n in n_list]
-    images = [mu(sp, v).matrix for sp, v in zip(spaces, vs)]
-    # per-component fibers are exactly the sign pairs (solved, not assumed)
-    for sp, v, img in zip(spaces, vs, images):
-        got = set(fiber(sp, RankOneElement(sp, v, img)))
-        if got != {v, tuple(-c for c in v)}:
-            raise AssertionError(f"fiber over mu{v} is not the sign pair")
-    seen = set()
-    for signs in product((1, -1), repeat=len(n_list)):
-        cand = tuple(tuple(s * c for c in v) for s, v in zip(signs, vs))
-        if not all(
-            mu(sp, w).matrix == img
-            for sp, w, img in zip(spaces, cand, images)
-        ):
-            raise AssertionError(f"sign tuple {signs} leaves the fiber")
-        neg = tuple(tuple(-c for c in w) for w in cand)
-        if neg not in seen:
-            seen.add(cand)
-    return len(seen)
+    sizes = [len(fiber(sp, mu(sp, range(1, sp.dim + 1))))
+             for sp in map(SymplecticSpace, n_list)]
+    return prod(sizes) // 2
 
 
 def kk_rank_at(space, v):

@@ -7,7 +7,8 @@ a rational Euclidean space, rescaled so that long roots have squared
 length 2; after that, inner products are integer sums over the Cartan
 matrix, (r, s) = sum_j s_j d_j <r, alpha_j^vee> with d_j = (alpha_j,
 alpha_j)/2 over one common denominator.  The squared length of every root
-is computed once, at build, into `len2`.
+is computed once, at build, as the integer numerator `len2_numerators`
+over that denominator.
 """
 
 from dataclasses import dataclass
@@ -150,8 +151,6 @@ class RootSystem:
         # len2_numerators[r] = (r, r) * _denom, an int
         nums = [self._inner_numerator(r, r) for r in self.positive_roots]
         self.len2_numerators = dict(zip(self.all_roots, nums + nums))
-        self.len2 = {r: Fraction(n, self._denom)
-                     for r, n in self.len2_numerators.items()}
         self._coroots = {}
 
     # -- construction ---------------------------------------------------
@@ -204,14 +203,15 @@ class RootSystem:
         return Fraction(self._inner_numerator(r, s), self._denom)
 
     def is_long(self, r):
-        return self.len2[tuple(r)] == 2
+        return self.len2_numerators[tuple(r)] == 2 * self._denom
 
     def highest_root(self):
-        """The unique root maximal in the coordinatewise order."""
+        """The unique root maximal in the coordinatewise order.
+
+        It is the last positive root: the roots are sorted by height, and a
+        root that dominates a root of maximal height coordinatewise is that
+        root itself.  Raises unless it dominates every positive root."""
         best = self.positive_roots[-1]
-        for r in self.positive_roots:
-            if all(a >= b for a, b in zip(r, best)):
-                best = r
         if not all(
             all(a >= b for a, b in zip(best, r)) for r in self.positive_roots
         ):

@@ -2,6 +2,9 @@
 library against."""
 
 from fractions import Fraction
+from itertools import product
+
+from nilorb.matmodel import SymplecticSpace, mu
 
 
 def is_ad_nilpotent(alg, a):
@@ -27,3 +30,19 @@ def epsilon_coords(rs, coords):
         for i in range(dim):
             v[i] += c * s[i]
     return tuple(v)
+
+
+def product_cover_degree(n_list):
+    """Degree of the product of the maps mu over sp(2n), n in `n_list`, at
+    v = (1, ..., 2n) in every component, by brute force: the sign tuples s
+    with mu(s_i v_i) = mu(v_i) in every component, counted modulo the
+    global sign."""
+    spaces = [SymplecticSpace(n) for n in n_list]
+    vs = [tuple(range(1, sp.dim + 1)) for sp in spaces]
+    images = [mu(sp, v).matrix for sp, v in zip(spaces, vs)]
+    classes = set()
+    for signs in product((1, -1), repeat=len(n_list)):
+        if all(mu(sp, [s * c for c in v]).matrix == img
+               for sp, s, v, img in zip(spaces, signs, vs, images)):
+            classes.add(max(signs, tuple(-s for s in signs)))
+    return len(classes)

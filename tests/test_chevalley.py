@@ -380,6 +380,15 @@ def test_scale_rejects_a_float_scalar():
     assert alg.element({(1, 0): 3}).scale(F(1, 3)) == alg.element({(1, 0): 1})
 
 
+def test_element_rejects_a_label_outside_the_basis():
+    alg = build_algebra("G2")
+    for label in ((9, 9), ("H", 5)):
+        with pytest.raises(ValueError, match="not a basis label of G2"):
+            alg.element({label: 1})
+    with pytest.raises(ValueError):
+        alg.cartan_element([1, 0, 0])
+
+
 def test_mixed_algebra_rejected():
     a1, a2 = build_algebra("A1"), build_algebra("A2")
     with pytest.raises((ValueError, AssertionError)):

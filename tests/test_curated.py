@@ -138,6 +138,8 @@ def test_validation_catches_bad_degree():
     rep = validate_tables(bad, exceptional)
     assert not rep.ok
     assert any("pi1_vs_degree" == f.check for f in rep.failures())
+    # passed alone, the table is validated against the packaged other one
+    assert validate_tables(bad).summary() == rep.summary()
 
 
 def test_validation_catches_bad_diagram():
@@ -150,6 +152,7 @@ def test_validation_catches_bad_diagram():
     ]
     rep = validate_tables(shared, bad)
     assert not rep.ok
+    assert validate_tables(exceptional=bad).summary() == rep.summary()
 
 
 def test_pi1_matches_degree_for_all_classical_rows():

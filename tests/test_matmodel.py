@@ -14,6 +14,7 @@ from nilorb.matmodel import (
     mu,
     product_cover_degree,
 )
+from oracles import product_cover_degree as brute_cover_degree
 
 F = Fraction
 
@@ -112,11 +113,19 @@ def test_fiber_of_zero_rejected():
         fiber(sp, z)
 
 
+def test_fiber_rejects_elements_outside_the_image():
+    # rank one with mu(u) zero on u's column, rank one with c = 0, and
+    # Omega itself, where c u passes the c^2 solve but mu(c u) != Omega
+    sp = SymplecticSpace(1)
+    for m in (((1, 1), (0, 0)), ((2, 0), (0, 0)), ((0, 1), (-1, 0))):
+        with pytest.raises(ValueError, match="not in the image of mu"):
+            fiber(sp, RankOneElement(sp, (1, 0), m))
+
+
 def test_product_cover_degrees():
-    assert product_cover_degree([1]) == 1
-    assert product_cover_degree([1, 1]) == 2
-    assert product_cover_degree([1, 2, 1]) == 4
-    assert product_cover_degree([2, 2]) == 2
+    for ns in ([1], [1, 1], [1, 2, 1], [2, 2], [1, 1, 1, 1]):
+        degree = product_cover_degree(ns)
+        assert degree == brute_cover_degree(ns) == 2 ** (len(ns) - 1)
 
 
 def test_kk_rank_equals_orbit_dim():
