@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from . import linalg
-from .rootsys import CartanType, RootSystem, build_root_system
+from .rootsys import CartanType, build_root_system
 
 
 class LieElement:
@@ -300,21 +300,6 @@ class ChevalleyAlgebra:
                     tot += c1 * c2 * g
         return tot
 
-    def centralizer(self, a):
-        """Exact basis of ker ad(a) as a list of LieElements."""
-        if a.is_zero():
-            return [LieElement(self, {lbl: 1}) for lbl in self.basis_labels]
-        basis = []
-        labels = self.basis_labels
-        for vec in linalg.kernel_basis(self.ad_matrix(a, labels, labels)):
-            basis.append(
-                LieElement(
-                    self,
-                    {self.basis_labels[j]: c for j, c in enumerate(vec) if c},
-                )
-            )
-        return basis
-
     def centralizer_dim(self, a):
         if a.is_zero():
             return self.dim
@@ -359,10 +344,8 @@ def _algebra(t):
 
 
 def build_algebra(t):
-    """Chevalley algebra for a Cartan type, root system, or type label,
-    built once per type."""
-    if isinstance(t, RootSystem):
-        t = t.cartan_type
-    elif isinstance(t, str):
+    """Chevalley algebra for a Cartan type or type label, built once per
+    type."""
+    if isinstance(t, str):
         t = CartanType.parse(t)
     return _algebra(t)

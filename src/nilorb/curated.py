@@ -167,10 +167,6 @@ def load_exceptional_table(text=None):
     ]
 
 
-def load_tables():
-    return load_shared_table(), load_exceptional_table()
-
-
 def serialize_shared_table(records):
     lines = ["g\tg_prime\torbit\tdegree"]
     for r in records:

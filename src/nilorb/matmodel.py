@@ -58,10 +58,6 @@ class SymplecticSpace:
             m[n + i][i] = -1
         return m
 
-    def omega(self, u, v):
-        n = self.n
-        return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n))
-
     def sp_basis(self):
         """Basis of sp(2n) = {X : Omega X symmetric}, via X = -Omega S
         with S running over the symmetric-matrix basis."""
@@ -151,7 +147,9 @@ def fiber(space, elt):
     column u.  Since mu(lambda u) = lambda^2 mu(u), lambda = +-c with c^2
     solved at one nonzero entry of mu(u), and since mu is quadratic,
     mu(-w) = mu(w) for w = c u.  So one check of mu(w) == elt decides the
-    whole fiber; an element outside the image of mu raises ValueError."""
+    whole fiber; an element outside the image of mu raises ValueError, and
+    so does one whose fiber has no rational point, because c^2 is not the
+    square of a rational (negative, as for -mu(v), or not a square)."""
     rows = elt.rows()
     d = space.dim
     col = next(
@@ -165,7 +163,8 @@ def fiber(space, elt):
               for x, b in zip(row, brow) if b)
     c = _rational_sqrt(c2)
     if c is None:
-        raise ValueError("fiber is irrational at this point")
+        raise ValueError(f"fiber has no rational point: c^2 = {c2} is not "
+                         "the square of a rational")
     w = tuple(c * x for x in u)
     if mu(space, w).matrix != elt.matrix:
         raise ValueError("element is not in the image of mu")

@@ -4,6 +4,7 @@ library against."""
 from fractions import Fraction
 from itertools import product
 
+from nilorb import linalg
 from nilorb.matmodel import SymplecticSpace, mu
 
 
@@ -18,6 +19,51 @@ def is_ad_nilpotent(alg, a):
         if all(v.is_zero() for v in cur):
             return True
     return False
+
+
+def centralizer(alg, a):
+    """Exact basis of ker ad(a) over all of g, as a list of LieElements:
+    a Fraction kernel basis of the dim x dim matrix of ad(a)."""
+    labels = alg.basis_labels
+    return [alg.element({labels[j]: c for j, c in enumerate(vec) if c})
+            for vec in linalg.kernel_basis(alg.ad_matrix(a, labels, labels))]
+
+
+def centralizer_in_n_perp(alg, grading, n):
+    """True iff every vector of the full-algebra centralizer basis of N
+    has degree >= -1."""
+    return all(grading.in_n_perp(z) for z in centralizer(alg, n))
+
+
+def omega_kernel_dim(alg, grading, n):
+    """dim {X in n_perp : [N, X] in n} - dim p, from the whole block of
+    ad(N) from n_perp = g_>=-1 to g_>=1, keeping its degree-1 rows: for N
+    in n = g_>=2, [N, X] lies in n unless its degree-1 part is nonzero."""
+    degree = grading.degree
+    perp = [lbl for lbl, d in degree.items() if d >= -1]
+    dst = [lbl for lbl, d in degree.items() if d >= 1]
+    rows = [row for lbl, row in zip(dst, alg.ad_matrix(n, perp, dst))
+            if degree[lbl] == 1]
+    p = sum(1 for d in degree.values() if d >= 0)
+    return len(perp) - linalg.rank(rows) - p
+
+
+def dominant_coroot_labels(rs, r):
+    """The labels C x of the coroot x of r after the reflection walk: while
+    some label alpha_i(x) is negative, reflect x in the first such simple
+    root.  The walk ends at the dominant Weyl conjugate of the coroot."""
+    C, n = rs.cartan_matrix, rs.rank
+    x = list(rs.coroot(r))
+
+    def labels():
+        return [sum(x[j] * C[i][j] for j in range(n)) for i in range(n)]
+
+    lab = labels()
+    while any(v < 0 for v in lab):
+        i = next(i for i, v in enumerate(lab) if v < 0)
+        x[i] -= lab[i]
+        lab = labels()
+    return tuple(lab)
 
 
 def epsilon_coords(rs, coords):

@@ -6,7 +6,6 @@ from nilorb.curated import (
     SharedOrbitRecord,
     load_exceptional_table,
     load_shared_table,
-    load_tables,
     parse_orbit_spec,
     parse_type_spec,
     serialize_exceptional_table,
@@ -37,7 +36,7 @@ def test_orbit_spec_parsing():
 
 
 def test_nine_rows_load():
-    shared, exceptional = load_tables()
+    shared, exceptional = load_shared_table(), load_exceptional_table()
     assert len(shared) == 9
     assert len(exceptional) == 3
     pairs = [(r.g, r.g_prime) for r in shared]
@@ -47,7 +46,7 @@ def test_nine_rows_load():
 
 
 def test_specific_rows():
-    shared, _ = load_tables()
+    shared = load_shared_table()
     by_pair = {(r.g, r.g_prime): r for r in shared}
     assert by_pair[("A2", "G2")].orbit == "3"
     assert by_pair[("A2", "G2")].degree == 3
@@ -112,7 +111,7 @@ def test_exceptional_record_validation():
 
 
 def test_round_trip():
-    shared, exceptional = load_tables()
+    shared, exceptional = load_shared_table(), load_exceptional_table()
     assert serialize_shared_table(shared) == curated._data_text("table62.tsv")
     again = load_shared_table(serialize_shared_table(shared))
     assert [(r.g, r.g_prime, r.orbit, r.degree) for r in again] == [
@@ -129,7 +128,7 @@ def test_validation_passes():
 
 
 def test_validation_catches_bad_degree():
-    shared, exceptional = load_tables()
+    shared, exceptional = load_shared_table(), load_exceptional_table()
     bad = [
         SharedOrbitRecord(r.g, r.g_prime, r.orbit, 7, line=r.line)
         if r.g == "A2" else r
@@ -143,7 +142,7 @@ def test_validation_catches_bad_degree():
 
 
 def test_validation_catches_bad_diagram():
-    shared, exceptional = load_tables()
+    shared, exceptional = load_shared_table(), load_exceptional_table()
     bad = [
         ExceptionalOrbitRecord(r.type, r.name, (2, 0), r.dimension,
                                r.pi1_order, r.closure_normal, r.citation)
@@ -157,7 +156,7 @@ def test_validation_catches_bad_diagram():
 
 def test_pi1_matches_degree_for_all_classical_rows():
     from nilorb import partitions
-    shared, _ = load_tables()
+    shared = load_shared_table()
     for rec in shared:
         if not rec.is_classical():
             continue

@@ -23,6 +23,7 @@ from nilorb.dynkin import (
     sl2_complete,
 )
 from nilorb.rootsys import CartanType
+import oracles
 from oracles import is_ad_nilpotent
 from test_chevalley import JACOBI_TYPES
 
@@ -145,7 +146,7 @@ def test_nilpotency_report_against_independent_oracles(name):
         solvable = linalg.solve(rows, [-c for c in n.to_vector()]) is not None
         assert rep.bracket_eigen_solvable == solvable
         assert rep.centralizer_orthogonal == all(
-            alg.killing(z, n) == 0 for z in alg.centralizer(n))
+            alg.killing(z, n) == 0 for z in oracles.centralizer(alg, n))
         assert rep.ad_nilpotent == is_ad_nilpotent(alg, n)
     assert verdicts == {True, False}
 
@@ -287,6 +288,59 @@ def test_centralizer_in_n_perp_minimal_orbits():
         grading = Grading(alg, minimal_orbit_diagram(alg))
         x = alg.root_vector(alg.rs.highest_root())
         assert dynkin.centralizer_in_n_perp(alg, grading, x)
+
+
+def _degree_two_elements(alg, grading):
+    """Every degree-2 root vector, one two-term element and the generic
+    element (when the diagram has one)."""
+    g2 = grading.piece(2)
+    out = [alg.root_vector(r) for r in g2]
+    if len(g2) > 1:
+        out.append(alg.element({g2[0]: 1, g2[-1]: -2}))
+    try:
+        out.append(generic_degree_two(alg, grading))
+    except NoTripleError:
+        pass
+    return out
+
+
+@pytest.mark.parametrize("name", ["G2", "A3", "B3", "C3", "D4", "F4"])
+def test_key_lemma_procedures_match_full_algebra_oracles(name):
+    """The graded blocks decide what the full-algebra kernels decide, on
+    every diagram with g_2 != 0, with both answers of each procedure."""
+    alg = build_algebra(name)
+    zin_seen, kernels = set(), set()
+    for labels in itertools.product((0, 1, 2), repeat=alg.rank):
+        grading = _grading(name, labels)
+        if not grading.piece(2):
+            continue
+        for n in _degree_two_elements(alg, grading):
+            zin = dynkin.centralizer_in_n_perp(alg, grading, n)
+            k = omega_kernel_dim(alg, grading, n)
+            assert zin == oracles.centralizer_in_n_perp(alg, grading, n), (labels, n)
+            assert k == oracles.omega_kernel_dim(alg, grading, n), (labels, n)
+            zin_seen.add(zin)
+            kernels.add(k)
+    assert zin_seen == {True, False}
+    assert 0 in kernels and len(kernels) > 1
+
+
+def test_degree_two_procedures_reject_a_degree_three_part():
+    alg = build_algebra("G2")
+    grading = _grading("G2", (1, 1))
+    assert grading.degree[(1, 1)] == 2 and grading.degree[(2, 1)] == 3
+    n = alg.root_vector((1, 1)) + alg.root_vector((2, 1))
+    for proc in (sl2_complete, dynkin.centralizer_in_n_perp, omega_kernel_dim):
+        with pytest.raises(ValueError, match="N must be homogeneous of degree 2"):
+            proc(alg, grading, n)
+
+
+@pytest.mark.parametrize("name", JACOBI_TYPES + ["A5"])
+def test_root_vector_diagram_matches_reflection_walk(name):
+    alg = build_algebra(name)
+    for r in alg.rs.all_roots:
+        assert diagram_of_root_vector_orbit(alg, r).labels == \
+            oracles.dominant_coroot_labels(alg.rs, r), r
 
 
 def test_round_trip_minimal_diagram_rank_le_4():
@@ -489,9 +543,9 @@ def test_ad_restricted_matches_per_column_brackets(name, diagrams):
                     assert got == _ad_by_columns(alg, x, src, dst)
                     checked += 1
         n = alg.element({lbl: F(rng.randint(1, 9), rng.randint(1, 3))
-                         for lbl in grading.labels_with(lambda d: d >= 2)})
-        perp = grading.n_perp_labels
-        dst = grading.labels_with(lambda d: d >= 1)
+                         for lbl, d in grading.degree.items() if d >= 2})
+        perp = [lbl for lbl, d in grading.degree.items() if d >= -1]
+        dst = [lbl for lbl, d in grading.degree.items() if d >= 1]
         assert alg.ad_matrix(n, perp, dst) == _ad_by_columns(alg, n, perp, dst)
     assert checked > 20
 

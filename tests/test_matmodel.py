@@ -41,7 +41,9 @@ def test_mu_lands_in_sp_random():
         # square zero is asserted inside mu; spot-check the defining formula
         u = [F(rng.randint(-3, 3)) for _ in range(2 * n)]
         xu = [sum(rows[i][j] * u[j] for j in range(2 * n)) for i in range(2 * n)]
-        om = sp.omega(tuple(e.v), tuple(u))
+        form = sp.form()
+        om = sum(e.v[i] * form[i][j] * u[j]
+                 for i in range(2 * n) for j in range(2 * n))
         assert xu == [om * c for c in e.v]
 
 
@@ -119,6 +121,15 @@ def test_fiber_rejects_elements_outside_the_image():
     sp = SymplecticSpace(1)
     for m in (((1, 1), (0, 0)), ((2, 0), (0, 0)), ((0, 1), (-1, 0))):
         with pytest.raises(ValueError, match="not in the image of mu"):
+            fiber(sp, RankOneElement(sp, (1, 0), m))
+
+
+def test_fiber_without_a_rational_point():
+    # -mu((1,0)) gives c^2 = -1 (preimages +-i (1,0)); 2 mu((1,0)) gives
+    # c^2 = 1/2 (preimages +-(sqrt 2, 0))
+    sp = SymplecticSpace(1)
+    for m, c2 in ((((0, -1), (0, 0)), "-1"), (((0, 2), (0, 0)), "1/2")):
+        with pytest.raises(ValueError, match=rf"no rational point: c\^2 = {c2} "):
             fiber(sp, RankOneElement(sp, (1, 0), m))
 
 
