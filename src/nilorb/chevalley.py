@@ -265,7 +265,10 @@ class ChevalleyAlgebra:
         """Matrix of ad(x) from the span of the `src` labels to the span of
         the `dst` labels: row i, column j holds the dst[i] coefficient of
         [x, src[j]].  Its entries are ints when x is integral.  Raises
-        ValueError as `ad_entries` does."""
+        ValueError unless x belongs to this algebra, and as `ad_entries`
+        does."""
+        if x.alg is not self:
+            raise ValueError("element belongs to a different algebra")
         return combine(self.ad_entries(x.coeffs, src, dst), x.coeffs,
                        len(dst), len(src))
 

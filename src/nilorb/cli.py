@@ -288,7 +288,7 @@ def suite_sp_model(seed):
         sp = matmodel.SymplecticSpace(n)
         v = tuple(range(1, 2 * n + 1))
         e = matmodel.mu(sp, v)
-        fib = matmodel.fiber(sp, e)
+        fib = matmodel.fiber(e)
         jt = e.jordan_type()
         kk = matmodel.kk_rank_at(sp, v)
         o = partitions.minimal_orbit("C", n)
@@ -413,7 +413,11 @@ def run_suites(only=None, seed=0):
 # ------------------------------------------------------------- commands
 
 def _parse_labels(s):
-    return tuple(int(x) for x in s.split(","))
+    try:
+        return tuple(int(x) for x in s.split(","))
+    except ValueError:
+        raise ValueError(
+            f"expected comma-separated integers, got {s!r}") from None
 
 
 def cmd_roots(args):
@@ -513,7 +517,7 @@ def cmd_model(args):
     for row in e.matrix:
         print("  [" + ", ".join(str(x) for x in row) + "]")
     print(f"jordan type {e.jordan_type()}")
-    fib = matmodel.fiber(sp, e)
+    fib = matmodel.fiber(e)
     print(f"fiber over mu(v): {[tuple(map(str, w)) for w in fib]}")
     print(f"kostant-kirillov rank {matmodel.kk_rank_at(sp, v)}")
     return 0

@@ -115,7 +115,10 @@ def weight_multiplicities_nonnegative(grading):
 
 
 def _require_degree_two(grading, n):
-    """Raise ValueError unless every label of N has degree 2."""
+    """Raise ValueError unless N belongs to the grading's algebra and every
+    label of N has degree 2."""
+    if n.alg is not grading.alg:
+        raise ValueError("N belongs to a different algebra than the grading")
     if not all(grading.degree[lbl] == 2 for lbl in n.coeffs):
         raise ValueError("N must be homogeneous of degree 2")
 

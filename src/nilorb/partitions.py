@@ -174,9 +174,7 @@ def pi1_order(o):
 
 def minimal_orbit(family, rank):
     n = matrix_size(family, rank)
-    if family == "A":
-        parts = (2,) + (1,) * (n - 2)
-    elif family == "C":
+    if family in ("A", "C"):
         parts = (2,) + (1,) * (n - 2)
     else:
         parts = (2, 2) + (1,) * (n - 4)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 from nilorb import linalg
-from nilorb.matmodel import SymplecticSpace, mu
+from nilorb.matmodel import SymplecticSpace, _mat_mul, mu
 
 
 def is_ad_nilpotent(alg, a):
@@ -76,6 +76,13 @@ def epsilon_coords(rs, coords):
         for i in range(dim):
             v[i] += c * s[i]
     return tuple(v)
+
+
+def in_sp(space, x):
+    """omega(Xu, w) + omega(u, Xw) = 0, i.e. Omega X is symmetric."""
+    m = _mat_mul(space.form(), x)
+    d = space.dim
+    return all(m[i][j] == m[j][i] for i in range(d) for j in range(d))
 
 
 def product_cover_degree(n_list):

@@ -395,6 +395,16 @@ def test_mixed_algebra_rejected():
         a1.cartan_element([1]) + a2.cartan_element([1, 0])
 
 
+def test_ad_matrix_rejects_an_element_of_another_algebra():
+    # G2's X_(1,0) used to get B2's orbit dim 4, and an A3 label a KeyError
+    b2 = build_algebra("B2")
+    for x in (build_algebra("G2").root_vector((1, 0)),
+              build_algebra("A3").root_vector((1, 1, 1))):
+        for proc in (b2.orbit_dimension, b2.centralizer_dim):
+            with pytest.raises(ValueError, match="different algebra"):
+                proc(x)
+
+
 def _trace_killing(alg, x, y):
     """trace(ad x ad y), summed over the basis with `bracket`."""
     total = F(0)

@@ -87,6 +87,15 @@ def test_check_exclusion(capsys):
     assert code == 2
 
 
+def test_malformed_labels_are_usage_errors(capsys):
+    for argv in (("check", "pairing", "--type", "G2", "--diagram", "1,,0"),
+                 ("orbit", "info", "--type", "C3", "--partition", "2,x")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == (f"error: expected comma-separated integers, "
+                       f"got {argv[-1]!r}\n")
+
+
 def test_check_table(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "table")
     assert code == 0 and "54/54" in out

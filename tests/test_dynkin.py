@@ -335,6 +335,15 @@ def test_degree_two_procedures_reject_a_degree_three_part():
             proc(alg, grading, n)
 
 
+def test_degree_two_procedures_reject_an_element_of_another_algebra():
+    # sl2_complete used to raise an exact NoTripleError on G2's X_(0,1)
+    grading = _grading("B2", (0, 2))
+    n = build_algebra("G2").root_vector((0, 1))
+    for proc in (sl2_complete, dynkin.centralizer_in_n_perp, omega_kernel_dim):
+        with pytest.raises(ValueError, match="different algebra than the grading"):
+            proc(grading.alg, grading, n)
+
+
 @pytest.mark.parametrize("name", JACOBI_TYPES + ["A5"])
 def test_root_vector_diagram_matches_reflection_walk(name):
     alg = build_algebra(name)

@@ -4,17 +4,18 @@ import random
 
 import pytest
 
-from nilorb import partitions
+from nilorb import linalg, partitions
 from nilorb.matmodel import (
     RankOneElement,
     SymplecticSpace,
     _kk_gram,
+    _mat_mul,
     fiber,
     kk_rank_at,
     mu,
     product_cover_degree,
 )
-from oracles import product_cover_degree as brute_cover_degree
+from oracles import in_sp, product_cover_degree as brute_cover_degree
 
 F = Fraction
 
@@ -25,7 +26,6 @@ def test_form_is_invertible_antisymmetric():
         m = sp.form()
         d = sp.dim
         assert all(m[i][j] == -m[j][i] for i in range(d) for j in range(d))
-        from nilorb import linalg
         assert linalg.rank(m) == d
 
 
@@ -37,8 +37,11 @@ def test_mu_lands_in_sp_random():
         v = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2 * n)]
         e = mu(sp, v)
         rows = e.rows()
-        assert sp.in_sp(rows)
-        # square zero is asserted inside mu; spot-check the defining formula
+        # mu re-checks none of these: in sp(2n), square zero, rank one
+        assert in_sp(sp, rows)
+        assert all(x == 0 for row in _mat_mul(rows, rows) for x in row)
+        assert linalg.rank(rows) == (1 if any(v) else 0)
+        # spot-check the defining formula
         u = [F(rng.randint(-3, 3)) for _ in range(2 * n)]
         xu = [sum(rows[i][j] * u[j] for j in range(2 * n)) for i in range(2 * n)]
         form = sp.form()
@@ -94,25 +97,25 @@ def test_jordan_type_rejects_non_nilpotent_matrix():
 
 
 def test_fiber_is_sign_pair():
-    sp = SymplecticSpace(2)
-    v = (F(2), F(-1), F(3), F(1, 2))
-    e = mu(sp, v)
-    sols = fiber(sp, e)
-    assert set(sols) == {v, tuple(-c for c in v)}
+    # sp(2), sp(4) and sp(6): `fiber` reads the space from the element
+    for v in ((F(2), F(-1)), (F(2), F(-1), F(3), F(1, 2)),
+              (F(2), F(-1), F(3), F(1, 2), F(0), F(-5, 3))):
+        e = mu(SymplecticSpace(len(v) // 2), v)
+        assert set(fiber(e)) == {v, tuple(-c for c in v)}
 
 
 def test_fiber_beyond_float_range():
     # 10**400 overflows a float; the square root must stay exact
     sp = SymplecticSpace(1)
     v = (1, 10**200)
-    assert set(fiber(sp, mu(sp, v))) == {v, (-1, -10**200)}
+    assert set(fiber(mu(sp, v))) == {v, (-1, -10**200)}
 
 
 def test_fiber_of_zero_rejected():
     sp = SymplecticSpace(1)
     z = mu(sp, (0, 0))
     with pytest.raises(ValueError):
-        fiber(sp, z)
+        fiber(z)
 
 
 def test_fiber_rejects_elements_outside_the_image():
@@ -121,7 +124,7 @@ def test_fiber_rejects_elements_outside_the_image():
     sp = SymplecticSpace(1)
     for m in (((1, 1), (0, 0)), ((2, 0), (0, 0)), ((0, 1), (-1, 0))):
         with pytest.raises(ValueError, match="not in the image of mu"):
-            fiber(sp, RankOneElement(sp, (1, 0), m))
+            fiber(RankOneElement(sp, (1, 0), m))
 
 
 def test_fiber_without_a_rational_point():
@@ -130,7 +133,7 @@ def test_fiber_without_a_rational_point():
     sp = SymplecticSpace(1)
     for m, c2 in ((((0, -1), (0, 0)), "-1"), (((0, 2), (0, 0)), "1/2")):
         with pytest.raises(ValueError, match=rf"no rational point: c\^2 = {c2} "):
-            fiber(sp, RankOneElement(sp, (1, 0), m))
+            fiber(RankOneElement(sp, (1, 0), m))
 
 
 def test_product_cover_degrees():
@@ -165,7 +168,7 @@ def test_sp_basis_dimension():
         sp = SymplecticSpace(n)
         basis = sp.sp_basis()
         assert len(basis) == n * (2 * n + 1)
-        assert all(sp.in_sp(b) for b in basis)
+        assert all(in_sp(sp, b) for b in basis)
 
 
 def _commutator_gram(space, v):

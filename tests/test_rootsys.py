@@ -144,6 +144,8 @@ def test_graph_ends():
     assert build_root_system("A4").graph_ends() == [0, 3]
     assert build_root_system("D4").graph_ends() == [0, 2, 3]
     assert build_root_system("E6").graph_ends() == [0, 1, 5]
+    assert build_root_system("E7").graph_ends() == [0, 1, 6]
+    assert build_root_system("E8").graph_ends() == [0, 1, 7]
 
 
 def test_e_type_sigma_facts():
