@@ -65,9 +65,6 @@ class LieElement:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def is_zero(self):
         return not self.coeffs
 

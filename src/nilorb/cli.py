@@ -6,7 +6,9 @@ lemma-level checks as a deterministic suite with machine-readable output.
 
 `SUITES` is the only definition of the paper's 11 criteria; the acceptance
 tests assert on its verdicts.  Gradings are built with `dynkin.Grading(alg,
-wd)` from a weighted diagram.
+wd)` from a weighted diagram, and the graded procedures take the grading
+alone.  `check exclusion` passes the diagram alone to the E- and F4-tests,
+which read only root data, so it builds no algebra and no grading.
 """
 
 import argparse
@@ -136,7 +138,7 @@ def suite_nilpotency_equivalences(seed):
         alg = algs[i % len(algs)]
         pos = [tuple(r) for r in alg.rs.positive_roots]
         n = _random_element(alg, rng, pos)
-        rep = dynkin.nilpotency_report(alg, n)
+        rep = dynkin.nilpotency_report(n)
         if not (rep.bracket_eigen_solvable and rep.centralizer_orthogonal
                 and rep.ad_nilpotent):
             bad.append(("nilpotent", alg.rs.cartan_type, i))
@@ -144,7 +146,7 @@ def suite_nilpotency_equivalences(seed):
         alg = algs[i % len(algs)]
         labels = [("H", j) for j in range(alg.rs.rank)]
         h = _random_element(alg, rng, labels)
-        rep = dynkin.nilpotency_report(alg, h)
+        rep = dynkin.nilpotency_report(h)
         if rep.bracket_eigen_solvable or rep.centralizer_orthogonal or rep.ad_nilpotent:
             bad.append(("semisimple", alg.rs.cartan_type, i))
     return [_report(
@@ -158,7 +160,7 @@ def suite_g2_classification(seed):
     t = CartanType("G", 2)
     short = alg.rs.short_positive_roots()[0]
     min_wd = dynkin.minimal_orbit_diagram(alg)
-    short_wd = dynkin.diagram_of_root_vector_orbit(alg, short)
+    short_wd = dynkin.diagram_of_root_vector_orbit(alg.rs, short)
     sub_wd = dynkin.WeightedDiagram(t, (0, 2))
     reg_wd = dynkin.WeightedDiagram(t, (2, 2))
     out = []
@@ -170,7 +172,7 @@ def suite_g2_classification(seed):
         ("regular", reg_wd, "fails"),
     ]
     for name, wd, expect in expectations:
-        verdict = dynkin.pairing_criterion(alg, dynkin.Grading(alg, wd))
+        verdict = dynkin.pairing_criterion(dynkin.Grading(alg, wd))
         ok = verdict.status == expect and (
             expect == "holds" or verdict.witness is not None)
         out.append(_report(
@@ -202,7 +204,7 @@ def suite_short_diagrams(seed):
     for name in ("B3", "B4", "C2", "C3", "F4"):
         alg = chevalley.build_algebra(name)
         short = alg.rs.short_positive_roots()[0]
-        wd = dynkin.diagram_of_root_vector_orbit(alg, short)
+        wd = dynkin.diagram_of_root_vector_orbit(alg.rs, short)
         ok = _matches_display(name[0], wd.labels)
         out.append(_report(
             f"short-diagram-{name}", "short-diagrams", ok,
@@ -235,7 +237,7 @@ def suite_f4_exclusion(seed):
         if sum(labels[:3]) < 2:
             continue
         wd = dynkin.WeightedDiagram(CartanType("F", 4), labels)
-        v = dynkin.f4_exclusion(alg, wd)
+        v = dynkin.f4_exclusion(wd)
         if v.status != "excluded":
             missed.append(labels)
     out.append(_report(
@@ -362,7 +364,7 @@ def suite_property_battery(seed):
         wd = dynkin.WeightedDiagram(alg.rs.cartan_type, labels_wd)
         grading = dynkin.Grading(alg, wd)
         n = dynkin.generic_degree_two(alg, grading)
-        k = dynkin.omega_kernel_dim(alg, grading, n)
+        k = dynkin.omega_kernel_dim(grading, n)
         if k != 0:
             bad.append((name, labels_wd, k))
     out.append(_report(
@@ -477,30 +479,30 @@ def cmd_check(args):
         rep = curated.validate_tables(shared, curated.load_exceptional_table())
         print(rep.summary())
         return 0 if rep.ok else 1
-    alg = chevalley.build_algebra(args.type)
-    wd = dynkin.WeightedDiagram(alg.rs.cartan_type, _parse_labels(args.diagram))
-    grading = dynkin.Grading(alg, wd)
-    if args.what == "pairing":
-        v = dynkin.pairing_criterion(alg, grading)
-        print(f"pairing criterion: {v.status}")
-        if v.witness:
-            print(f"witness: {v.witness}")
-        return 0 if v.status == "holds" else 1
+    t = CartanType.parse(args.type)
+    wd = dynkin.WeightedDiagram(t, _parse_labels(args.diagram))
     if args.what == "exclusion":
-        fam = alg.rs.cartan_type.family
-        if fam == "E":
-            v = dynkin.e_type_exclusion(alg, wd)
-        elif fam == "F":
-            v = dynkin.f4_exclusion(alg, wd)
+        if t.family == "E":
+            v = dynkin.e_type_exclusion(wd)
+        elif t.family == "F":
+            v = dynkin.f4_exclusion(wd)
         else:
             print("exclusion checks apply to E and F types", file=sys.stderr)
             return 2
         print(f"exclusion: {v.status}  {v.detail}")
         return 0
+    alg = chevalley.build_algebra(t)
+    grading = dynkin.Grading(alg, wd)
+    if args.what == "pairing":
+        v = dynkin.pairing_criterion(grading)
+        print(f"pairing criterion: {v.status}")
+        if v.witness:
+            print(f"witness: {v.witness}")
+        return 0 if v.status == "holds" else 1
     # key-lemma: smoothness necessary condition at a generic degree-2 point
     n = dynkin.generic_degree_two(alg, grading)
-    zin = dynkin.centralizer_in_n_perp(alg, grading, n)
-    k = dynkin.omega_kernel_dim(alg, grading, n)
+    zin = dynkin.centralizer_in_n_perp(grading, n)
+    k = dynkin.omega_kernel_dim(grading, n)
     print(f"generic degree-2 element: {n!r}")
     print(f"centralizer contained in n-perp: {zin}")
     print(f"extended-2-form kernel dim: {k}")

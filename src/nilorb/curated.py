@@ -301,7 +301,7 @@ def validate_tables(shared=None, exceptional=None):
                 f"curated={meta.dimension} grading={d_grad}")
         if meta.name == "short":
             shortest = alg.rs.short_positive_roots()[0]
-            computed = dynkin.diagram_of_root_vector_orbit(alg, shortest)
+            computed = dynkin.diagram_of_root_vector_orbit(alg.rs, shortest)
             rep.add(row, "diagram_vs_root_vector", computed.labels == wd.labels,
                     f"curated={wd.labels} computed={computed.labels}")
         if meta.name == "sub":

@@ -145,22 +145,33 @@ def kernel_basis(rows):
     return _kernel(m, pivots, len(rows[0]))
 
 
+def _augmented(rows, rhs):
+    """[A | b], or ValueError unless b has one entry per row of A."""
+    if len(rhs) != len(rows):
+        raise ValueError(f"right-hand side has {len(rhs)} entries, "
+                         f"the matrix {len(rows)} rows")
+    return [list(row) + [b] for row, b in zip(rows, rhs)]
+
+
 def solve(rows, rhs):
     """One solution of A x = b (A given by `rows`, b by `rhs`), or None
-    if inconsistent."""
+    if inconsistent.  Raises ValueError unless len(rhs) == len(rows)."""
+    m = _augmented(rows, rhs)
     if not rows:
         return None
-    m, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    m, pivots = rref(m)
     return _solution(m, pivots, len(rows[0]))
 
 
 def solve_with_kernel(rows, rhs):
     """One solution of A x = b (None if inconsistent) and a basis of the
-    null space of A, both from a single reduction of [A | b]."""
+    null space of A, both from a single reduction of [A | b].  Raises
+    ValueError unless len(rhs) == len(rows)."""
+    m = _augmented(rows, rhs)
     if not rows:
         return None, []
     ncols = len(rows[0])
-    m, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    m, pivots = rref(m)
     return _solution(m, pivots, ncols), _kernel(m, pivots, ncols)
 
 

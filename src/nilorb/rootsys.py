@@ -267,10 +267,15 @@ class RootSystem:
 
     def root_from_epsilon(self, eps):
         """Simple-root coordinates of a vector given in the ambient
-        realization, or None if it is not in the root lattice span."""
+        realization, or None if it is not in the root lattice span.
+        Raises ValueError unless `eps` has one entry per ambient
+        coordinate."""
         from . import linalg
 
         dim = len(self._simple_eps[0])
+        if len(eps) != dim:
+            raise ValueError(f"{self.cartan_type} lives in dimension {dim}, "
+                             f"got {len(eps)} coordinates")
         rows = [[self._simple_eps[j][i] for j in range(self.rank)] for i in range(dim)]
         x = linalg.solve(rows, [Fraction(v) for v in eps])
         if x is None:

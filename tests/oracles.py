@@ -29,17 +29,22 @@ def centralizer(alg, a):
             for vec in linalg.kernel_basis(alg.ad_matrix(a, labels, labels))]
 
 
-def centralizer_in_n_perp(alg, grading, n):
+def in_n_perp(grading, x):
+    """True iff every label of x has degree >= -1, i.e. x lies in n_perp."""
+    return all(grading.degree[lbl] >= -1 for lbl in x.coeffs)
+
+
+def centralizer_in_n_perp(grading, n):
     """True iff every vector of the full-algebra centralizer basis of N
     has degree >= -1."""
-    return all(grading.in_n_perp(z) for z in centralizer(alg, n))
+    return all(in_n_perp(grading, z) for z in centralizer(grading.alg, n))
 
 
-def omega_kernel_dim(alg, grading, n):
+def omega_kernel_dim(grading, n):
     """dim {X in n_perp : [N, X] in n} - dim p, from the whole block of
     ad(N) from n_perp = g_>=-1 to g_>=1, keeping its degree-1 rows: for N
     in n = g_>=2, [N, X] lies in n unless its degree-1 part is nonzero."""
-    degree = grading.degree
+    alg, degree = grading.alg, grading.degree
     perp = [lbl for lbl, d in degree.items() if d >= -1]
     dst = [lbl for lbl, d in degree.items() if d >= 1]
     rows = [row for lbl, row in zip(dst, alg.ad_matrix(n, perp, dst))

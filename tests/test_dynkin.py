@@ -75,9 +75,9 @@ def test_minimal_diagrams():
 
 def test_root_vector_orbit_diagrams_g2():
     alg = build_algebra("G2")
-    long_wd = diagram_of_root_vector_orbit(alg, alg.rs.highest_root())
+    long_wd = diagram_of_root_vector_orbit(alg.rs, alg.rs.highest_root())
     short = alg.rs.short_positive_roots()[0]
-    short_wd = diagram_of_root_vector_orbit(alg, short)
+    short_wd = diagram_of_root_vector_orbit(alg.rs, short)
     assert long_wd.labels == (0, 1)
     assert short_wd.labels == (1, 0)
 
@@ -104,15 +104,15 @@ def test_no_triple_for_fake_g2_diagram():
 def test_nilpotency_report_polarity():
     alg = build_algebra("B2")
     x = alg.root_vector(alg.rs.highest_root())
-    rep = nilpotency_report(alg, x)
+    rep = nilpotency_report(x)
     assert rep.bracket_eigen_solvable and rep.centralizer_orthogonal
     assert rep.ad_nilpotent
     h = alg.cartan_element([1, 1])
-    rep = nilpotency_report(alg, h)
+    rep = nilpotency_report(h)
     assert not (rep.bracket_eigen_solvable or rep.centralizer_orthogonal
                 or rep.ad_nilpotent)
     mixed = x + alg.cartan_element([1, 0])
-    rep = nilpotency_report(alg, mixed)
+    rep = nilpotency_report(mixed)
     assert not rep.ad_nilpotent
 
 
@@ -138,7 +138,7 @@ def test_nilpotency_report_against_independent_oracles(name):
     alg = build_algebra(name)
     verdicts = set()
     for n in _nilpotency_fixtures(alg, random.Random(7)):
-        rep = nilpotency_report(alg, n)
+        rep = nilpotency_report(n)
         verdicts.add(rep.ad_nilpotent)
         images = [alg.bracket(n, alg.element({lbl: F(1)})).to_vector()
                   for lbl in alg.basis_labels]
@@ -212,7 +212,7 @@ def test_pairing_criterion_g2():
     verdicts = {}
     for labels in [(0, 1), (1, 0), (0, 2), (2, 2)]:
         grading = Grading(alg, _wd("G2", labels))
-        verdicts[labels] = pairing_criterion(alg, grading)
+        verdicts[labels] = pairing_criterion(grading)
     assert verdicts[(0, 1)].status == "holds"
     assert verdicts[(1, 0)].status == "holds"
     assert verdicts[(0, 2)].status == "fails"
@@ -223,7 +223,7 @@ def test_pairing_criterion_g2():
 def test_pairing_witness_is_genuine():
     alg = build_algebra("G2")
     grading = Grading(alg, _wd("G2", (0, 2)))
-    v = pairing_criterion(alg, grading)
+    v = pairing_criterion(grading)
     n_coeffs, q_coeffs = v.witness
     n = alg.element({lbl: F(c) for lbl, c in n_coeffs.items()})
     q = alg.element({lbl: F(c) for lbl, c in q_coeffs.items()})
@@ -239,8 +239,8 @@ def test_f4_exclusion_bracket_and_verdicts():
     b = alg.root_vector(dynkin.F4_BETA)
     g = alg.root_vector(tuple(-c for c in dynkin.F4_GAMMA))
     assert alg.bracket(a + b, g).is_zero()
-    assert f4_exclusion(alg, _wd("F4", (1, 1, 0, 0))).status == "excluded"
-    assert f4_exclusion(alg, _wd("F4", (0, 0, 0, 1))).status != "excluded"
+    assert f4_exclusion(_wd("F4", (1, 1, 0, 0))).status == "excluded"
+    assert f4_exclusion(_wd("F4", (0, 0, 0, 1))).status != "excluded"
 
 
 def test_f4_roots_have_expected_lengths():
@@ -253,12 +253,53 @@ def test_f4_roots_have_expected_lengths():
 
 def test_e_type_exclusion_verdicts():
     alg = build_algebra("E6")
-    v = e_type_exclusion(alg, _wd("E6", (1, 1, 1, 1, 1, 1)))
+    v = e_type_exclusion(_wd("E6", (1, 1, 1, 1, 1, 1)))
     assert v.status == "excluded"
-    v = e_type_exclusion(alg, minimal_orbit_diagram(alg))
+    v = e_type_exclusion(minimal_orbit_diagram(alg))
     assert v.status == "not_excluded"
-    v = e_type_exclusion(alg, _wd("E6", (0, 0, 1, 0, 1, 0)))
+    v = e_type_exclusion(_wd("E6", (0, 0, 1, 0, 1, 0)))
     assert v.status in ("excluded", "degree_two_case")
+
+
+def _exclusion(wd):
+    return (f4_exclusion if wd.cartan_type.family == "F" else e_type_exclusion)(wd)
+
+
+@pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8"])
+def test_exclusion_witness_centralizes_n(name):
+    """[N, witness] = 0 under `bracket`, a fact the exclusion tests
+    derive from root data and do not compute."""
+    alg = build_algebra(name)
+    v = _exclusion(_wd(name, (2,) * alg.rank))
+    assert v.status == "excluded"
+    n = alg.element(v.detail["n_element"])
+    witness = alg.element(v.detail["centralizing_witness"])
+    assert alg.bracket(n, witness).is_zero()
+
+
+@pytest.mark.parametrize("name,excluded", [
+    ("F4", 69), ("E6", 692), ("E7", 2143), ("E8", 1),
+])
+def test_exclusion_puts_n_in_n_and_the_witness_outside_n_perp(name, excluded):
+    """On every excluded diagram (E8: only its minimal and regular ones),
+    every label of N has degree >= 2 and every label of the witness
+    degree <= -2, as the branch conditions imply."""
+    alg = build_algebra(name)
+    if name == "E8":
+        diagrams = [minimal_orbit_diagram(alg).labels, (2,) * alg.rank]
+    else:
+        diagrams = itertools.product((0, 1, 2), repeat=alg.rank)
+    count = 0
+    for labels in diagrams:
+        wd = _wd(name, labels)
+        v = _exclusion(wd)
+        if v.status != "excluded":
+            continue
+        degree = Grading(alg, wd).degree
+        assert all(degree[lbl] >= 2 for lbl in v.detail["n_element"]), labels
+        assert all(degree[lbl] <= -2 for lbl in v.detail["centralizing_witness"]), labels
+        count += 1
+    assert count == excluded
 
 
 def test_e8_displayed_diagram_facts():
@@ -279,7 +320,7 @@ def test_omega_kernel_zero_at_generic_points():
         alg = build_algebra(name)
         grading = Grading(alg, _wd(name, labels))
         n = generic_degree_two(alg, grading)
-        assert omega_kernel_dim(alg, grading, n) == 0
+        assert omega_kernel_dim(grading, n) == 0
 
 
 def test_centralizer_in_n_perp_minimal_orbits():
@@ -287,7 +328,7 @@ def test_centralizer_in_n_perp_minimal_orbits():
         alg = build_algebra(name)
         grading = Grading(alg, minimal_orbit_diagram(alg))
         x = alg.root_vector(alg.rs.highest_root())
-        assert dynkin.centralizer_in_n_perp(alg, grading, x)
+        assert dynkin.centralizer_in_n_perp(grading, x)
 
 
 def _degree_two_elements(alg, grading):
@@ -315,10 +356,10 @@ def test_key_lemma_procedures_match_full_algebra_oracles(name):
         if not grading.piece(2):
             continue
         for n in _degree_two_elements(alg, grading):
-            zin = dynkin.centralizer_in_n_perp(alg, grading, n)
-            k = omega_kernel_dim(alg, grading, n)
-            assert zin == oracles.centralizer_in_n_perp(alg, grading, n), (labels, n)
-            assert k == oracles.omega_kernel_dim(alg, grading, n), (labels, n)
+            zin = dynkin.centralizer_in_n_perp(grading, n)
+            k = omega_kernel_dim(grading, n)
+            assert zin == oracles.centralizer_in_n_perp(grading, n), (labels, n)
+            assert k == oracles.omega_kernel_dim(grading, n), (labels, n)
             zin_seen.add(zin)
             kernels.add(k)
     assert zin_seen == {True, False}
@@ -330,25 +371,39 @@ def test_degree_two_procedures_reject_a_degree_three_part():
     grading = _grading("G2", (1, 1))
     assert grading.degree[(1, 1)] == 2 and grading.degree[(2, 1)] == 3
     n = alg.root_vector((1, 1)) + alg.root_vector((2, 1))
-    for proc in (sl2_complete, dynkin.centralizer_in_n_perp, omega_kernel_dim):
+    for proc in (functools.partial(sl2_complete, alg),
+                 dynkin.centralizer_in_n_perp, omega_kernel_dim):
         with pytest.raises(ValueError, match="N must be homogeneous of degree 2"):
-            proc(alg, grading, n)
+            proc(grading, n)
 
 
 def test_degree_two_procedures_reject_an_element_of_another_algebra():
     # sl2_complete used to raise an exact NoTripleError on G2's X_(0,1)
     grading = _grading("B2", (0, 2))
     n = build_algebra("G2").root_vector((0, 1))
-    for proc in (sl2_complete, dynkin.centralizer_in_n_perp, omega_kernel_dim):
+    for proc in (functools.partial(sl2_complete, grading.alg),
+                 dynkin.centralizer_in_n_perp, omega_kernel_dim):
         with pytest.raises(ValueError, match="different algebra than the grading"):
-            proc(grading.alg, grading, n)
+            proc(grading, n)
+
+
+def test_degree_two_procedures_reject_an_alg_other_than_the_gradings():
+    # sl2_complete used to return a triple whose N1 lay in G2, and
+    # generic_degree_two blamed its own N0 for the mismatch
+    grading = _grading("A2", (1, 1))
+    n0 = generic_degree_two(grading.alg, grading)
+    g2 = build_algebra("G2")
+    with pytest.raises(ValueError, match=r"alg \(G2\) is not the grading's algebra \(A2\)"):
+        sl2_complete(g2, grading, n0)
+    with pytest.raises(ValueError, match=r"alg \(G2\) is not the grading's algebra \(A2\)"):
+        generic_degree_two(g2, grading)
 
 
 @pytest.mark.parametrize("name", JACOBI_TYPES + ["A5"])
 def test_root_vector_diagram_matches_reflection_walk(name):
     alg = build_algebra(name)
     for r in alg.rs.all_roots:
-        assert diagram_of_root_vector_orbit(alg, r).labels == \
+        assert diagram_of_root_vector_orbit(alg.rs, r).labels == \
             oracles.dominant_coroot_labels(alg.rs, r), r
 
 
@@ -573,7 +628,7 @@ def test_pairing_criterion_verdicts_and_witnesses():
         ("C3", (1, 0, 0)): ("holds", None),
     }
     for (name, labels), (status, witness) in expected.items():
-        v = pairing_criterion(build_algebra(name), _grading(name, labels))
+        v = pairing_criterion(_grading(name, labels))
         assert (v.status, v.witness) == (status, witness), (name, labels)
 
 
@@ -587,7 +642,7 @@ def test_pairing_criterion_tests_every_degree_two_root():
     assert not dynkin._bracket_kernel(grading, {zero_weight: 1})
     g2 = grading.pieces[2]
     g2.insert(0, g2.pop(g2.index(zero_weight)))
-    v = pairing_criterion(alg, grading)
+    v = pairing_criterion(grading)
     assert v.status == "fails"
     n_coeffs, q_coeffs = v.witness
     assert n_coeffs == {(1, 0, 0): 1}
@@ -609,7 +664,7 @@ def test_pairing_criterion_on_every_diagram(name):
             continue
         grading = Grading(alg, _wd(name, labels))
         assert set(grading.piece(2)) <= roots, labels
-        v = pairing_criterion(alg, grading)
+        v = pairing_criterion(grading)
         if v.status == "holds":
             assert v.witness is None
             holds.add(labels)

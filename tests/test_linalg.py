@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import random
 
+import pytest
+
 from nilorb import linalg
 
 F = Fraction
@@ -29,6 +31,14 @@ def test_solve_consistent_and_inconsistent():
     assert x == [F(2), F(1)]
     rows = [[F(1), F(1)], [F(2), F(2)]]
     assert linalg.solve(rows, [F(1), F(3)]) is None
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    # zip used to drop the extra rows: solve(identity, [1]) returned [1, 0]
+    for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 2]), ([], [1])):
+        for solver in (linalg.solve, linalg.solve_with_kernel):
+            with pytest.raises(ValueError, match="right-hand side has"):
+                solver(rows, rhs)
 
 
 def test_sparse_rank_matches_dense():

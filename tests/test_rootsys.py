@@ -162,6 +162,13 @@ def test_root_from_epsilon_round_trip():
         assert rs.root_from_epsilon(epsilon_coords(rs, r)) == r
 
 
+def test_root_from_epsilon_rejects_the_wrong_dimension():
+    # A2 used to read (1, -1, 0, 5) as alpha_1, and E8 read (1, 1) as alpha_2
+    for name, eps in (("A2", [1, -1, 0, 5]), ("A2", [1, -1]), ("E8", [1, 1])):
+        with pytest.raises(ValueError, match="lives in dimension"):
+            build_root_system(name).root_from_epsilon(eps)
+
+
 def test_build_root_system_cached_per_type():
     assert build_root_system("E8") is build_root_system(CartanType.parse("E8"))
 
