@@ -8,8 +8,10 @@ root.  Brackets follow the Chevalley relations
 with integer constants N_{r,s}, |N_{r,s}| = p+1 for a root string of length
 p below s in the direction of r.  Signs are fixed by the extraspecial-pair
 convention over the height-then-lexicographic order on positive roots; the
-build computes the positive-pair constants once and raises unless every one
-is a nonzero integer with |N| = p+1.  There is no runtime Jacobi check: the
+build computes the positive-pair constants once, in integer arithmetic, with
+the decompositions of each positive root read from the height buckets up to
+half its height (see `_fill_structure_constants`), and raises unless every
+one is a nonzero integer with |N| = p+1.  There is no runtime Jacobi check: the
 constants depend on the Cartan type alone, and
 `tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
 proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8, by
@@ -32,6 +34,8 @@ wt_i + wt_j; their traces are read from the `ad_entries` of the pair.
 
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import groupby
+from operator import sub
 
 from . import linalg
 from .rootsys import CartanType, build_root_system
@@ -116,6 +120,10 @@ class ChevalleyAlgebra:
         self.index = {lbl: i for i, lbl in enumerate(self.basis_labels)}
         self._pos = rs.positive_roots
         self._pos_index = {r: i for i, r in enumerate(self._pos)}
+        # the sign and the negative of every root, read by `_nany`
+        npos = len(self._pos)
+        self._positive = {r: i < npos for i, r in enumerate(rs.all_roots)}
+        self._neg = dict(zip(rs.all_roots, rs.all_roots[npos:] + self._pos))
         self._npos = {}
         self._fill_structure_constants()
 
@@ -133,36 +141,50 @@ class ChevalleyAlgebra:
     def _fill_structure_constants(self):
         """N(r, s) for the positive pairs with r + s a root, in both orders,
         height by height: the extraspecial pair of each root gets p + 1, and
-        every other pair follows from it (Carter, ch. 4).  The squared
-        lengths are read as the integer numerators `len2_numerators`; their
-        common denominator cancels in -len2[t] * term / n0."""
-        len2 = self.rs.len2_numerators
-        index = self._pos_index
-        for t in self._pos:
-            # t = r + s with r before s, in the order of the positive roots
-            decomps = [(r, s) for r in self._pos[:index[t]]
-                       if (s := tuple(a - b for a, b in zip(t, r))) in index
-                       and index[r] < index[s]]
-            if not decomps:
-                continue
-            r0, s0 = decomps[0]  # extraspecial: minimal first member
-            n0 = self._string_below(r0, s0) + 1
-            self._npos[r0, s0], self._npos[s0, r0] = n0, -n0
-            for r, s in decomps[1:]:
-                d1 = tuple(a - b for a, b in zip(r0, r))
-                d2 = tuple(a - b for a, b in zip(s0, r))
-                term = Fraction(0)
-                if self.rs.is_root(d1):
-                    term += Fraction(self._nany(r0, _neg(r)) * self._nany(s0, _neg(s)), len2[d1])
-                if self.rs.is_root(d2):
-                    term += Fraction(self._nany(_neg(r), s0) * self._nany(r0, _neg(s)), len2[d2])
-                val = -len2[t] * term / n0
-                if val.denominator != 1 or val == 0:
-                    raise AssertionError(f"N{r, s} = {val} for root {t} is not a nonzero integer")
-                n = int(val)
-                if abs(n) != self._string_below(r, s) + 1:
-                    raise AssertionError(f"|N{r, s}| = {abs(n)} is not p + 1 for root {t}")
-                self._npos[r, s], self._npos[s, r] = n, -n
+        every other pair follows from it (Carter, ch. 4).
+
+        The pairs t = r + s with r before s in the order of the positive
+        roots have ht(r) <= ht(t) / 2, so r is read from the height buckets
+        up to ht(t) // 2, in order; the extraspecial pair comes first.
+        With (r0, s0) the extraspecial pair and n0 = N(r0, s0), Carter's step
+        is N(r, s) = -(t, t) (a / (d1, d1) + b / (d2, d2)) / n0 for
+        d1 = r0 - r, d2 = s0 - r, a = N(r0, -r) N(s0, -s) and
+        b = N(-r, s0) N(r0, -s), a term dropped when its d is not a root.
+        It runs in integers: the squared lengths are the numerators
+        `len2_numerators` l1, l2 (their common denominator cancels), the
+        step is multiplied through by n0 l1 l2, and one divmod gives N; a
+        remainder or a zero quotient raises, and so does |N| != p + 1."""
+        len2, index, neg = self.rs.len2_numerators, self._pos_index, self._neg
+        # by_height[h]: the positive roots of height h, in order
+        by_height = [[]] + [list(g) for _, g in groupby(self._pos, sum)]
+        for ht in range(2, len(by_height)):
+            for t in by_height[ht]:
+                # t = r + s with r before s, sorted by the position of r
+                decomps = [(r, s) for bucket in by_height[1:ht // 2 + 1]
+                           for r in bucket
+                           if (s := tuple(map(sub, t, r))) in index
+                           and index[r] < index[s]]
+                if not decomps:
+                    continue
+                r0, s0 = decomps[0]  # extraspecial: minimal first member
+                n0 = self._string_below(r0, s0) + 1
+                self._npos[r0, s0], self._npos[s0, r0] = n0, -n0
+                for r, s in decomps[1:]:
+                    nr, ns = neg[r], neg[s]
+                    # l1, l2: the len2 of d1 and d2, 0 when it is not a root
+                    l1 = len2.get(tuple(map(sub, r0, r)), 0)
+                    l2 = len2.get(tuple(map(sub, s0, r)), 0)
+                    a = self._nany(r0, nr) * self._nany(s0, ns) if l1 else 0
+                    b = self._nany(nr, s0) * self._nany(r0, ns) if l2 else 0
+                    l1, l2 = l1 or 1, l2 or 1
+                    num, den = -len2[t] * (a * l2 + b * l1), n0 * l1 * l2
+                    n, rem = divmod(num, den)
+                    if rem or not n:
+                        raise AssertionError(f"N{r, s} = {Fraction(num, den)} for root "
+                                             f"{t} is not a nonzero integer")
+                    if abs(n) != self._string_below(r, s) + 1:
+                        raise AssertionError(f"|N{r, s}| = {abs(n)} is not p + 1 for root {t}")
+                    self._npos[r, s], self._npos[s, r] = n, -n
 
     def _nany(self, a, b):
         """N(a, b) for roots a, b with a + b a root (Carter, Thm 4.1.2).
@@ -170,16 +192,17 @@ class ChevalleyAlgebra:
         With c = -(a + b), exactly one cyclic pair (x, y) of (a, b, c) has
         both roots of the same sign; z is the third root.  N(x, y) is read
         from the positive constants, with N(-x, -y) = -N(x, y), and
-        N(a, b) / (c, c) = N(x, y) / (z, z)."""
-        ha, hb = sum(a), sum(b)
+        N(a, b) / (c, c) = N(x, y) / (z, z).  The signs and negatives are
+        read from the per-algebra dicts `_positive` and `_neg`."""
+        pos = self._positive
         c = tuple(-x - y for x, y in zip(a, b))
-        if (ha > 0) == (hb > 0):
+        if pos[a] == pos[b]:
             x, y, z = a, b, c
-        elif (hb > 0) == (ha + hb < 0):
+        elif pos[b] == pos[c]:
             x, y, z = b, c, a
         else:
             x, y, z = c, a, b
-        n = self._npos[x, y] if sum(x) > 0 else -self._npos[_neg(x), _neg(y)]
+        n = self._npos[x, y] if pos[x] else -self._npos[self._neg[x], self._neg[y]]
         # (c, c) / (z, z) as a ratio of the integer `len2_numerators`
         lc, lz = self.rs.len2_numerators[c], self.rs.len2_numerators[z]
         if lc == lz:
@@ -277,7 +300,7 @@ class ChevalleyAlgebra:
         labels = self.basis_labels
         gram = {}
         for r in self._pos:
-            neg = _neg(r)
+            neg = self._neg[r]
             ent = self.ad_entries((r, neg), labels, labels)
             k = _trace(ent[r], ent[neg])
             gram[r], gram[neg] = {neg: k}, {r: k}
@@ -326,10 +349,6 @@ def combine(entries, coeffs, nrows, ncols):
         for i, j, v in entries[k]:
             rows[i][j] += c * v
     return rows
-
-
-def _neg(r):
-    return tuple(-c for c in r)
 
 
 def _trace(a, b):

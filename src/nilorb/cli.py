@@ -251,7 +251,7 @@ def suite_e_type_facts(seed):
     out = []
     for name in ("E6", "E7", "E8"):
         rs = build_root_system(name)
-        facts = rs.simple_root_sum_facts()
+        facts = rs.simple_root_sum_facts
         ok = facts["sigma_is_root"] and all(
             facts["sigma_minus_end_is_root"].values()
         ) and all(facts["orthogonal_pairs"].values())
@@ -436,6 +436,7 @@ def cmd_roots(args):
 def cmd_algebra(args):
     alg = chevalley.build_algebra(args.type)
     print(f"type {alg.rs.cartan_type}  dim {alg.dim}")
+    print(f"roots {len(alg.rs.all_roots)}  positive-pair constants {len(alg._npos)}")
     if args.orbit_dim_min:
         x = alg.root_vector(alg.rs.highest_root())
         print(f"minimal orbit dim {alg.orbit_dimension(x)}"

@@ -363,7 +363,7 @@ def e_type_exclusion(wd):
     if wd.cartan_type.family != "E":
         raise ValueError("E-type diagrams only")
     labels = wd.labels
-    facts = build_root_system(wd.cartan_type).simple_root_sum_facts()
+    facts = build_root_system(wd.cartan_type).simple_root_sum_facts
     ends = facts["ends"]
     s = sum(labels)
     m = max(labels[e] for e in ends)

@@ -6,9 +6,10 @@ basis.  The symmetric form comes from a realization of the simple roots in
 a rational Euclidean space, rescaled so that long roots have squared
 length 2; after that, inner products are integer sums over the Cartan
 matrix, (r, s) = sum_j s_j d_j <r, alpha_j^vee> with d_j = (alpha_j,
-alpha_j)/2 over one common denominator.  The squared length of every root
-is computed once, at build, as the integer numerator `len2_numerators`
-over that denominator.
+alpha_j)/2 over one common denominator.  Past that form the build runs in
+integers: the closure keeps the Cartan pairings <r, alpha_j^vee> of every
+positive root, and the squared length of every root is computed once, from
+them, as the integer numerator `len2_numerators` over that denominator.
 """
 
 from dataclasses import dataclass
@@ -111,7 +112,9 @@ def _simple_roots_epsilon(t):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    """Dot product of two sparse Fraction vectors, skipping the zero
+    coordinates."""
+    return sum(a * b for a, b in zip(u, v) if a and b)
 
 
 class RootSystem:
@@ -141,14 +144,16 @@ class RootSystem:
         self.simple_roots = [
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         ]
-        self.positive_roots = self._generate_positive()
+        pairings = self._generate_positive()
+        self.positive_roots = sorted(pairings, key=lambda r: (sum(r), r))
         self.all_roots = self.positive_roots + [
             tuple(-c for c in r) for r in self.positive_roots
         ]
         self._root_set = set(self.all_roots)
         # squared length of every root, long roots 2; (-r, -r) = (r, r);
-        # len2_numerators[r] = (r, r) * _denom, an int
-        nums = [self._inner_numerator(r, r) for r in self.positive_roots]
+        # len2_numerators[r] = (r, r) * _denom = sum_j r_j d_j <r, alpha_j^vee>
+        nums = [sum(c * d * q for c, d, q in zip(r, self._d, pairings[r]) if c)
+                for r in self.positive_roots]
         self.len2_numerators = dict(zip(self.all_roots, nums + nums))
         self._coroots = {}
 
@@ -159,32 +164,36 @@ class RootSystem:
         return sum(c * self.cartan_matrix[i][j] for i, c in enumerate(coords))
 
     def _generate_positive(self):
-        n = self.rank
-        roots = set(self.simple_roots)
+        """The positive roots, each mapped to its Cartan pairings
+        [<r, alpha_j^vee> for j], by the root-string closure.  The pairings
+        are kept along the closure: those of r + alpha_j are those of r plus
+        row j of the Cartan matrix."""
+        n, C = self.rank, self.cartan_matrix
+        pairings = {r: list(C[i]) for i, r in enumerate(self.simple_roots)}
         layer = list(self.simple_roots)
         while layer:
             new = []
             for r in layer:
+                pr = pairings[r]
                 for j in range(n):
-                    k = self._cartan_pairing(r, j)
-                    # length of the string below r in direction alpha_j
+                    # length p of the string below r in direction alpha_j; a
+                    # tuple with a negative entry is not in `pairings`
                     p = 0
                     down = list(r)
                     while True:
                         down[j] -= 1
-                        if tuple(down) in roots and all(c >= 0 for c in down):
-                            p += 1
-                        else:
+                        if tuple(down) not in pairings:
                             break
-                    if p - k > 0:
+                        p += 1
+                    if p > pr[j]:
                         up = list(r)
                         up[j] += 1
                         t = tuple(up)
-                        if t not in roots:
-                            roots.add(t)
+                        if t not in pairings:
+                            pairings[t] = [a + b for a, b in zip(pr, C[j])]
                             new.append(t)
             layer = new
-        return sorted(roots, key=lambda r: (sum(r), r))
+        return pairings
 
     # -- queries --------------------------------------------------------
 
@@ -294,14 +303,16 @@ class RootSystem:
                     deg[i] += 1
         return [i for i in range(n) if deg[i] == 1]
 
+    @cached_property
     def simple_root_sum_facts(self):
-        """For E types: facts about sigma = sum of all simple roots.
+        """For E types: facts about sigma = sum of all simple roots,
+        computed on first use.
 
         Reports whether sigma and sigma minus each end-node simple root are
         roots, and which pairs of the latter are orthogonal.  The three E
         Cartan matrices are fixed, and each Dynkin graph has the three ends
         that `graph_ends` returns (`test_graph_ends` pins them), so they
-        are not re-counted here.
+        are not re-counted here.  Raises ValueError on every other type.
         """
         if self.cartan_type.family != "E":
             raise ValueError("only defined for E types")

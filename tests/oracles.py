@@ -104,3 +104,78 @@ def product_cover_degree(n_list):
                for sp, s, v, img in zip(spaces, signs, vs, images)):
             classes.add(max(signs, tuple(-s for s in signs)))
     return len(classes)
+
+
+def positive_structure_constants(rs):
+    """N(r, s) for the positive pairs with r + s a root, in both orders, by
+    the Fraction-based build that `ChevalleyAlgebra` used before its
+    integer one: every earlier positive root is tried as r for each root t,
+    and Carter's step (ch. 4) runs in Fractions.  The squared lengths are
+    the integer numerators (r, r) * denom from `RootSystem.inner`'s
+    numerator, not from `len2_numerators`."""
+    npos = {}
+    pos = rs.positive_roots
+    index = {r: i for i, r in enumerate(pos)}
+    len2 = {}
+    for r in pos:
+        len2[r] = len2[_neg(r)] = rs._inner_numerator(r, r)
+
+    def string_below(r, s):
+        """Largest p with s - p r a root."""
+        p = 0
+        cur = tuple(a - b for a, b in zip(s, r))
+        while rs.is_root(cur):
+            p += 1
+            cur = tuple(a - b for a, b in zip(cur, r))
+        return p
+
+    def nany(a, b):
+        """N(a, b) for roots a, b with a + b a root (Carter, Thm 4.1.2)."""
+        ha, hb = sum(a), sum(b)
+        c = tuple(-x - y for x, y in zip(a, b))
+        if (ha > 0) == (hb > 0):
+            x, y, z = a, b, c
+        elif (hb > 0) == (ha + hb < 0):
+            x, y, z = b, c, a
+        else:
+            x, y, z = c, a, b
+        n = npos[x, y] if sum(x) > 0 else -npos[_neg(x), _neg(y)]
+        lc, lz = len2[c], len2[z]
+        if lc == lz:
+            return n
+        n, rem = divmod(n * lc, lz)
+        if rem:
+            raise AssertionError(f"N{a, b} = {Fraction(n * lz + rem, lz)} "
+                                 "is not an integer")
+        return n
+
+    for t in pos:
+        # t = r + s with r before s, in the order of the positive roots
+        decomps = [(r, s) for r in pos[:index[t]]
+                   if (s := tuple(a - b for a, b in zip(t, r))) in index
+                   and index[r] < index[s]]
+        if not decomps:
+            continue
+        r0, s0 = decomps[0]  # extraspecial: minimal first member
+        n0 = string_below(r0, s0) + 1
+        npos[r0, s0], npos[s0, r0] = n0, -n0
+        for r, s in decomps[1:]:
+            d1 = tuple(a - b for a, b in zip(r0, r))
+            d2 = tuple(a - b for a, b in zip(s0, r))
+            term = Fraction(0)
+            if rs.is_root(d1):
+                term += Fraction(nany(r0, _neg(r)) * nany(s0, _neg(s)), len2[d1])
+            if rs.is_root(d2):
+                term += Fraction(nany(_neg(r), s0) * nany(r0, _neg(s)), len2[d2])
+            val = -len2[t] * term / n0
+            if val.denominator != 1 or val == 0:
+                raise AssertionError(f"N{r, s} = {val} for root {t} is not a nonzero integer")
+            n = int(val)
+            if abs(n) != string_below(r, s) + 1:
+                raise AssertionError(f"|N{r, s}| = {abs(n)} is not p + 1 for root {t}")
+            npos[r, s], npos[s, r] = n, -n
+    return npos
+
+
+def _neg(r):
+    return tuple(-c for c in r)

@@ -6,7 +6,7 @@ import pytest
 
 from nilorb import linalg
 from nilorb.chevalley import build_algebra
-from oracles import centralizer, is_ad_nilpotent
+from oracles import centralizer, is_ad_nilpotent, positive_structure_constants
 
 F = Fraction
 
@@ -125,6 +125,27 @@ def test_jacobi_identity_from_chevalley_generators(name):
 
 # Brute force on G2, the smallest type with root strings of every length
 # up to 4: a check of the generator argument above that does not rely on it.
+@pytest.mark.parametrize("name", JACOBI_TYPES)
+def test_structure_constants_match_the_fraction_oracle(name):
+    alg = build_algebra(name)
+    assert alg._npos == positive_structure_constants(alg.rs)
+
+
+@pytest.mark.parametrize("name", [t for t in JACOBI_TYPES if t[0] in "ADE"])
+def test_positive_pair_count_of_simply_laced_types(name):
+    """On a simply-laced type a + b is a root exactly when (a, b) = -1,
+    and each root a has 2h - 4 such roots b, h = |Phi| / rank the Coxeter
+    number; so the ordered pairs with a root sum number |Phi| (2h - 4), six
+    for each zero-sum triple of roots.  Each such triple holds exactly one
+    pair of the same sign (Carter, ch. 4), and negation swaps the triples
+    whose pair is positive with those whose pair is negative, so `_npos`,
+    the positive pairs in both orders, has |Phi| (2h - 4) / 6 entries."""
+    alg = build_algebra(name)
+    roots = len(alg.rs.all_roots)
+    h = roots // alg.rank
+    assert len(alg._npos) * 6 == roots * (2 * h - 4)
+
+
 @pytest.mark.parametrize("name", ["G2"])
 def test_jacobi_exhaustive_small(name):
     alg = build_algebra(name)

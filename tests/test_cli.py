@@ -30,6 +30,15 @@ def test_algebra_command(capsys):
     assert "projective 15" in out
 
 
+@pytest.mark.parametrize("name,line", [
+    ("E8", "roots 240  positive-pair constants 2240"),
+    ("A2", "roots 6  positive-pair constants 2")])
+def test_algebra_command_reports_the_build(capsys, name, line):
+    code, out, _ = run(capsys, "algebra", name)
+    assert code == 0
+    assert out.splitlines()[1] == line
+
+
 def test_orbit_list(capsys):
     code, out, _ = run(capsys, "orbit", "list", "--type", "C2")
     assert code == 0

@@ -150,10 +150,17 @@ def test_graph_ends():
 
 def test_e_type_sigma_facts():
     for name in ("E6", "E7", "E8"):
-        facts = build_root_system(name).simple_root_sum_facts()
+        facts = build_root_system(name).simple_root_sum_facts
         assert facts["sigma_is_root"]
         assert all(facts["sigma_minus_end_is_root"].values())
         assert all(facts["orthogonal_pairs"].values())
+        # computed once per root system
+        assert build_root_system(name).simple_root_sum_facts is facts
+
+
+def test_sigma_facts_reject_other_types():
+    with pytest.raises(ValueError, match="only defined for E types"):
+        build_root_system("D4").simple_root_sum_facts
 
 
 def test_root_from_epsilon_round_trip():
