@@ -27,9 +27,15 @@ Every matrix of ad(x) is built here, by `ad_matrix` from the integer entries
 of `ad_entries`, which read the brackets of basis elements.
 
 The Killing form K(x, y) = trace(ad x ad y) is read from a Gram table over
-the basis that each algebra builds on first use.  Only the pairs (X_r, X_-r)
-and (H_i, H_j) can be nonzero, because ad e_i ad e_j shifts every weight by
-wt_i + wt_j; their traces are read from the `ad_entries` of the pair.
+the basis that each algebra builds on first use, from the root data alone,
+with no bracket (see `_killing_gram`).  Only the pairs (X_r, X_-r) and
+(H_i, H_j) can be nonzero, because ad e_i ad e_j shifts every weight by
+wt_i + wt_j.  ad(H_i) is diagonal: it acts by <s, alpha_i^vee> on X_s and by
+0 on h, so K(H_i, H_j) is the sum over the roots s of
+<s, alpha_i^vee> <s, alpha_j^vee>, twice the sum over the positive roots.
+K is invariant, because ad is a representation, so with H_r = [X_r, X_-r]
+and r(H_r) = 2, K(H_r, H_r) = r(H_r) K(X_r, X_-r) gives
+K(X_r, X_-r) = K(H_r, H_r) / 2, an integer.
 """
 
 from fractions import Fraction
@@ -295,18 +301,26 @@ class ChevalleyAlgebra:
     @cached_property
     def _killing_gram(self):
         """K(e_i, e_j) for the basis pairs of opposite weight, as
-        label -> {label: value}; every other pair has K = 0.  Each value is
-        trace(ad e_i ad e_j), read from the `ad_entries` of the pair."""
-        labels = self.basis_labels
-        gram = {}
+        label -> {label: value}; every other pair has K = 0.
+
+        K(H_i, H_j) = 2 sum_{s > 0} <s, alpha_i^vee> <s, alpha_j^vee>, and
+        K(X_r, X_-r) = c^T K_H c / 2 for the coroot c of r, with K_H the
+        table of the K(H_i, H_j): invariance of K gives
+        K(H_r, H) = K([X_r, X_-r], H) = K(X_r, [X_-r, H]) = r(H) K(X_r, X_-r)
+        for H in h, and r(H_r) = 2.  Every value is an int, since
+        K(H_r, H_r) = 2 sum_{s > 0} <s, r^vee>^2 is even."""
+        rs, n = self.rs, self.rank
+        pairings = [[rs._cartan_pairing(s, i) for i in range(n)] for s in self._pos]
+        kh = [[2 * sum(p[i] * p[j] for p in pairings) for j in range(n)]
+              for i in range(n)]
+        hs = [("H", i) for i in range(n)]
+        gram = {hi: {hj: k for hj, k in zip(hs, row) if k} for hi, row in zip(hs, kh)}
         for r in self._pos:
+            c = rs.coroot(r)
+            k = sum(ci * kij * cj for ci, row in zip(c, kh)
+                    for kij, cj in zip(row, c)) // 2
             neg = self._neg[r]
-            ent = self.ad_entries((r, neg), labels, labels)
-            k = _trace(ent[r], ent[neg])
             gram[r], gram[neg] = {neg: k}, {r: k}
-        hs = self.ad_entries([("H", i) for i in range(self.rank)], labels, labels)
-        for hi, ei in hs.items():
-            gram[hi] = {hj: k for hj, ej in hs.items() if (k := _trace(ei, ej))}
         return gram
 
     def killing(self, a, b):
@@ -349,12 +363,6 @@ def combine(entries, coeffs, nrows, ncols):
         for i, j, v in entries[k]:
             rows[i][j] += c * v
     return rows
-
-
-def _trace(a, b):
-    """trace(A B) for the matrices with the `ad_entries` lists a and b."""
-    at = {(i, j): v for i, j, v in a}
-    return sum(v * at.get((j, i), 0) for i, j, v in b)
 
 
 @cache

@@ -44,10 +44,13 @@ class WeightedDiagram:
     labels: tuple
 
     def __post_init__(self):
-        if len(self.labels) != self.cartan_type.rank:
+        labels = self.labels
+        if type(labels) is not tuple or any(type(v) is not int for v in labels):
+            raise TypeError(f"labels must be a tuple of ints: {labels!r}")
+        if len(labels) != self.cartan_type.rank:
             raise ValueError("label count does not match rank")
-        if not all(v in (0, 1, 2) for v in self.labels):
-            raise ValueError(f"labels must lie in {{0,1,2}}: {self.labels}")
+        if not all(v in (0, 1, 2) for v in labels):
+            raise ValueError(f"labels must lie in {{0,1,2}}: {labels}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ sparse, on rows scaled to coprime integers, touching nonzero entries
 only.  `rank` and `power_ranks` (`is_nilpotent`) use it as it is; `rref`
 (and `solve`, `kernel_basis` on top of it) sorts its rows by pivot
 column, back-substitutes with the same row-clearing step, and converts
-the reduced rows to Fractions once.
+the reduced rows to Fractions once.  Every function raises ValueError
+unless all rows have the same length, checked in the pass that reads the
+nonzero entries; `power_ranks` and `is_nilpotent` also unless the matrix
+is square.
 """
 
 from fractions import Fraction
@@ -17,9 +20,12 @@ from math import gcd, lcm
 _ZERO = Fraction(0)
 
 
-def _nonzero(row):
-    """The nonzero entries of a dense row, as {column: value}."""
-    return {j: row[j] for j in compress(range(len(row)), row)}
+def _nonzero(row, ncols):
+    """The nonzero entries of a dense row, as {column: value}; ValueError
+    unless the row has `ncols` entries."""
+    if len(row) != ncols:
+        raise ValueError(f"a row has {len(row)} entries, expected {ncols}")
+    return {j: row[j] for j in compress(range(ncols), row)}
 
 
 def _integer(entries):
@@ -32,8 +38,10 @@ def _integer(entries):
 
 
 def _sparse(rows):
-    """The nonzero rows of a dense matrix as sparse coprime integer rows."""
-    return [_integer(e) for e in map(_nonzero, rows) if e]
+    """The nonzero rows of a dense matrix as sparse coprime integer rows;
+    ValueError unless all rows have the length of the first."""
+    ncols = len(rows[0]) if rows else 0
+    return [_integer(e) for row in rows if (e := _nonzero(row, ncols))]
 
 
 def _clear(other, row, c):
@@ -182,8 +190,9 @@ def power_ranks(rows):
     Row space of A^(k+1) = (row space of A^k) A lies in that of A^k, so
     the ranks decrease until they stop for good: A is nilpotent iff the
     last rank is 0.  Each round keeps an independent spanning set of
-    integer rows and multiplies it by A."""
-    a = [_nonzero(row) for row in rows]
+    integer rows and multiplies it by A.  Raises ValueError unless A is
+    square."""
+    a = [_nonzero(row, len(rows)) for row in rows]
     cur = _independent([_integer(e) for e in a if e])
     ranks = [len(cur)]
     while cur:
@@ -204,5 +213,6 @@ def power_ranks(rows):
 
 
 def is_nilpotent(rows):
-    """True iff the square matrix A is nilpotent."""
+    """True iff the square matrix A is nilpotent; ValueError unless A is
+    square."""
     return power_ranks(rows)[-1] == 0

@@ -9,9 +9,10 @@ nonzero image point is exactly {v, -v}, and `fiber` reads the space from
 the element it is given.  Products of such maps give coverings of degree
 2^(k-1) after projectivizing, and the trace pairing of mu(v) against
 commutators realizes the Kostant-Kirillov form, of rank 2n.  Its Gram
-matrix over the sp(2n) basis is formed from the identity
-trace(N [X, Y]) = trace((N X) Y) - trace((N Y) X), so each product N X is
-computed once and no commutator is formed.
+matrix over the sp(2n) basis is read from omega, with no matrix product:
+for X = -Omega S with S symmetric and N = mu(v) = v w, w = v^T Omega,
+wX = v^T S and Xv = -Omega S v, so
+trace(N [X, Y]) = (wX)(Yv) - (wY)(Xv) = -2 omega(S_X v, S_Y v).
 
 All arithmetic is exact: values are ints where they are integral and
 Fractions where a quotient appears (the fiber's scalar), never floats.
@@ -24,56 +25,19 @@ from math import isqrt, prod
 from . import linalg
 
 
-def _mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]
-        for i in range(n)
-    ]
-
-
-def _trace_product(a, b):
-    """trace(A B) of square matrices, without forming A B."""
-    n = len(a)
-    return sum(
-        a[i][k] * b[k][i] for i in range(n) for k in range(n) if b[k][i]
-    )
-
-
 @dataclass(frozen=True)
 class SymplecticSpace:
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"n = {self.n!r} is not an int")
         if self.n < 1:
             raise ValueError("n must be positive")
 
     @property
     def dim(self):
         return 2 * self.n
-
-    def form(self):
-        """The standard alternating matrix [[0, I], [-I, 0]]."""
-        n = self.n
-        m = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            m[i][n + i] = 1
-            m[n + i][i] = -1
-        return m
-
-    def sp_basis(self):
-        """Basis of sp(2n) = {X : Omega X symmetric}, via X = -Omega S
-        with S running over the symmetric-matrix basis."""
-        d = self.dim
-        omega = self.form()
-        basis = []
-        for a in range(d):
-            for b in range(a, d):
-                s = [[0] * d for _ in range(d)]
-                s[a][b] = 1
-                s[b][a] = 1
-                basis.append([[-x for x in row] for row in _mat_mul(omega, s)])
-        return basis
 
 
 @dataclass(frozen=True)
@@ -113,14 +77,21 @@ def mu(space, v):
     is symmetric, so X lies in sp(2n); X^2 = v (v^T Omega v) v^T Omega = 0,
     because v^T Omega v = 0 for an alternating Omega; and for v != 0 the
     row w is nonzero, Omega being invertible, so X has rank one."""
+    v = _coordinates(space, v)
+    w = tuple(-c for c in v[space.n:]) + v[:space.n]
+    return RankOneElement(space, v, tuple(tuple(a * b for b in w) for a in v))
+
+
+def _coordinates(space, v):
+    """v as a tuple of ints or Fractions (TypeError otherwise), with one
+    coordinate per dimension of `space` (ValueError otherwise)."""
     v = tuple(v)
     for c in v:
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"coordinate {c!r} is not an int or a Fraction")
     if len(v) != space.dim:
         raise ValueError("vector has wrong dimension")
-    w = tuple(-c for c in v[space.n:]) + v[:space.n]
-    return RankOneElement(space, v, tuple(tuple(a * b for b in w) for a in v))
+    return v
 
 
 def _rational_sqrt(q):
@@ -183,19 +154,31 @@ def product_cover_degree(n_list):
 
 def kk_rank_at(space, v):
     """Rank of the alternating form (X, Y) -> trace(mu(v) [X, Y]) on
-    sp(2n); equals the minimal-orbit dimension 2n."""
-    if all(c == 0 for c in v):
+    sp(2n); equals the minimal-orbit dimension 2n.
+
+    v is validated as `mu` validates it, before the zero-vector check.
+    The rank is 0 exactly at v = 0: for v != 0 the vectors S v, S
+    symmetric, span V, on which omega is nondegenerate (see `_kk_gram`);
+    so a rank of 0 raises ValueError."""
+    rank = linalg.rank(_kk_gram(space, v))
+    if not rank:
         raise ValueError("zero vector")
-    return linalg.rank(_kk_gram(space, v))
+    return rank
 
 
 def _kk_gram(space, v):
-    """Gram matrix of (X, Y) -> trace(mu(v) [X, Y]) over `sp_basis()`."""
-    nmat = mu(space, v).rows()
-    basis = space.sp_basis()
-    nx = [_mat_mul(nmat, x) for x in basis]
-    return [
-        [_trace_product(nx[i], y) - _trace_product(nx[j], x)
-         for j, y in enumerate(basis)]
-        for i, x in enumerate(basis)
-    ]
+    """Gram matrix of (X, Y) -> trace(mu(v) [X, Y]) over the sp(2n) basis
+    X_ab = -Omega S_ab, a <= b, with S_ab = E_ab + E_ba (E_aa for a = b).
+
+    The entry is -2 omega(S_X v, S_Y v) (see the module docstring), and
+    S_ab v = v_b e_a + v_a e_b (v_a e_a for a = b); v is validated as `mu`
+    validates it.  The entries are ints for an integral v."""
+    v, n, d = _coordinates(space, v), space.n, space.dim
+    sv = []
+    for a in range(d):
+        for b in range(a, d):
+            u = [0] * d
+            u[a], u[b] = v[b], v[a]
+            sv.append(u)
+    return [[-2 * sum(x[i] * y[n + i] - x[n + i] * y[i] for i in range(n))
+             for y in sv] for x in sv]

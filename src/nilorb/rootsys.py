@@ -36,6 +36,8 @@ class CartanType:
     rank: int
 
     def __post_init__(self):
+        if type(self.rank) is not int:
+            raise TypeError(f"rank {self.rank!r} is not an int")
         if self.family not in _RANK_BOUNDS:
             raise ValueError(f"unknown family {self.family!r}")
         lo, hi = _RANK_BOUNDS[self.family]

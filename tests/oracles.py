@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 from nilorb import linalg
-from nilorb.matmodel import SymplecticSpace, _mat_mul, mu
+from nilorb.matmodel import SymplecticSpace, mu
 
 
 def is_ad_nilpotent(alg, a):
@@ -83,9 +83,44 @@ def epsilon_coords(rs, coords):
     return tuple(v)
 
 
+def mat_mul(a, b):
+    """The product of two dense matrices."""
+    n, m, p = len(a), len(b), len(b[0])
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]
+        for i in range(n)
+    ]
+
+
+def form(space):
+    """The standard alternating matrix Omega = [[0, I], [-I, 0]] of `space`."""
+    n = space.n
+    m = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        m[i][n + i] = 1
+        m[n + i][i] = -1
+    return m
+
+
+def sp_basis(space):
+    """Basis of sp(2n) = {X : Omega X symmetric}, via X = -Omega S with S
+    running over the symmetric-matrix basis E_ab + E_ba (E_aa for a = b),
+    a <= b, in the order of `matmodel._kk_gram`."""
+    d = space.dim
+    omega = form(space)
+    basis = []
+    for a in range(d):
+        for b in range(a, d):
+            s = [[0] * d for _ in range(d)]
+            s[a][b] = 1
+            s[b][a] = 1
+            basis.append([[-x for x in row] for row in mat_mul(omega, s)])
+    return basis
+
+
 def in_sp(space, x):
     """omega(Xu, w) + omega(u, Xw) = 0, i.e. Omega X is symmetric."""
-    m = _mat_mul(space.form(), x)
+    m = mat_mul(form(space), x)
     d = space.dim
     return all(m[i][j] == m[j][i] for i in range(d) for j in range(d))
 

@@ -453,8 +453,10 @@ def test_killing_gram_matches_trace_on_random_elements(name):
         assert alg.killing(x, y) == _trace_killing(alg, x, y)
 
 
-def test_killing_gram_matches_trace_on_e6_basis_pairs():
-    alg = build_algebra("E6")
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "E6"])
+def test_killing_gram_matches_trace_on_basis_pairs(name):
+    # every opposite pair, so K(X_r, X_-r) is checked on long and short r
+    alg = build_algebra(name)
     rng = random.Random(2)
     pairs = [(r, tuple(-c for c in r)) for r in alg.rs.positive_roots]
     pairs += [(r, rng.choice(alg.rs.all_roots)) for r in alg.rs.positive_roots]

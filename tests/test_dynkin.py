@@ -41,6 +41,18 @@ def test_diagram_validation():
         _wd("G2", (1, 0, 0))
 
 
+def test_diagram_labels_must_be_a_tuple_of_ints():
+    # (1.0, 1, 0, 0) used to construct, as 1.0 lies in (0, 1, 2), and
+    # f4_exclusion then reported float label sums; a list built a diagram
+    # that could not be hashed
+    f4, g2 = CartanType("F", 4), CartanType("G", 2)
+    for t, labels in ((f4, (1.0, 1, 0, 0)), (f4, (F(1), 1, 0, 0)),
+                      (g2, (True, 0)), (g2, [1, 0]),
+                      (CartanType("E", 6), (1.0, 1, 1, 1, 1, 1))):
+        with pytest.raises(TypeError, match="tuple of ints"):
+            WeightedDiagram(t, labels)
+
+
 def test_grading_pieces_partition_algebra():
     for name, labels in [("G2", (0, 1)), ("C3", (1, 0, 0)), ("F4", (0, 0, 0, 1))]:
         alg = build_algebra(name)

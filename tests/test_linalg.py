@@ -187,3 +187,25 @@ def test_rref_edge_cases():
     assert pivots == [1]
     assert m[0] == [F(0), F(1), F(2, 3)]
     assert all(isinstance(x, F) for row in m for x in row)
+
+
+def test_ragged_rows_raise():
+    # solve([[1, 2], [1]], [1, 1]) used to return [-1, 1], the short row's
+    # right-hand side read as its column 1; rank([[1], [1, 1]]) returned 2,
+    # and rref([[1], [0, 1]]) raised a bare IndexError
+    for rows, rhs in (([[1, 2], [1]], [1, 1]), ([[1], [1, 1]], [1, 1])):
+        for solver in (linalg.solve, linalg.solve_with_kernel):
+            with pytest.raises(ValueError, match="a row has"):
+                solver(rows, rhs)
+    for rows in ([[1], [1, 1]], [[1], [0, 1]], [[1, 2], [3]], [[], [1]]):
+        for proc in (linalg.rank, linalg.rref, linalg.kernel_basis):
+            with pytest.raises(ValueError, match="a row has"):
+                proc(rows)
+
+
+def test_nilpotency_of_a_non_square_matrix_raises():
+    # both used to return True
+    for rows in ([[0, 1], [0, 0], [1, 0]], [[0, 1, 0], [0, 0, 0]], [[0], [0, 0]]):
+        for proc in (linalg.power_ranks, linalg.is_nilpotent):
+            with pytest.raises(ValueError, match="a row has"):
+                proc(rows)

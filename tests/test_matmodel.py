@@ -9,21 +9,33 @@ from nilorb.matmodel import (
     RankOneElement,
     SymplecticSpace,
     _kk_gram,
-    _mat_mul,
     fiber,
     kk_rank_at,
     mu,
     product_cover_degree,
 )
-from oracles import in_sp, product_cover_degree as brute_cover_degree
+from oracles import (
+    form,
+    in_sp,
+    mat_mul,
+    product_cover_degree as brute_cover_degree,
+    sp_basis,
+)
 
 F = Fraction
+
+
+def test_space_size_must_be_an_int():
+    # SymplecticSpace(1.5) used to construct and fail later, inside mu
+    for n in (1.5, 2.0, F(2), True):
+        with pytest.raises(TypeError, match="is not an int"):
+            SymplecticSpace(n)
 
 
 def test_form_is_invertible_antisymmetric():
     for n in (1, 2, 3):
         sp = SymplecticSpace(n)
-        m = sp.form()
+        m = form(sp)
         d = sp.dim
         assert all(m[i][j] == -m[j][i] for i in range(d) for j in range(d))
         assert linalg.rank(m) == d
@@ -39,13 +51,13 @@ def test_mu_lands_in_sp_random():
         rows = e.rows()
         # mu re-checks none of these: in sp(2n), square zero, rank one
         assert in_sp(sp, rows)
-        assert all(x == 0 for row in _mat_mul(rows, rows) for x in row)
+        assert all(x == 0 for row in mat_mul(rows, rows) for x in row)
         assert linalg.rank(rows) == (1 if any(v) else 0)
         # spot-check the defining formula
         u = [F(rng.randint(-3, 3)) for _ in range(2 * n)]
         xu = [sum(rows[i][j] * u[j] for j in range(2 * n)) for i in range(2 * n)]
-        form = sp.form()
-        om = sum(e.v[i] * form[i][j] * u[j]
+        omega = form(sp)
+        om = sum(e.v[i] * omega[i][j] * u[j]
                  for i in range(2 * n) for j in range(2 * n))
         assert xu == [om * c for c in e.v]
 
@@ -159,14 +171,22 @@ def test_kk_rank_scale_invariant():
 
 
 def test_kk_rank_zero_vector_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero vector"):
         kk_rank_at(SymplecticSpace(1), (0, 0))
+
+
+def test_kk_rank_validates_v_before_the_zero_check():
+    # both used to raise "zero vector"
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        kk_rank_at(SymplecticSpace(1), (0.0, 0))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        kk_rank_at(SymplecticSpace(1), (0, 0, 0))
 
 
 def test_sp_basis_dimension():
     for n in (1, 2, 3):
         sp = SymplecticSpace(n)
-        basis = sp.sp_basis()
+        basis = sp_basis(sp)
         assert len(basis) == n * (2 * n + 1)
         assert all(in_sp(sp, b) for b in basis)
 
@@ -174,18 +194,13 @@ def test_sp_basis_dimension():
 def _commutator_gram(space, v):
     """trace(mu(v) [X, Y]) over the sp(2n) basis, forming each commutator."""
     nmat = mu(space, v).rows()
-    basis = space.sp_basis()
+    basis = sp_basis(space)
     d = space.dim
-
-    def mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)]
-                for i in range(d)]
-
     gram = []
     for x in basis:
         row = []
         for y in basis:
-            xy, yx = mul(x, y), mul(y, x)
+            xy, yx = mat_mul(x, y), mat_mul(y, x)
             comm = [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(xy, yx)]
             row.append(sum(nmat[i][k] * comm[k][i]
                            for i in range(d) for k in range(d)))

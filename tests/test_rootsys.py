@@ -140,6 +140,14 @@ def test_cartan_type_validation():
     assert CartanType.parse("E7") == CartanType("E", 7)
 
 
+def test_cartan_type_rank_must_be_an_int():
+    # CartanType("A", 2.0) used to construct and fail later, inside
+    # build_root_system
+    for rank in (2.0, Fraction(2), True, "2"):
+        with pytest.raises(TypeError, match="is not an int"):
+            CartanType("A", rank)
+
+
 def test_graph_ends():
     assert build_root_system("A4").graph_ends() == [0, 3]
     assert build_root_system("D4").graph_ends() == [0, 2, 3]
