@@ -44,7 +44,7 @@ from itertools import groupby
 from operator import sub
 
 from . import linalg
-from .rootsys import CartanType, build_root_system
+from .rootsys import _as_cartan_type, build_root_system
 
 
 class LieElement:
@@ -152,6 +152,9 @@ class ChevalleyAlgebra:
         The pairs t = r + s with r before s in the order of the positive
         roots have ht(r) <= ht(t) / 2, so r is read from the height buckets
         up to ht(t) // 2, in order; the extraspecial pair comes first.
+        Every t of height >= 2 has such a pair: t is a simple root plus a
+        positive root (Humphreys 10.2, Corollary), and that pair or its swap
+        passes the order filter, so the list is never empty.
         With (r0, s0) the extraspecial pair and n0 = N(r0, s0), Carter's step
         is N(r, s) = -(t, t) (a / (d1, d1) + b / (d2, d2)) / n0 for
         d1 = r0 - r, d2 = s0 - r, a = N(r0, -r) N(s0, -s) and
@@ -170,8 +173,6 @@ class ChevalleyAlgebra:
                            for r in bucket
                            if (s := tuple(map(sub, t, r))) in index
                            and index[r] < index[s]]
-                if not decomps:
-                    continue
                 r0, s0 = decomps[0]  # extraspecial: minimal first member
                 n0 = self._string_below(r0, s0) + 1
                 self._npos[r0, s0], self._npos[s0, r0] = n0, -n0
@@ -373,6 +374,4 @@ def _algebra(t):
 def build_algebra(t):
     """Chevalley algebra for a Cartan type or type label, built once per
     type."""
-    if isinstance(t, str):
-        t = CartanType.parse(t)
-    return _algebra(t)
+    return _algebra(_as_cartan_type(t))

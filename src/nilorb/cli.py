@@ -16,8 +16,6 @@ import json
 import random
 import sys
 import time
-import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -25,16 +23,16 @@ from . import chevalley, curated, dynkin, matmodel, partitions
 from .rootsys import CartanType, build_root_system
 
 
-@dataclass
 class VerdictReport:
-    name: str
-    ref: str
-    status: str                 # 'pass' | 'fail' | 'error'
-    detail: str = ""
-    witness: dict = field(default_factory=dict)
-    runtime: float = 0.0
-    # when the verdict was made; `run_suites` turns it into `runtime`
-    created: float = field(default_factory=time.monotonic, repr=False, compare=False)
+    def __init__(self, name, ref, status, detail="", witness=None):
+        self.name = name
+        self.ref = ref
+        self.status = status        # 'pass' | 'fail' | 'error'
+        self.detail = detail
+        self.witness = {} if witness is None else witness
+        self.runtime = 0.0
+        # when the verdict was made; `run_suites` turns it into `runtime`
+        self.created = time.monotonic()
 
     @property
     def ok(self):
@@ -52,7 +50,7 @@ class VerdictReport:
 
 
 def _report(name, ref, ok, detail="", witness=None):
-    return VerdictReport(name, ref, "pass" if ok else "fail", detail, witness or {})
+    return VerdictReport(name, ref, "pass" if ok else "fail", detail, witness)
 
 
 # ---------------------------------------------------------------- suites
@@ -402,6 +400,7 @@ def run_suites(only=None, seed=0):
         try:
             suite_reports = fn(seed)
         except Exception as exc:  # suite boundary: report it, run the others
+            import traceback  # only this path needs it, and it is slow to import
             suite_reports = [VerdictReport(
                 name, name, "error", f"{type(exc).__name__}: {exc}",
                 {"traceback": traceback.format_exc().splitlines()})]

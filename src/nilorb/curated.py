@@ -17,8 +17,7 @@ grading decomposition.
 
 import json
 import re
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from . import chevalley, dynkin, partitions
 from .rootsys import CartanType
@@ -59,13 +58,9 @@ def parse_orbit_spec(spec):
     return tuple(parts), pad
 
 
-@dataclass(frozen=True)
-class SharedOrbitRecord:
-    g: str
-    g_prime: str
-    orbit: str
-    degree: int
-    line: int = 0
+class SharedOrbitRecord(namedtuple("SharedOrbitRecord", "g g_prime orbit degree line",
+                                   defaults=(0,))):
+    __slots__ = ()
 
     def is_generic(self):
         return parse_type_spec(self.g)[2]
@@ -92,17 +87,13 @@ class SharedOrbitRecord:
         return t, t2, partitions.JordanOrbit(fam, t.rank, parts)
 
 
-@dataclass(frozen=True)
-class ExceptionalOrbitRecord:
-    type: str
-    name: str
-    diagram: tuple
-    dimension: int
-    pi1_order: int
-    closure_normal: bool
-    citation: str
+class ExceptionalOrbitRecord(namedtuple(
+        "ExceptionalOrbitRecord",
+        "type name diagram dimension pi1_order closure_normal citation")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         t = CartanType.parse(self.type)
         if t.family not in ("G", "F"):
             raise ValueError(f"exceptional record for non-exceptional type {self.type}")
@@ -110,12 +101,16 @@ class ExceptionalOrbitRecord:
             raise ValueError(f"diagram labels must lie in {{0,1,2}}: {self.diagram}")
         if self.dimension <= 0 or self.dimension % 2:
             raise ValueError(f"orbit dimension must be even and positive: {self.dimension}")
+        return self
 
     def weighted_diagram(self):
         return dynkin.WeightedDiagram(CartanType.parse(self.type), self.diagram)
 
 
 def _data_text(name):
+    # imported here, as only this function reads a data file: with
+    # pathlib, zipfile and tempfile it is a large share of start-up
+    from importlib import resources
     return resources.files("nilorb.data").joinpath(name).read_text(encoding="utf-8")
 
 
@@ -194,12 +189,7 @@ def serialize_exceptional_table(records):
     ) + "\n"
 
 
-@dataclass
-class CheckResult:
-    row: str
-    check: str
-    ok: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "row check ok detail", defaults=("",))
 
 
 class ValidationReport:

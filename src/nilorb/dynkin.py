@@ -11,7 +11,7 @@ tests, which read only root data and build no algebra).
 grading, and raise ValueError unless it is the grading's algebra.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -38,12 +38,11 @@ class NoTripleError(Exception):
         self.exact = exact
 
 
-@dataclass(frozen=True)
-class WeightedDiagram:
-    cartan_type: CartanType
-    labels: tuple
+class WeightedDiagram(namedtuple("WeightedDiagram", "cartan_type labels")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         labels = self.labels
         if type(labels) is not tuple or any(type(v) is not int for v in labels):
             raise TypeError(f"labels must be a tuple of ints: {labels!r}")
@@ -51,13 +50,10 @@ class WeightedDiagram:
             raise ValueError("label count does not match rank")
         if not all(v in (0, 1, 2) for v in labels):
             raise ValueError(f"labels must lie in {{0,1,2}}: {labels}")
+        return self
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
-    n0: LieElement
-    h: LieElement
-    n1: LieElement
+Sl2Triple = namedtuple("Sl2Triple", "n0 h n1")   # LieElements
 
 
 class Grading:
@@ -229,11 +225,10 @@ def generic_degree_two(alg, grading):
         "(not exact)", exact=False)
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
-    bracket_eigen_solvable: bool   # some H solves [H, N] = N
-    centralizer_orthogonal: bool   # Killing form kills (z_N, N)
-    ad_nilpotent: bool
+# bracket_eigen_solvable: some H solves [H, N] = N;
+# centralizer_orthogonal: the Killing form kills (z_N, N)
+NilpotencyReport = namedtuple(
+    "NilpotencyReport", "bracket_eigen_solvable centralizer_orthogonal ad_nilpotent")
 
 
 def nilpotency_report(n):
@@ -302,10 +297,8 @@ def omega_kernel_dim(grading, n):
     return len(gm1) - linalg.rank(grading.alg.ad_matrix(n, gm1, grading.piece(1)))
 
 
-@dataclass(frozen=True)
-class PairingVerdict:
-    status: str                    # 'holds' | 'fails'
-    witness: tuple = None          # (N coeffs, Q coeffs) when status == 'fails'
+# status 'holds' | 'fails'; witness (N coeffs, Q coeffs) when it fails
+PairingVerdict = namedtuple("PairingVerdict", "status witness", defaults=(None,))
 
 
 def _bracket_kernel(grading, n_coeffs):
@@ -336,10 +329,8 @@ def pairing_criterion(grading):
     return PairingVerdict("holds")
 
 
-@dataclass(frozen=True)
-class ExclusionVerdict:
-    status: str          # 'excluded' | 'not_excluded' | 'degree_two_case'
-    detail: dict = field(default_factory=dict)
+# status 'excluded' | 'not_excluded' | 'degree_two_case'; detail a dict
+ExclusionVerdict = namedtuple("ExclusionVerdict", "status detail")
 
 
 def e_type_exclusion(wd):

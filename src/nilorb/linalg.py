@@ -10,7 +10,8 @@ column, back-substitutes with the same row-clearing step, and converts
 the reduced rows to Fractions once.  Every function raises ValueError
 unless all rows have the same length, checked in the pass that reads the
 nonzero entries; `power_ranks` and `is_nilpotent` also unless the matrix
-is square.
+is square, and `kernel_basis`, `solve` and `solve_with_kernel` also for a
+matrix with no rows, whose width is unknown.
 """
 
 from fractions import Fraction
@@ -145,12 +146,20 @@ def _solution(m, pivots, ncols):
     return x
 
 
-def kernel_basis(rows):
-    """Basis of the right null space of the matrix, as coefficient lists."""
+def _width(rows):
+    """The number of columns; ValueError if there are no rows to read it
+    from."""
     if not rows:
-        return []
+        raise ValueError("a matrix with no rows has no known width")
+    return len(rows[0])
+
+
+def kernel_basis(rows):
+    """Basis of the right null space of the matrix, as coefficient lists.
+    Raises ValueError if the matrix has no rows."""
+    ncols = _width(rows)
     m, pivots = rref(rows)
-    return _kernel(m, pivots, len(rows[0]))
+    return _kernel(m, pivots, ncols)
 
 
 def _augmented(rows, rhs):
@@ -163,22 +172,20 @@ def _augmented(rows, rhs):
 
 def solve(rows, rhs):
     """One solution of A x = b (A given by `rows`, b by `rhs`), or None
-    if inconsistent.  Raises ValueError unless len(rhs) == len(rows)."""
+    if inconsistent.  Raises ValueError unless len(rhs) == len(rows), and
+    if A has no rows."""
     m = _augmented(rows, rhs)
-    if not rows:
-        return None
+    ncols = _width(rows)
     m, pivots = rref(m)
-    return _solution(m, pivots, len(rows[0]))
+    return _solution(m, pivots, ncols)
 
 
 def solve_with_kernel(rows, rhs):
     """One solution of A x = b (None if inconsistent) and a basis of the
     null space of A, both from a single reduction of [A | b].  Raises
-    ValueError unless len(rhs) == len(rows)."""
+    ValueError unless len(rhs) == len(rows), and if A has no rows."""
     m = _augmented(rows, rhs)
-    if not rows:
-        return None, []
-    ncols = len(rows[0])
+    ncols = _width(rows)
     m, pivots = rref(m)
     return _solution(m, pivots, ncols), _kernel(m, pivots, ncols)
 

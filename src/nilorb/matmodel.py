@@ -18,33 +18,32 @@ All arithmetic is exact: values are ints where they are integral and
 Fractions where a quotient appears (the fiber's scalar), never floats.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, prod
 
 from . import linalg
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
-    n: int
+class SymplecticSpace(namedtuple("SymplecticSpace", "n")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if type(self.n) is not int:
             raise TypeError(f"n = {self.n!r} is not an int")
         if self.n < 1:
             raise ValueError("n must be positive")
+        return self
 
     @property
     def dim(self):
         return 2 * self.n
 
 
-@dataclass(frozen=True)
-class RankOneElement:
-    space: SymplecticSpace
-    v: tuple
-    matrix: tuple   # tuple of row tuples
+class RankOneElement(namedtuple("RankOneElement", "space v matrix")):
+    # matrix: a tuple of row tuples
+    __slots__ = ()
 
     def rows(self):
         return [list(r) for r in self.matrix]

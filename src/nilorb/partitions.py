@@ -7,7 +7,7 @@ partition.  Formulas follow Collingwood & McGovern, "Nilpotent Orbits in
 Semisimple Lie Algebras" (see README for the exact conventions).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from math import gcd
 
@@ -52,14 +52,13 @@ def _very_even(family, parts):
     return family == "D" and all(p % 2 == 0 for p in parts)
 
 
-@dataclass(frozen=True)
-class JordanOrbit:
-    family: str
-    rank: int
-    partition: tuple
-    very_even_label: str = ""   # 'I' or 'II' for the split D-type classes
+class JordanOrbit(namedtuple("JordanOrbit", "family rank partition very_even_label",
+                             defaults=("",))):
+    # very_even_label: 'I' or 'II' for the split D-type classes, else ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not is_valid_partition(self.family, self.rank, self.partition):
             raise ValueError(
                 f"invalid {self.family}{self.rank} partition {self.partition}"
@@ -73,6 +72,7 @@ class JordanOrbit:
             raise ValueError(
                 f"very even partition {self.partition} names two {self.family}"
                 f"{self.rank} orbits; label it I or II (--very-even)")
+        return self
 
     def is_very_even(self):
         return _very_even(self.family, self.partition)

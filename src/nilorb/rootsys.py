@@ -12,7 +12,7 @@ positive root, and the squared length of every root is computed once, from
 them, as the integer numerator `len2_numerators` over that denominator.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
@@ -30,12 +30,11 @@ _RANK_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class CartanType:
-    family: str
-    rank: int
+class CartanType(namedtuple("CartanType", "family rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if type(self.rank) is not int:
             raise TypeError(f"rank {self.rank!r} is not an int")
         if self.family not in _RANK_BOUNDS:
@@ -43,6 +42,7 @@ class CartanType:
         lo, hi = _RANK_BOUNDS[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise ValueError(f"invalid rank {self.rank} for family {self.family}")
+        return self
 
     @classmethod
     def parse(cls, s):
@@ -346,8 +346,17 @@ def _root_system(t):
     return RootSystem(t)
 
 
+def _as_cartan_type(t):
+    """A CartanType read from a CartanType or a type label; anything else
+    raises `TypeError`. A plain tuple equals the CartanType of its fields,
+    so it would otherwise find a per-type cached build instead of failing."""
+    if isinstance(t, str):
+        return CartanType.parse(t)
+    if type(t) is not CartanType:
+        raise TypeError(f"expected a CartanType or a type label, got {t!r}")
+    return t
+
+
 def build_root_system(t):
     """The root system of a Cartan type or type label, built once per type."""
-    if isinstance(t, str):
-        t = CartanType.parse(t)
-    return _root_system(t)
+    return _root_system(_as_cartan_type(t))

@@ -200,6 +200,7 @@ def test_verify_suite_exception_becomes_error_report(capsys, monkeypatch):
     errors = [r for r in payload["reports"] if r["status"] == "error"]
     assert [(r["name"], r["detail"]) for r in errors] == [
         ("broken", "ValueError: suite crashed")]
+    assert errors[0]["witness"]["traceback"][-1] == "ValueError: suite crashed"
     refs = {r["ref"] for r in payload["reports"] if r["status"] == "pass"}
     assert refs == {"closure-order", "g2-classification"}
 

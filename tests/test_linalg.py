@@ -178,6 +178,15 @@ def test_rref_matches_naive_gauss_jordan():
 
 def test_rref_edge_cases():
     assert linalg.rref([]) == ([], [])
+    assert linalg.rank([]) == 0
+    assert linalg.power_ranks([]) == [0]
+    # a matrix with no rows cannot tell its width: solve([], []) used to
+    # return None (inconsistent), solve_with_kernel (None, []) and
+    # kernel_basis [] (a trivial kernel)
+    for call in (lambda: linalg.solve([], []), lambda: linalg.solve_with_kernel([], []),
+                 lambda: linalg.kernel_basis([])):
+        with pytest.raises(ValueError, match="no rows"):
+            call()
     zero = [[F(0)] * 4 for _ in range(3)]
     assert linalg.rref(zero) == (zero, [])
     assert linalg.rank(zero) == 0

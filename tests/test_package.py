@@ -1,7 +1,14 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import nilorb
+from nilorb import chevalley, curated, dynkin, matmodel, partitions
+from nilorb.rootsys import CartanType, build_root_system
 
 
 def test_library_has_no_assert_statements():
@@ -31,3 +38,65 @@ def test_exact_modules_use_no_floating_point():
                     or isinstance(node, ast.Attribute) and node.attr == "sqrt"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+_A1 = chevalley.build_algebra("A1")
+
+# (record class, field values) for every value type of the library
+RECORDS = [
+    (CartanType, ("E", 8)),
+    (dynkin.WeightedDiagram, (CartanType("G", 2), (0, 1))),
+    (dynkin.Sl2Triple, (_A1.root_vector((1,)), _A1.element({("H", 0): 1}),
+                        _A1.root_vector((-1,)))),
+    (dynkin.NilpotencyReport, (True, True, True)),
+    (dynkin.PairingVerdict, ("fails", ({(0, 1): 1}, {(0, -1): 1}))),
+    (dynkin.ExclusionVerdict, ("excluded", {"s": 3})),
+    (partitions.JordanOrbit, ("D", 4, (2, 2, 2, 2), "I")),
+    (matmodel.SymplecticSpace, (2,)),
+    (matmodel.RankOneElement, (matmodel.SymplecticSpace(1), (1, 0), ((0, 1), (0, 0)))),
+    (curated.SharedOrbitRecord, ("Bl", "D(l+1)", "3,1*", 2, 0)),
+    (curated.ExceptionalOrbitRecord, ("G2", "short", (1, 0), 8, 1, False, "x")),
+    (curated.CheckResult, ("row", "check", True, "")),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+def test_records_are_immutable_values(cls, fields):
+    """Every record is a named tuple: frozen, equal to (and hashed as) the
+    plain tuple of its fields."""
+    a, b = cls(*fields), cls(*fields)
+    assert a == b == fields
+    with pytest.raises(AttributeError):
+        setattr(a, cls._fields[0], fields[0])
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    try:
+        h = hash(fields)
+    except TypeError:  # a field holds a dict or a LieElement
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == h
+
+
+def test_builds_reject_a_plain_tuple_for_a_cartan_type():
+    # ("E", 8) == CartanType("E", 8), so it would have found the cached E8
+    for build in (build_root_system, chevalley.build_algebra):
+        build("E8")
+        with pytest.raises(TypeError, match="expected a CartanType"):
+            build(("E", 8))
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    """`dataclasses`, `inspect` and `traceback` cost milliseconds to import;
+    nothing on the import path of the CLI needs them."""
+    src = str(Path(nilorb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, nilorb.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'traceback') if m in sys.modules))")
+    # -S: no site module, whose .pth files could import them first
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
