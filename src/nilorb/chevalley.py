@@ -126,10 +126,6 @@ class ChevalleyAlgebra:
         self.index = {lbl: i for i, lbl in enumerate(self.basis_labels)}
         self._pos = rs.positive_roots
         self._pos_index = {r: i for i, r in enumerate(self._pos)}
-        # the sign and the negative of every root, read by `_nany`
-        npos = len(self._pos)
-        self._positive = {r: i < npos for i, r in enumerate(rs.all_roots)}
-        self._neg = dict(zip(rs.all_roots, rs.all_roots[npos:] + self._pos))
         self._npos = {}
         self._fill_structure_constants()
 
@@ -163,7 +159,7 @@ class ChevalleyAlgebra:
         `len2_numerators` l1, l2 (their common denominator cancels), the
         step is multiplied through by n0 l1 l2, and one divmod gives N; a
         remainder or a zero quotient raises, and so does |N| != p + 1."""
-        len2, index, neg = self.rs.len2_numerators, self._pos_index, self._neg
+        len2, index, neg = self.rs.len2_numerators, self._pos_index, self.rs.neg
         # by_height[h]: the positive roots of height h, in order
         by_height = [[]] + [list(g) for _, g in groupby(self._pos, sum)]
         for ht in range(2, len(by_height)):
@@ -199,17 +195,17 @@ class ChevalleyAlgebra:
         With c = -(a + b), exactly one cyclic pair (x, y) of (a, b, c) has
         both roots of the same sign; z is the third root.  N(x, y) is read
         from the positive constants, with N(-x, -y) = -N(x, y), and
-        N(a, b) / (c, c) = N(x, y) / (z, z).  The signs and negatives are
-        read from the per-algebra dicts `_positive` and `_neg`."""
-        pos = self._positive
+        N(a, b) / (c, c) = N(x, y) / (z, z).  A root is positive iff it is
+        in `_pos_index`, and its negative is read from `RootSystem.neg`."""
+        pos, neg = self._pos_index, self.rs.neg
         c = tuple(-x - y for x, y in zip(a, b))
-        if pos[a] == pos[b]:
+        if (a in pos) == (b in pos):
             x, y, z = a, b, c
-        elif pos[b] == pos[c]:
+        elif (b in pos) == (c in pos):
             x, y, z = b, c, a
         else:
             x, y, z = c, a, b
-        n = self._npos[x, y] if pos[x] else -self._npos[self._neg[x], self._neg[y]]
+        n = self._npos[x, y] if x in pos else -self._npos[neg[x], neg[y]]
         # (c, c) / (z, z) as a ratio of the integer `len2_numerators`
         lc, lz = self.rs.len2_numerators[c], self.rs.len2_numerators[z]
         if lc == lz:
@@ -245,12 +241,12 @@ class ChevalleyAlgebra:
         if h1 and h2:
             return {}
         if h1:
-            return {k2: self.rs._cartan_pairing(k2, k1[1])}
+            return {k2: self.rs.pairings[k2][k1[1]]}
         if h2:
-            return {k1: -self.rs._cartan_pairing(k1, k2[1])}
+            return {k1: -self.rs.pairings[k1][k2[1]]}
         t = tuple(a + b for a, b in zip(k1, k2))
         if not any(t):
-            return {("H", i): c for i, c in enumerate(self.rs.coroot(k1)) if c}
+            return {("H", i): c for i, c in enumerate(self.rs.coroots[k1]) if c}
         if self.rs.is_root(t):
             return {t: self._nany(k1, k2)}
         return {}
@@ -271,10 +267,11 @@ class ChevalleyAlgebra:
         of the matrix of ad(e_k) from the span of the `src` labels to the
         span of the `dst` labels: v is the dst[i] coefficient of
         [e_k, src[j]], read from the brackets of basis elements.  Every v
-        is an int, because every basis bracket is one (`_cartan_pairing`
-        sums integer products, and `coroot` and `_nany` raise on a
-        remainder).  Raises ValueError if some [e_k, src[j]] has a
-        component outside the `dst` labels."""
+        is an int, because every basis bracket is one: the root system's
+        `pairings` and `coroots` are int tuples (its build raises on a
+        non-integral coroot), and `_nany` raises on a remainder.  Raises
+        ValueError if some [e_k, src[j]] has a component outside the `dst`
+        labels."""
         row_of = {lbl: i for i, lbl in enumerate(dst)}
         entries = {}
         for k in labels:
@@ -311,16 +308,16 @@ class ChevalleyAlgebra:
         for H in h, and r(H_r) = 2.  Every value is an int, since
         K(H_r, H_r) = 2 sum_{s > 0} <s, r^vee>^2 is even."""
         rs, n = self.rs, self.rank
-        pairings = [[rs._cartan_pairing(s, i) for i in range(n)] for s in self._pos]
+        pairings = [rs.pairings[s] for s in self._pos]
         kh = [[2 * sum(p[i] * p[j] for p in pairings) for j in range(n)]
               for i in range(n)]
         hs = [("H", i) for i in range(n)]
         gram = {hi: {hj: k for hj, k in zip(hs, row) if k} for hi, row in zip(hs, kh)}
         for r in self._pos:
-            c = rs.coroot(r)
+            c = rs.coroots[r]
             k = sum(ci * kij * cj for ci, row in zip(c, kh)
                     for kij, cj in zip(row, c)) // 2
-            neg = self._neg[r]
+            neg = rs.neg[r]
             gram[r], gram[neg] = {neg: k}, {r: k}
         return gram
 

@@ -225,9 +225,7 @@ _DIM_CHECK_MAX_RANK = 4
 
 def _grading_orbit_dim(alg, wd):
     grading = dynkin.Grading(alg, wd)
-    d0 = sum(1 for d in grading.degree.values() if d == 0)
-    d1 = sum(1 for d in grading.degree.values() if d == 1)
-    return alg.dim - d0 - d1
+    return alg.dim - len(grading.piece(0)) - len(grading.piece(1))
 
 
 def _exceptional_lookup(exceptional, type_name, orbit_name):

@@ -72,25 +72,13 @@ class Grading:
         self.H = alg.cartan_element(
             [Fraction(sum(map(mul, row, labels)), denom) for row in inverse])
         # basis_labels: the positive roots, their negatives, then ('H', i)
-        basis = alg.basis_labels
-        npos = len(rs.positive_roots)
         pos = [sum(map(mul, r, labels)) for r in rs.positive_roots]
-        self.degree = dict(zip(basis,
+        self.degree = dict(zip(alg.basis_labels,
                                chain(pos, [-v for v in pos], [0] * rs.rank)))
-        # each piece in basis order, from one pass over the positive roots:
-        # piece -d holds the negatives of piece d, and piece 0 its positive
-        # roots, their negatives, then the H labels
-        up, down = {0: []}, {0: []}
-        for r, neg, d in zip(basis, basis[npos:], pos):
-            if d in up:
-                up[d].append(r)
-                down[d].append(neg)
-            else:
-                up[d], down[d] = [r], [neg]
-        up[0] += down.pop(0) + basis[2 * npos:]
-        for d, lbls in down.items():
-            up[-d] = lbls
-        self.pieces = up
+        # each piece lists its labels in basis order
+        self.pieces = {}
+        for lbl, d in self.degree.items():
+            self.pieces.setdefault(d, []).append(lbl)
 
     def piece(self, i):
         return self.pieces.get(i, [])
@@ -164,14 +152,16 @@ def sl2_complete(alg, grading, n0):
     (Kostant 1959; Collingwood & McGovern ch. 3-4), so H would lie in the
     image of ad(N) for N in a dense open set, which meets the open set
     where the columns and H are independent.  With a nonzero kernel the
-    error is not exact: only this N0 fails."""
+    error is not exact: only this N0 fails.
+
+    g_-2 is never empty here: the entry checks make N0 nonzero with every
+    label of degree 2, so `piece(2)` is not empty, and `piece(-2)` holds
+    the negatives of its roots."""
     _require_grading_algebra(alg, grading)
     if n0.is_zero():
         raise ValueError("N0 must be nonzero")
     _require_degree_two(grading, n0)
     neg = grading.piece(-2)
-    if not neg:
-        raise NoTripleError("no degree -2 subspace")
     g0 = grading.piece(0)
     rows = combine(grading.sl2_block, n0.coeffs, len(g0), len(neg))
     sol, kernel = linalg.solve_with_kernel(
@@ -433,7 +423,7 @@ def diagram_of_root_vector_orbit(rs, r):
     if not rs.is_root(r):
         raise ValueError(f"{r} is not a root")
     top = rs.highest_root() if rs.is_long(r) else rs.short_positive_roots()[-1]
-    x = rs.coroot(top)
+    x = rs.coroots[top]
     return WeightedDiagram(rs.cartan_type,
                            tuple(sum(map(mul, row, x)) for row in rs.cartan_matrix))
 

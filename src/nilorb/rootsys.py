@@ -4,18 +4,23 @@ Simple roots are numbered as in Bourbaki's planches (see README for the
 table).  Roots are stored as integer coordinate tuples in the simple-root
 basis.  The symmetric form comes from a realization of the simple roots in
 a rational Euclidean space, rescaled so that long roots have squared
-length 2; after that, inner products are integer sums over the Cartan
-matrix, (r, s) = sum_j s_j d_j <r, alpha_j^vee> with d_j = (alpha_j,
-alpha_j)/2 over one common denominator.  Past that form the build runs in
-integers: the closure keeps the Cartan pairings <r, alpha_j^vee> of every
-positive root, and the squared length of every root is computed once, from
-them, as the integer numerator `len2_numerators` over that denominator.
+length 2, and `inner` reads that Gram matrix of the simple roots.  Past
+that form the build runs in integers, once per type, and keeps for every
+root r, as dicts keyed by the root tuple: its Cartan pairings
+`pairings[r]` = (<r, alpha_j^vee> for j), kept along the closure; its
+negative `neg[r]`; its squared length as the integer numerator
+`len2_numerators[r]` = (r, r) * _denom = sum_j r_j d_j <r, alpha_j^vee>,
+with d_j = (alpha_j, alpha_j)/2 over one common denominator _denom; and
+its coroot `coroots[r]` in the simple-coroot basis.  The build raises
+unless every coroot is integral and the last positive root dominates
+every positive root.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
+from operator import add
 
 FAMILIES = "ABCDEFG"
 
@@ -146,32 +151,51 @@ class RootSystem:
         self.simple_roots = [
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         ]
-        pairings = self._generate_positive()
-        self.positive_roots = sorted(pairings, key=lambda r: (sum(r), r))
-        self.all_roots = self.positive_roots + [
-            tuple(-c for c in r) for r in self.positive_roots
-        ]
+        pos_pairings = self._root_string_closure()
+        self.positive_roots = sorted(pos_pairings, key=lambda r: (sum(r), r))
+        negatives = [tuple(-c for c in r) for r in self.positive_roots]
+        # the negatives follow the positives, in the same order
+        self.all_roots = self.positive_roots + negatives
         self._root_set = set(self.all_roots)
+        self.neg = dict(zip(self.all_roots, negatives + self.positive_roots))
+        # pairings[r] = (<r, alpha_j^vee> for j); those of -r are negated
+        rows = [pos_pairings[r] for r in self.positive_roots]
+        self.pairings = dict(zip(self.all_roots,
+                                 rows + [tuple(-q for q in p) for p in rows]))
         # squared length of every root, long roots 2; (-r, -r) = (r, r);
         # len2_numerators[r] = (r, r) * _denom = sum_j r_j d_j <r, alpha_j^vee>
-        nums = [sum(c * d * q for c, d, q in zip(r, self._d, pairings[r]) if c)
-                for r in self.positive_roots]
+        nums = [sum(c * d * q for c, d, q in zip(r, self._d, p) if c)
+                for r, p in zip(self.positive_roots, rows)]
         self.len2_numerators = dict(zip(self.all_roots, nums + nums))
-        self._coroots = {}
+        # coroots[r]: r^vee = 2 r / (r, r) in the simple-coroot basis,
+        # c_i = r_i (alpha_i, alpha_i) / (r, r) = 2 r_i d_i / len2_numerators[r],
+        # and (-r)^vee = -r^vee; the coroots span a lattice with the simple
+        # coroots as a basis, so a remainder raises
+        cos = []
+        for r, q in zip(self.positive_roots, nums):
+            twice = [2 * c * d for c, d in zip(r, self._d)]
+            if any(x % q for x in twice):
+                raise AssertionError(f"coroot of {r} is not integral: "
+                                     f"{[Fraction(x, q) for x in twice]}")
+            cos.append(tuple(x // q for x in twice))
+        self.coroots = dict(zip(self.all_roots,
+                                cos + [tuple(-c for c in co) for co in cos]))
+        # the roots are sorted by height, so only the last positive root can
+        # be the highest root: raise unless it dominates every positive root,
+        # that is, unless it is their coordinatewise maximum
+        top = self.positive_roots[-1]
+        if tuple(map(max, zip(*self.positive_roots))) != top:
+            raise AssertionError(f"highest root {top} is not coordinatewise maximal")
 
     # -- construction ---------------------------------------------------
 
-    def _cartan_pairing(self, coords, j):
-        """<r, alpha_j^vee> for r given by simple-root coordinates."""
-        return sum(c * self.cartan_matrix[i][j] for i, c in enumerate(coords))
-
-    def _generate_positive(self):
+    def _root_string_closure(self):
         """The positive roots, each mapped to its Cartan pairings
-        [<r, alpha_j^vee> for j], by the root-string closure.  The pairings
+        (<r, alpha_j^vee> for j), by the root-string closure.  The pairings
         are kept along the closure: those of r + alpha_j are those of r plus
         row j of the Cartan matrix."""
         n, C = self.rank, self.cartan_matrix
-        pairings = {r: list(C[i]) for i, r in enumerate(self.simple_roots)}
+        pairings = {r: tuple(C[i]) for i, r in enumerate(self.simple_roots)}
         layer = list(self.simple_roots)
         while layer:
             new = []
@@ -192,7 +216,7 @@ class RootSystem:
                         up[j] += 1
                         t = tuple(up)
                         if t not in pairings:
-                            pairings[t] = [a + b for a, b in zip(pr, C[j])]
+                            pairings[t] = tuple(map(add, pr, C[j]))
                             new.append(t)
             layer = new
         return pairings
@@ -202,31 +226,20 @@ class RootSystem:
     def is_root(self, coords):
         return tuple(coords) in self._root_set
 
-    def _inner_numerator(self, r, s):
-        """(r, s) * _denom = sum_j s_j _d[j] <r, alpha_j^vee>, an int."""
-        return sum(c * d * self._cartan_pairing(r, j)
-                   for j, (c, d) in enumerate(zip(s, self._d)) if c)
-
     def inner(self, r, s):
-        """Exact inner product (r, s) = sum_j s_j d_j <r, alpha_j^vee>, long
-        roots normalized to squared length 2, as a Fraction."""
-        return Fraction(self._inner_numerator(r, s), self._denom)
+        """Exact inner product (r, s) = sum_ij r_i s_j (alpha_i, alpha_j),
+        long roots normalized to squared length 2, as a Fraction."""
+        return Fraction(sum(a * b * g for a, row in zip(r, self.sym_form) if a
+                            for b, g in zip(s, row) if b))
 
     def is_long(self, r):
         return self.len2_numerators[tuple(r)] == 2 * self._denom
 
     def highest_root(self):
-        """The unique root maximal in the coordinatewise order.
-
-        It is the last positive root: the roots are sorted by height, and a
-        root that dominates a root of maximal height coordinatewise is that
-        root itself.  Raises unless it dominates every positive root."""
-        best = self.positive_roots[-1]
-        if not all(
-            all(a >= b for a, b in zip(best, r)) for r in self.positive_roots
-        ):
-            raise AssertionError(f"highest root {best} is not coordinatewise maximal")
-        return best
+        """The unique root maximal in the coordinatewise order: the last
+        positive root, which the build checks dominates every positive
+        root."""
+        return self.positive_roots[-1]
 
     def short_positive_roots(self):
         return [r for r in self.positive_roots if not self.is_long(r)]
@@ -252,29 +265,6 @@ class RootSystem:
             raise AssertionError(f"{self.cartan_type}: C times the inverse "
                                  f"Cartan rows is not {d} I")
         return d, rows
-
-    def coroot(self, r):
-        """r^vee = 2 r / (r,r) expressed in the simple-coroot basis.
-
-        Returns the integer coefficients c_i with r^vee = sum c_i
-        alpha_i^vee, computed on the first call for each root and memoised;
-        raises if one is not integral (the coroots span a lattice with the
-        simple coroots as a basis).
-        """
-        r = tuple(r)
-        co = self._coroots.get(r)
-        if co is None:
-            # c_i = r_i (alpha_i, alpha_i) / (r, r) = 2 r_i d_i / (denom (r, r))
-            q = self.len2_numerators[r]
-            co = []
-            for c, d in zip(r, self._d):
-                n, rem = divmod(2 * c * d, q)
-                if rem:
-                    raise AssertionError(f"coroot of {r} has a non-integral "
-                                         f"coefficient {Fraction(2 * c * d, q)}")
-                co.append(n)
-            co = self._coroots[r] = tuple(co)
-        return co
 
     def root_from_epsilon(self, eps):
         """Simple-root coordinates of a vector given in the ambient

@@ -58,7 +58,7 @@ def dominant_coroot_labels(rs, r):
     some label alpha_i(x) is negative, reflect x in the first such simple
     root.  The walk ends at the dominant Weyl conjugate of the coroot."""
     C, n = rs.cartan_matrix, rs.rank
-    x = list(rs.coroot(r))
+    x = list(rs.coroots[r])
 
     def labels():
         return [sum(x[j] * C[i][j] for j in range(n)) for i in range(n)]
@@ -146,14 +146,14 @@ def positive_structure_constants(rs):
     the Fraction-based build that `ChevalleyAlgebra` used before its
     integer one: every earlier positive root is tried as r for each root t,
     and Carter's step (ch. 4) runs in Fractions.  The squared lengths are
-    the integer numerators (r, r) * denom from `RootSystem.inner`'s
-    numerator, not from `len2_numerators`."""
+    the integer numerators (r, r) * denom from `RootSystem.inner`, which
+    reads the simple-root Gram matrix, not from `len2_numerators`."""
     npos = {}
     pos = rs.positive_roots
     index = {r: i for i, r in enumerate(pos)}
     len2 = {}
     for r in pos:
-        len2[r] = len2[_neg(r)] = rs._inner_numerator(r, r)
+        len2[r] = len2[_neg(r)] = int(rs.inner(r, r) * rs._denom)
 
     def string_below(r, s):
         """Largest p with s - p r a root."""

@@ -408,6 +408,8 @@ def test_element_rejects_a_label_outside_the_basis():
             alg.element({label: 1})
     with pytest.raises(ValueError):
         alg.cartan_element([1, 0, 0])
+    with pytest.raises(ValueError, match="is not a root"):
+        alg.root_vector((9, 9))
 
 
 def test_mixed_algebra_rejected():
@@ -421,9 +423,14 @@ def test_ad_matrix_rejects_an_element_of_another_algebra():
     b2 = build_algebra("B2")
     for x in (build_algebra("G2").root_vector((1, 0)),
               build_algebra("A3").root_vector((1, 1, 1))):
-        for proc in (b2.orbit_dimension, b2.centralizer_dim):
+        for proc in (b2.orbit_dimension, b2.centralizer_dim,
+                     lambda y: b2.bracket(y, y), lambda y: b2.killing(y, y)):
             with pytest.raises(ValueError, match="different algebra"):
                 proc(x)
+    zero = b2.element({})
+    assert b2.centralizer_dim(zero) == b2.dim
+    with pytest.raises(ValueError, match="orbit dimension of 0"):
+        b2.orbit_dimension(zero)
 
 
 def _trace_killing(alg, x, y):

@@ -39,6 +39,14 @@ def test_diagram_validation():
         _wd("G2", (3, 0))
     with pytest.raises(ValueError):
         _wd("G2", (1, 0, 0))
+    with pytest.raises(ValueError, match="diagram type does not match algebra"):
+        Grading(build_algebra("A2"), _wd("G2", (1, 0)))
+    with pytest.raises(ValueError, match="E-type diagrams only"):
+        e_type_exclusion(_wd("F4", (0, 0, 0, 1)))
+    with pytest.raises(ValueError, match="F4 diagrams only"):
+        f4_exclusion(_wd("E6", (0, 0, 0, 0, 0, 1)))
+    with pytest.raises(ValueError, match="is not a root"):
+        diagram_of_root_vector_orbit(build_algebra("A2").rs, (1, 2))
 
 
 def test_diagram_labels_must_be_a_tuple_of_ints():
@@ -387,6 +395,19 @@ def test_degree_two_procedures_reject_a_degree_three_part():
                  dynkin.centralizer_in_n_perp, omega_kernel_dim):
         with pytest.raises(ValueError, match="N must be homogeneous of degree 2"):
             proc(grading, n)
+
+
+def test_degree_two_procedures_reject_a_zero_degree_two_part():
+    grading = _grading("A2", (1, 1))
+    zero = grading.alg.element({})
+    with pytest.raises(ValueError, match="N0 must be nonzero"):
+        sl2_complete(grading.alg, grading, zero)
+    with pytest.raises(ValueError, match="zero element"):
+        nilpotency_report(zero)
+    # A2 (1, 0) has degrees -1, 0 and 1 only
+    grading = _grading("A2", (1, 0))
+    with pytest.raises(ValueError, match="degree-2 piece is zero"):
+        generic_degree_two(grading.alg, grading)
 
 
 def test_degree_two_procedures_reject_an_element_of_another_algebra():

@@ -30,6 +30,8 @@ def test_space_size_must_be_an_int():
     for n in (1.5, 2.0, F(2), True):
         with pytest.raises(TypeError, match="is not an int"):
             SymplecticSpace(n)
+    with pytest.raises(ValueError, match="n must be positive"):
+        SymplecticSpace(0)
 
 
 def test_form_is_invertible_antisymmetric():
@@ -152,6 +154,8 @@ def test_product_cover_degrees():
     for ns in ([1], [1, 1], [1, 2, 1], [2, 2], [1, 1, 1, 1]):
         degree = product_cover_degree(ns)
         assert degree == brute_cover_degree(ns) == 2 ** (len(ns) - 1)
+    with pytest.raises(ValueError, match="nonempty list"):
+        product_cover_degree([])
 
 
 def test_kk_rank_equals_orbit_dim():

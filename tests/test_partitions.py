@@ -59,6 +59,9 @@ def test_validity_filters():
     assert partitions.is_valid_partition("C", 3, (2, 2, 2))
     assert not partitions.is_valid_partition("C", 3, (3, 2, 1))   # odd, odd mult
     assert not partitions.is_valid_partition("A", 2, (2, 2))      # wrong size
+    assert not partitions.is_valid_partition("A", 2, (1, 2))      # unsorted
+    with pytest.raises(ValueError, match="not a classical family"):
+        matrix_size("G", 2)
     with pytest.raises(ValueError):
         JordanOrbit("C", 2, (3, 1))
     with pytest.raises(ValueError):

@@ -120,7 +120,7 @@ def test_coroot_pairing():
             for i in range(rs.rank)
         ]
         for r in rs.positive_roots:
-            co = rs.coroot(r)
+            co = rs.coroots[r]
             # <r, r^vee> = 2, expanding r^vee over the simple coroots
             val = sum(
                 Fraction(co[i]) * 2 * rs.inner(r, simple[i])
@@ -137,6 +137,8 @@ def test_cartan_type_validation():
         CartanType("G", 3)
     with pytest.raises(ValueError):
         CartanType.parse("H4")
+    with pytest.raises(ValueError, match="unknown family 'H'"):
+        CartanType("H", 3)
     assert CartanType.parse("E7") == CartanType("E", 7)
 
 
@@ -175,6 +177,8 @@ def test_root_from_epsilon_round_trip():
     rs = build_root_system("E8")
     for r in rs.all_roots[::17]:
         assert rs.root_from_epsilon(epsilon_coords(rs, r)) == r
+    # G2 lives in the plane x + y + z = 0 of Q^3
+    assert build_root_system("G2").root_from_epsilon([1, 1, 1]) is None
 
 
 def test_root_from_epsilon_rejects_the_wrong_dimension():
@@ -188,6 +192,28 @@ def test_build_root_system_cached_per_type():
     assert build_root_system("E8") is build_root_system(CartanType.parse("E8"))
 
 
+TABLE_TYPES = ([f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 7)]
+               + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(3, 8)]
+               + ["G2", "F4", "E6", "E7", "E8"])
+
+
+@pytest.mark.parametrize("name", TABLE_TYPES)
+def test_root_tables_match_closed_forms(name):
+    rs = build_root_system(name)
+    C, n = rs.cartan_matrix, rs.rank
+    assert list(rs.pairings) == list(rs.neg) == list(rs.coroots) == rs.all_roots
+    for r in rs.all_roots:
+        # <r, alpha_j^vee> = sum_i r_i <alpha_i, alpha_j^vee>
+        assert rs.pairings[r] == tuple(sum(r[i] * C[i][j] for i in range(n))
+                                       for j in range(n))
+        assert rs.neg[r] == tuple(-c for c in r)
+        # r^vee = sum_i r_i (alpha_i, alpha_i) / (r, r) alpha_i^vee
+        rr = rs.inner(r, r)
+        assert rs.coroots[r] == tuple(c * rs.sym_form[i][i] / rr
+                                      for i, c in enumerate(r))
+        assert all(type(v) is int for v in rs.pairings[r] + rs.coroots[r])
+
+
 @pytest.mark.parametrize("name", ["B3", "G2", "E6", "C3", "F4", "E8"])
 def test_coroot_memo_matches_closed_formula(name):
     rs = build_root_system(name)
@@ -195,7 +221,6 @@ def test_coroot_memo_matches_closed_formula(name):
         # r^vee = 2 r / (r, r) = sum r_i (alpha_i, alpha_i) / (r, r) alpha_i^vee
         rr = rs.inner(r, r)
         expected = tuple(Fraction(c * rs.sym_form[i][i]) / rr for i, c in enumerate(r))
-        first = rs.coroot(r)
+        first = rs.coroots[r]
         assert first == expected
         assert all(type(c) is int for c in first)
-        assert rs.coroot(list(r)) is first
