@@ -8,10 +8,12 @@ root.  Brackets follow the Chevalley relations
 with integer constants N_{r,s}, |N_{r,s}| = p+1 for a root string of length
 p below s in the direction of r.  Signs are fixed by the extraspecial-pair
 convention over the height-then-lexicographic order on positive roots; the
-build computes the positive-pair constants once, in integer arithmetic, with
-the decompositions of each positive root read from the height buckets up to
-half its height (see `_fill_structure_constants`), and raises unless every
-one is a nonzero integer with |N| = p+1.  There is no runtime Jacobi check: the
+build computes the positive-pair constants once, in integer arithmetic, over
+integer root keys that live only inside the build: the decompositions of
+each positive root, the root tests and the root-string walks are int
+subtractions and dict lookups (see `_fill_structure_constants` for why the
+keys are unique), and it raises unless every constant is a nonzero integer
+with |N| = p+1.  There is no runtime Jacobi check: the
 constants depend on the Cartan type alone, and
 `tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
 proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8, by
@@ -19,7 +21,9 @@ checking that ad(X_{+-alpha_i}) is a derivation and that these generators
 span the algebra.
 Every other constant is read from the positive ones by one rule over the
 integer squared-length numerators `RootSystem.len2_numerators` (see
-`_nany`), so every bracket of basis elements has integer coefficients.
+`_nany`, the only map from a root pair to N, which the build's mixed-sign
+terms read too), so every bracket of basis elements has integer
+coefficients.
 Element coefficients are ints or Fractions, kept as given; floats raise
 TypeError.
 
@@ -40,8 +44,8 @@ K(X_r, X_-r) = K(H_r, H_r) / 2, an integer.
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import groupby
-from operator import sub
+from itertools import chain
+from operator import add
 
 from . import linalg
 from .rootsys import _as_cartan_type, build_root_system
@@ -131,23 +135,30 @@ class ChevalleyAlgebra:
 
     # -- structure constants --------------------------------------------
 
-    def _string_below(self, r, s):
-        """Largest p with s - p r a root."""
-        p = 0
-        cur = tuple(a - b for a, b in zip(s, r))
-        while self.rs.is_root(cur):
-            p += 1
-            cur = tuple(a - b for a, b in zip(cur, r))
-        return p
-
     def _fill_structure_constants(self):
         """N(r, s) for the positive pairs with r + s a root, in both orders,
         height by height: the extraspecial pair of each root gets p + 1, and
         every other pair follows from it (Carter, ch. 4).
 
+        The build runs over integer root keys, local to it.  Every
+        coordinate of a root lies in [-m, m], m the largest coordinate of
+        the highest root (the root system's build checks that it dominates
+        every positive root).  The key of r is sum_i r_i B^i, B the least
+        power of two above 3m (see `_root_keys`), and the key of -r is
+        minus that of r.  The build forms t - r, r0 - r and s0 - r for
+        positive roots, with coordinates in [-m, m], and s - k r for k up
+        to p + 1 in the string walk, with coordinates in [-2m, m], because
+        s - (k - 1) r is a root.  Such a vector and a root differ by at
+        most 3m < B in each coordinate, so the key of the vector is the key
+        of a root only when the vector is that root: a sum of d_i B^i with
+        every |d_i| < B is zero only when every d_i is.  So a root test is
+        a dict lookup of an int, and t - r and the walk are int
+        subtractions.
+
         The pairs t = r + s with r before s in the order of the positive
-        roots have ht(r) <= ht(t) / 2, so r is read from the height buckets
-        up to ht(t) // 2, in order; the extraspecial pair comes first.
+        roots have ht(r) <= ht(t) / 2, so r is read from a running prefix
+        of the positive roots, those of height up to ht(t) // 2, in order;
+        the extraspecial pair comes first.
         Every t of height >= 2 has such a pair: t is a simple root plus a
         positive root (Humphreys 10.2, Corollary), and that pair or its swap
         passes the order filter, so the list is never empty.
@@ -159,35 +170,55 @@ class ChevalleyAlgebra:
         `len2_numerators` l1, l2 (their common denominator cancels), the
         step is multiplied through by n0 l1 l2, and one divmod gives N; a
         remainder or a zero quotient raises, and so does |N| != p + 1."""
-        len2, index, neg = self.rs.len2_numerators, self._pos_index, self.rs.neg
-        # by_height[h]: the positive roots of height h, in order
-        by_height = [[]] + [list(g) for _, g in groupby(self._pos, sum)]
-        for ht in range(2, len(by_height)):
-            for t in by_height[ht]:
-                # t = r + s with r before s, sorted by the position of r
-                decomps = [(r, s) for bucket in by_height[1:ht // 2 + 1]
-                           for r in bucket
-                           if (s := tuple(map(sub, t, r))) in index
-                           and index[r] < index[s]]
-                r0, s0 = decomps[0]  # extraspecial: minimal first member
-                n0 = self._string_below(r0, s0) + 1
-                self._npos[r0, s0], self._npos[s0, r0] = n0, -n0
-                for r, s in decomps[1:]:
-                    nr, ns = neg[r], neg[s]
-                    # l1, l2: the len2 of d1 and d2, 0 when it is not a root
-                    l1 = len2.get(tuple(map(sub, r0, r)), 0)
-                    l2 = len2.get(tuple(map(sub, s0, r)), 0)
-                    a = self._nany(r0, nr) * self._nany(s0, ns) if l1 else 0
-                    b = self._nany(nr, s0) * self._nany(r0, ns) if l2 else 0
-                    l1, l2 = l1 or 1, l2 or 1
-                    num, den = -len2[t] * (a * l2 + b * l1), n0 * l1 * l2
-                    n, rem = divmod(num, den)
-                    if rem or not n:
-                        raise AssertionError(f"N{r, s} = {Fraction(num, den)} for root "
-                                             f"{t} is not a nonzero integer")
-                    if abs(n) != self._string_below(r, s) + 1:
-                        raise AssertionError(f"|N{r, s}| = {abs(n)} is not p + 1 for root {t}")
-                    self._npos[r, s], self._npos[s, r] = n, -n
+        rs, pos, nany, npos = self.rs, self._pos, self._nany, self._npos
+        keys = _root_keys(pos, (3 * max(pos[-1])).bit_length())
+        at = {k: i for i, k in enumerate(keys)}  # positive key -> position
+        # len2 of every root by key; its keys are the root test
+        len2 = [rs.len2_numerators[r] for r in pos]
+        len2k = dict(zip(keys, len2))
+        len2k.update(zip([-k for k in keys], len2))
+
+        def below(kr, ks):
+            """Largest p with s - p r a root."""
+            p, cur = 0, ks - kr
+            while cur in len2k:
+                p += 1
+                cur -= kr
+            return p
+
+        heights = [sum(r) for r in pos]
+        low = 0  # pos[:low]: the positive roots of height <= ht(t) // 2
+        # t = pos[j]; the first `rank` positive roots are the simple ones
+        for j in range(rs.rank, len(pos)):
+            half, kt = heights[j] // 2, keys[j]
+            while heights[low] <= half:
+                low += 1
+            # t = r + s with r before s, sorted by the position of r
+            decomps = [(i, k) for i in range(low)
+                       if (k := at.get(kt - keys[i], -1)) > i]
+            i0, k0 = decomps[0]  # extraspecial: minimal first member
+            r0, s0, kr0, ks0 = pos[i0], pos[k0], keys[i0], keys[k0]
+            n0 = below(kr0, ks0) + 1
+            npos[r0, s0], npos[s0, r0] = n0, -n0
+            lt = len2[j]
+            for i, k in decomps[1:]:
+                r, s, kr = pos[i], pos[k], keys[i]
+                nr, ns = rs.neg[r], rs.neg[s]
+                # l1, l2: the len2 of d1 and d2, 0 when it is not a root
+                l1 = len2k.get(kr0 - kr, 0)
+                l2 = len2k.get(ks0 - kr, 0)
+                a = nany(r0, nr) * nany(s0, ns) if l1 else 0
+                b = nany(nr, s0) * nany(r0, ns) if l2 else 0
+                l1, l2 = l1 or 1, l2 or 1
+                num, den = -lt * (a * l2 + b * l1), n0 * l1 * l2
+                n, rem = divmod(num, den)
+                if rem or not n:
+                    raise AssertionError(f"N{r, s} = {Fraction(num, den)} for root "
+                                         f"{pos[j]} is not a nonzero integer")
+                if abs(n) != below(kr, keys[k]) + 1:
+                    raise AssertionError(f"|N{r, s}| = {abs(n)} is not p + 1 "
+                                         f"for root {pos[j]}")
+                npos[r, s], npos[s, r] = n, -n
 
     def _nany(self, a, b):
         """N(a, b) for roots a, b with a + b a root (Carter, Thm 4.1.2).
@@ -198,7 +229,7 @@ class ChevalleyAlgebra:
         N(a, b) / (c, c) = N(x, y) / (z, z).  A root is positive iff it is
         in `_pos_index`, and its negative is read from `RootSystem.neg`."""
         pos, neg = self._pos_index, self.rs.neg
-        c = tuple(-x - y for x, y in zip(a, b))
+        c = neg[tuple(map(add, a, b))]
         if (a in pos) == (b in pos):
             x, y, z = a, b, c
         elif (b in pos) == (c in pos):
@@ -207,7 +238,8 @@ class ChevalleyAlgebra:
             x, y, z = c, a, b
         n = self._npos[x, y] if x in pos else -self._npos[neg[x], neg[y]]
         # (c, c) / (z, z) as a ratio of the integer `len2_numerators`
-        lc, lz = self.rs.len2_numerators[c], self.rs.len2_numerators[z]
+        len2 = self.rs.len2_numerators
+        lc, lz = len2[c], len2[z]
         if lc == lz:
             return n
         n, rem = divmod(n * lc, lz)
@@ -270,8 +302,14 @@ class ChevalleyAlgebra:
         is an int, because every basis bracket is one: the root system's
         `pairings` and `coroots` are int tuples (its build raises on a
         non-integral coroot), and `_nany` raises on a remainder.  Raises
-        ValueError if some [e_k, src[j]] has a component outside the `dst`
+        ValueError if a label in `labels`, `src` or `dst` is not a basis
+        label, or if some [e_k, src[j]] has a component outside the `dst`
         labels."""
+        index = self.index
+        for lbl in chain(labels, src, dst):
+            if lbl not in index:
+                raise ValueError(f"{lbl!r} is not a basis label of "
+                                 f"{self.rs.cartan_type}")
         row_of = {lbl: i for i, lbl in enumerate(dst)}
         entries = {}
         for k in labels:
@@ -361,6 +399,23 @@ def combine(entries, coeffs, nrows, ncols):
         for i, j, v in entries[k]:
             rows[i][j] += c * v
     return rows
+
+
+def _root_keys(roots, bits):
+    """The key sum_i r_i 2^(bits i) of each root r, in order.  Raises
+    AssertionError unless 3 |r_i| < 2^bits for every coordinate, the bound
+    under which `ChevalleyAlgebra._fill_structure_constants` reads a root
+    from its key."""
+    bound, keys = 1 << bits, []
+    for r in roots:
+        if 3 * max(map(abs, r)) >= bound:
+            raise AssertionError(f"root {r} has a coordinate c with 3|c| >= "
+                                 f"{bound}, too wide for {bits}-bit keys")
+        k = 0
+        for c in reversed(r):
+            k = (k << bits) + c
+        keys.append(k)
+    return keys
 
 
 @cache

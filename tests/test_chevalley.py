@@ -125,7 +125,10 @@ def test_jacobi_identity_from_chevalley_generators(name):
 
 # Brute force on G2, the smallest type with root strings of every length
 # up to 4: a check of the generator argument above that does not rely on it.
-@pytest.mark.parametrize("name", JACOBI_TYPES)
+# A8, B8, C8 and D8 add the widest root keys of the classical types: the
+# build keys every root with 3 m < 2^bits for m the largest coordinate of the
+# highest root (1 for A, 2 for B, C, D)
+@pytest.mark.parametrize("name", JACOBI_TYPES + ["A8", "B8", "C8", "D8"])
 def test_structure_constants_match_the_fraction_oracle(name):
     alg = build_algebra(name)
     assert alg._npos == positive_structure_constants(alg.rs)
@@ -410,6 +413,23 @@ def test_element_rejects_a_label_outside_the_basis():
         alg.cartan_element([1, 0, 0])
     with pytest.raises(ValueError, match="is not a root"):
         alg.root_vector((9, 9))
+
+
+def test_ad_entries_rejects_a_label_outside_the_basis():
+    alg = build_algebra("A2")
+    labels = alg.basis_labels
+    # a src label outside the basis, which no bracket would have read
+    with pytest.raises(ValueError, match=r"\('H', 5\) is not a basis label of A2"):
+        alg.ad_entries([("H", 0)], [("H", 5)], labels)
+    # a src label that is no root, which the pairings would not have held
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not a basis label of A2"):
+        alg.ad_entries([("H", 0)], [(1, 2)], labels)
+    # an operator label outside the basis, whose brackets all look empty
+    with pytest.raises(ValueError, match=r"\(7, 7\) is not a basis label of A2"):
+        alg.ad_entries([(7, 7)], [(1, 0)], labels)
+    # a dst label outside the basis, which no component would have met
+    with pytest.raises(ValueError, match=r"\(0, 0\) is not a basis label of A2"):
+        alg.ad_entries([(1, 0)], [(0, 1)], [(1, 1), (0, 0)])
 
 
 def test_mixed_algebra_rejected():

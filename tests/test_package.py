@@ -87,16 +87,79 @@ def test_builds_reject_a_plain_tuple_for_a_cartan_type():
             build(("E", 8))
 
 
-def test_importing_the_cli_loads_no_dataclass_machinery():
-    """`dataclasses`, `inspect` and `traceback` cost milliseconds to import;
-    nothing on the import path of the CLI needs them."""
+def _fresh_python(code, *flags):
+    """Stdout of `code` run by a fresh `python -S` (no site module, whose
+    .pth files could import modules first), with the interpreter `flags`,
+    on the nilorb under test."""
     src = str(Path(nilorb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, nilorb.cli; print(sorted(m for m in "
-            "('dataclasses', 'inspect', 'traceback') if m in sys.modules))")
-    # -S: no site module, whose .pth files could import them first
-    out = subprocess.run([sys.executable, "-S", "-c", code],
+    out = subprocess.run([sys.executable, "-S", *flags, "-c", code],
                          env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    """`dataclasses`, `inspect` and `traceback` cost milliseconds to import;
+    nothing on the import path of the CLI needs them."""
+    code = ("import sys, nilorb.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'traceback') if m in sys.modules))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_importing_chevalley_loads_only_what_it_imports():
+    """The package resolves its re-exports on access, so a caller of
+    `nilorb.chevalley` compiles no dynkin, partitions, curated, matmodel or
+    cli."""
+    code = ("import sys, nilorb.chevalley; print(sorted(m for m in sys.modules "
+            "if m == 'nilorb' or m.startswith('nilorb.')))")
+    assert _fresh_python(code) == str(["nilorb", "nilorb.chevalley",
+                                       "nilorb.linalg", "nilorb.rootsys"])
+
+
+def test_star_import_binds_each_export_to_its_submodule_object():
+    """`from nilorb import *` binds exactly `__all__`, each name to the
+    object its submodule defines, and an unknown name raises
+    AttributeError."""
+    code = """\
+import sys
+ns = {}
+exec("from nilorb import *", ns)
+del ns["__builtins__"]
+import nilorb
+print(sorted(ns) == sorted(nilorb.__all__) and len(set(nilorb.__all__)) == 12)
+print(all(ns[k] is vars(sys.modules[ns[k].__module__])[k] for k in ns))
+print(all(getattr(nilorb, k) is ns[k] for k in ns))
+# nothing is stored in the package, so a wrapper set on a submodule (as the
+# perfbench tracer does) and removed again is what the package gives
+print(not set(ns) & set(vars(nilorb)))
+print(sorted({ns[k].__module__ for k in ns}))
+try:
+    nilorb.no_such_name
+except AttributeError as e:
+    print(e)
+"""
+    assert _fresh_python(code).splitlines() == [
+        "True", "True", "True", "True",
+        str(["nilorb.chevalley", "nilorb.dynkin", "nilorb.partitions",
+             "nilorb.rootsys"]),
+        "module 'nilorb' has no attribute 'no_such_name'",
+    ]
+
+
+def test_root_key_guard_raises_under_O():
+    """`chevalley._root_keys` keys a root only when 3 |c| < 2^bits for each
+    of its coordinates c; past that bound it raises, also under `-O`."""
+    code = """\
+from nilorb.chevalley import _root_keys
+print(_root_keys([(1, 1), (0, -1), (10, 0)], 5))
+try:
+    _root_keys([(0, 11)], 5)
+except AssertionError as e:
+    print(e)
+"""
+    assert _fresh_python(code, "-O").splitlines() == [
+        "[33, -32, 10]",
+        "root (0, 11) has a coordinate c with 3|c| >= 32, too wide for 5-bit keys",
+    ]
