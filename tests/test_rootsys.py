@@ -192,6 +192,21 @@ def test_build_root_system_cached_per_type():
     assert build_root_system("E8") is build_root_system(CartanType.parse("E8"))
 
 
+@pytest.mark.parametrize("name", ["B3", "G2", "E6", "C3", "F4", "E8"])
+def test_coroot_memo_matches_closed_formula(name):
+    # the coroot table is built once per root system; check it against the
+    # closed form in exact rationals, on types with short, long and mixed roots
+    rs = build_root_system(name)
+    for r in rs.all_roots:
+        # r^vee = 2 r / (r, r) = sum r_i (alpha_i, alpha_i) / (r, r) alpha_i^vee
+        rr = rs.inner(r, r)
+        expected = tuple(Fraction(c * rs.sym_form[i][i]) / rr for i, c in enumerate(r))
+        co = rs.coroots[r]
+        assert co == expected
+        assert all(type(c) is int for c in co)
+        assert rs.coroots[tuple(list(r))] is co
+
+
 TABLE_TYPES = ([f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 7)]
                + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(3, 8)]
                + ["G2", "F4", "E6", "E7", "E8"])
