@@ -9,11 +9,12 @@ with integer constants N_{r,s}, |N_{r,s}| = p+1 for a root string of length
 p below s in the direction of r.  Signs are fixed by the extraspecial-pair
 convention over the height-then-lexicographic order on positive roots; the
 build computes the positive-pair constants once, in integer arithmetic, over
-integer root keys that live only inside the build: the decompositions of
-each positive root, the root tests and the root-string walks are int
-subtractions and dict lookups (see `_fill_structure_constants` for why the
-keys are unique), and it raises unless every constant is a nonzero integer
-with |N| = p+1.  There is no runtime Jacobi check: the
+the integer root keys that each algebra keeps (`_root_keys` says why a key
+names at most one root): the decompositions of each positive root, the
+root tests and the root-string walks are int subtractions and dict lookups,
+and it raises unless every constant is a nonzero integer with |N| = p+1.
+The same keys serve every bracket of two root vectors, whose sum r + s is
+one int addition and one dict lookup.  There is no runtime Jacobi check: the
 constants depend on the Cartan type alone, and
 `tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
 proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8, by
@@ -45,7 +46,6 @@ K(X_r, X_-r) = K(H_r, H_r) / 2, an integer.
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
-from operator import add
 
 from . import linalg
 from .rootsys import _as_cartan_type, build_root_system
@@ -130,6 +130,12 @@ class ChevalleyAlgebra:
         self.index = {lbl: i for i, lbl in enumerate(self.basis_labels)}
         self._pos = rs.positive_roots
         self._pos_index = {r: i for i, r in enumerate(self._pos)}
+        # the key of each root, and the root of each key (see `_root_keys`);
+        # all_roots lists the negatives in the order of the positive roots
+        pos_keys = _root_keys(self._pos, (3 * max(self._pos[-1])).bit_length())
+        keys = pos_keys + [-k for k in pos_keys]
+        self._keys = dict(zip(rs.all_roots, keys))
+        self._key_roots = dict(zip(keys, rs.all_roots))
         self._npos = {}
         self._fill_structure_constants()
 
@@ -140,19 +146,14 @@ class ChevalleyAlgebra:
         height by height: the extraspecial pair of each root gets p + 1, and
         every other pair follows from it (Carter, ch. 4).
 
-        The build runs over integer root keys, local to it.  Every
-        coordinate of a root lies in [-m, m], m the largest coordinate of
-        the highest root (the root system's build checks that it dominates
-        every positive root).  The key of r is sum_i r_i B^i, B the least
-        power of two above 3m (see `_root_keys`), and the key of -r is
-        minus that of r.  The build forms t - r, r0 - r and s0 - r for
-        positive roots, with coordinates in [-m, m], and s - k r for k up
-        to p + 1 in the string walk, with coordinates in [-2m, m], because
-        s - (k - 1) r is a root.  Such a vector and a root differ by at
-        most 3m < B in each coordinate, so the key of the vector is the key
-        of a root only when the vector is that root: a sum of d_i B^i with
-        every |d_i| < B is zero only when every d_i is.  So a root test is
-        a dict lookup of an int, and t - r and the walk are int
+        The build reads the algebra's root keys `_keys` and their inverse
+        `_key_roots`, the table that `_bracket_basis` reads too.  It forms
+        t - r, r0 - r and s0 - r for positive roots, with coordinates in
+        [-m, m], and s - k r for k up to p + 1 in the string walk, with
+        coordinates in [-2m, m], because s - (k - 1) r is a root.  All of
+        them lie in the bound of `_root_keys`, so the key of such a vector
+        is the key of a root only when the vector is that root: a root
+        test is a dict lookup of an int, and t - r and the walk are int
         subtractions.
 
         The pairs t = r + s with r before s in the order of the positive
@@ -171,17 +172,14 @@ class ChevalleyAlgebra:
         step is multiplied through by n0 l1 l2, and one divmod gives N; a
         remainder or a zero quotient raises, and so does |N| != p + 1."""
         rs, pos, nany, npos = self.rs, self._pos, self._nany, self._npos
-        keys = _root_keys(pos, (3 * max(pos[-1])).bit_length())
+        roots, neg, len2 = self._key_roots, rs.neg, rs.len2_numerators
+        keys = [self._keys[r] for r in pos]
         at = {k: i for i, k in enumerate(keys)}  # positive key -> position
-        # len2 of every root by key; its keys are the root test
-        len2 = [rs.len2_numerators[r] for r in pos]
-        len2k = dict(zip(keys, len2))
-        len2k.update(zip([-k for k in keys], len2))
 
         def below(kr, ks):
             """Largest p with s - p r a root."""
             p, cur = 0, ks - kr
-            while cur in len2k:
+            while cur in roots:
                 p += 1
                 cur -= kr
             return p
@@ -200,16 +198,17 @@ class ChevalleyAlgebra:
             r0, s0, kr0, ks0 = pos[i0], pos[k0], keys[i0], keys[k0]
             n0 = below(kr0, ks0) + 1
             npos[r0, s0], npos[s0, r0] = n0, -n0
-            lt = len2[j]
+            lt = len2[pos[j]]
             for i, k in decomps[1:]:
                 r, s, kr = pos[i], pos[k], keys[i]
-                nr, ns = rs.neg[r], rs.neg[s]
-                # l1, l2: the len2 of d1 and d2, 0 when it is not a root
-                l1 = len2k.get(kr0 - kr, 0)
-                l2 = len2k.get(ks0 - kr, 0)
-                a = nany(r0, nr) * nany(s0, ns) if l1 else 0
-                b = nany(nr, s0) * nany(r0, ns) if l2 else 0
-                l1, l2 = l1 or 1, l2 or 1
+                nr, ns = neg[r], neg[s]
+                # d1 = r0 - r and d2 = s0 - r, None when not a root; then
+                # s0 - s = -d1 and r0 - s = -d2, since r0 + s0 = r + s
+                d1, d2 = roots.get(kr0 - kr), roots.get(ks0 - kr)
+                a = nany(r0, nr, d1) * nany(s0, ns, neg[d1]) if d1 else 0
+                b = nany(nr, s0, d2) * nany(r0, ns, neg[d2]) if d2 else 0
+                l1 = len2[d1] if d1 else 1
+                l2 = len2[d2] if d2 else 1
                 num, den = -lt * (a * l2 + b * l1), n0 * l1 * l2
                 n, rem = divmod(num, den)
                 if rem or not n:
@@ -220,16 +219,17 @@ class ChevalleyAlgebra:
                                          f"for root {pos[j]}")
                 npos[r, s], npos[s, r] = n, -n
 
-    def _nany(self, a, b):
-        """N(a, b) for roots a, b with a + b a root (Carter, Thm 4.1.2).
+    def _nany(self, a, b, t):
+        """N(a, b) for roots a, b whose sum t = a + b is a root (Carter,
+        Thm 4.1.2); the caller has found t, from the keys.
 
-        With c = -(a + b), exactly one cyclic pair (x, y) of (a, b, c) has
+        With c = -t, exactly one cyclic pair (x, y) of (a, b, c) has
         both roots of the same sign; z is the third root.  N(x, y) is read
         from the positive constants, with N(-x, -y) = -N(x, y), and
         N(a, b) / (c, c) = N(x, y) / (z, z).  A root is positive iff it is
         in `_pos_index`, and its negative is read from `RootSystem.neg`."""
         pos, neg = self._pos_index, self.rs.neg
-        c = neg[tuple(map(add, a, b))]
+        c = neg[t]
         if (a in pos) == (b in pos):
             x, y, z = a, b, c
         elif (b in pos) == (c in pos):
@@ -267,21 +267,27 @@ class ChevalleyAlgebra:
     # -- operations -----------------------------------------------------
 
     def _bracket_basis(self, k1, k2):
-        """Bracket of two basis elements, as a sparse coeff dict."""
-        h1 = k1[0] == "H"
-        h2 = k2[0] == "H"
-        if h1 and h2:
-            return {}
-        if h1:
-            return {k2: self.rs.pairings[k2][k1[1]]}
-        if h2:
-            return {k1: -self.rs.pairings[k1][k2[1]]}
-        t = tuple(a + b for a, b in zip(k1, k2))
-        if not any(t):
+        """Bracket of two basis elements, as a sparse coeff dict with no
+        zero coefficient.  For roots r, s the key of r + s is one int
+        addition (see `_root_keys`): a zero key means s = -r, a root's key
+        means r + s is that root, and any other key brackets to 0."""
+        keys = self._keys
+        key1, key2 = keys.get(k1), keys.get(k2)  # None for an H label
+        if key1 is None:
+            if key2 is None:
+                return {}
+            c = self.rs.pairings[k2][k1[1]]
+            return {k2: c} if c else {}
+        if key2 is None:
+            c = self.rs.pairings[k1][k2[1]]
+            return {k1: -c} if c else {}
+        kt = key1 + key2
+        if not kt:
             return {("H", i): c for i, c in enumerate(self.rs.coroots[k1]) if c}
-        if self.rs.is_root(t):
-            return {t: self._nany(k1, k2)}
-        return {}
+        t = self._key_roots.get(kt)
+        if t is None:
+            return {}
+        return {t: self._nany(k1, k2, t)}
 
     def bracket(self, a, b):
         a._check(b)
@@ -403,9 +409,19 @@ def combine(entries, coeffs, nrows, ncols):
 
 def _root_keys(roots, bits):
     """The key sum_i r_i 2^(bits i) of each root r, in order.  Raises
-    AssertionError unless 3 |r_i| < 2^bits for every coordinate, the bound
-    under which `ChevalleyAlgebra._fill_structure_constants` reads a root
-    from its key."""
+    AssertionError unless 3 |r_i| < 2^bits for every coordinate.
+
+    Each `ChevalleyAlgebra` keeps the key of every root and the root of
+    every key, with B = 2^bits the least power of two above 3m, m the
+    largest coordinate of the highest root (the root system's build checks
+    that it dominates every positive root), so every coordinate of a root
+    lies in [-m, m].  The key of -r is minus that of r.  A vector with
+    coordinates in [-2m, 2m] and a root differ by at most 3m < B in each
+    coordinate, and a sum of d_i B^i with every |d_i| < B is zero only
+    when every d_i is.  So the key of such a vector is the key of a root
+    only when the vector is that root, and is 0 only when the vector is 0.
+    The structure-constant build forms only such vectors, and so does the
+    bracket: r + s, for roots r and s, has its key 0 only when s = -r."""
     bound, keys = 1 << bits, []
     for r in roots:
         if 3 * max(map(abs, r)) >= bound:

@@ -151,9 +151,7 @@ def positive_structure_constants(rs):
     npos = {}
     pos = rs.positive_roots
     index = {r: i for i, r in enumerate(pos)}
-    len2 = {}
-    for r in pos:
-        len2[r] = len2[_neg(r)] = int(rs.inner(r, r) * rs._denom)
+    len2 = _len2(rs)
 
     def string_below(r, s):
         """Largest p with s - p r a root."""
@@ -165,24 +163,7 @@ def positive_structure_constants(rs):
         return p
 
     def nany(a, b):
-        """N(a, b) for roots a, b with a + b a root (Carter, Thm 4.1.2)."""
-        ha, hb = sum(a), sum(b)
-        c = tuple(-x - y for x, y in zip(a, b))
-        if (ha > 0) == (hb > 0):
-            x, y, z = a, b, c
-        elif (hb > 0) == (ha + hb < 0):
-            x, y, z = b, c, a
-        else:
-            x, y, z = c, a, b
-        n = npos[x, y] if sum(x) > 0 else -npos[_neg(x), _neg(y)]
-        lc, lz = len2[c], len2[z]
-        if lc == lz:
-            return n
-        n, rem = divmod(n * lc, lz)
-        if rem:
-            raise AssertionError(f"N{a, b} = {Fraction(n * lz + rem, lz)} "
-                                 "is not an integer")
-        return n
+        return _n_rule(npos, len2, a, b)
 
     for t in pos:
         # t = r + s with r before s, in the order of the positive roots
@@ -210,6 +191,77 @@ def positive_structure_constants(rs):
                 raise AssertionError(f"|N{r, s}| = {abs(n)} is not p + 1 for root {t}")
             npos[r, s], npos[s, r] = n, -n
     return npos
+
+
+def basis_bracket(rs):
+    """The bracket of two basis labels, as a function of the labels that
+    returns {label: coefficient} with no zero coefficient.  r + s is a
+    tuple sum tested with `rs.is_root`, N comes from
+    `positive_structure_constants` by its N rule, and the pairings
+    <s, alpha_i^vee> = 2 (s, alpha_i) / (alpha_i, alpha_i) and the coroot
+    coordinates r_i (alpha_i, alpha_i) / (r, r) are read in Fractions from
+    `RootSystem.inner`, not from the root system's int tables."""
+    npos, len2 = positive_structure_constants(rs), _len2(rs)
+    simple = rs.simple_roots
+
+    def pairing(s, i):
+        v = 2 * rs.inner(s, simple[i]) / rs.inner(simple[i], simple[i])
+        assert v.denominator == 1
+        return int(v)
+
+    def bracket(a, b):
+        if a[0] == "H":
+            if b[0] == "H":
+                return {}
+            c = pairing(b, a[1])
+            return {b: c} if c else {}
+        if b[0] == "H":
+            c = pairing(a, b[1])
+            return {a: -c} if c else {}
+        t = tuple(x + y for x, y in zip(a, b))
+        if not any(t):
+            out = {}
+            for i, (ri, alpha) in enumerate(zip(a, simple)):
+                c = ri * rs.inner(alpha, alpha) / rs.inner(a, a)
+                assert c.denominator == 1
+                if c:
+                    out["H", i] = int(c)
+            return out
+        if rs.is_root(t):
+            return {t: _n_rule(npos, len2, a, b)}
+        return {}
+
+    return bracket
+
+
+def _len2(rs):
+    """The integer numerator (r, r) * denom of every root r."""
+    len2 = {}
+    for r in rs.positive_roots:
+        len2[r] = len2[_neg(r)] = int(rs.inner(r, r) * rs._denom)
+    return len2
+
+
+def _n_rule(npos, len2, a, b):
+    """N(a, b) for roots a, b with a + b a root (Carter, Thm 4.1.2), from
+    the positive constants `npos` and the squared-length numerators."""
+    ha, hb = sum(a), sum(b)
+    c = tuple(-x - y for x, y in zip(a, b))
+    if (ha > 0) == (hb > 0):
+        x, y, z = a, b, c
+    elif (hb > 0) == (ha + hb < 0):
+        x, y, z = b, c, a
+    else:
+        x, y, z = c, a, b
+    n = npos[x, y] if sum(x) > 0 else -npos[_neg(x), _neg(y)]
+    lc, lz = len2[c], len2[z]
+    if lc == lz:
+        return n
+    n, rem = divmod(n * lc, lz)
+    if rem:
+        raise AssertionError(f"N{a, b} = {Fraction(n * lz + rem, lz)} "
+                             "is not an integer")
+    return n
 
 
 def _neg(r):

@@ -6,7 +6,8 @@ import pytest
 
 from nilorb import linalg
 from nilorb.chevalley import build_algebra
-from oracles import centralizer, is_ad_nilpotent, positive_structure_constants
+from oracles import (basis_bracket, centralizer, is_ad_nilpotent,
+                     positive_structure_constants)
 
 F = Fraction
 
@@ -132,6 +133,18 @@ def test_jacobi_identity_from_chevalley_generators(name):
 def test_structure_constants_match_the_fraction_oracle(name):
     alg = build_algebra(name)
     assert alg._npos == positive_structure_constants(alg.rs)
+
+
+# The Jacobi proof above does not cover A8, B8, C8 and D8, the types with
+# the widest root keys of the classical ones
+@pytest.mark.parametrize("name", JACOBI_TYPES + ["A8", "B8", "C8", "D8"])
+def test_every_basis_bracket_matches_the_oracle(name):
+    alg = build_algebra(name)
+    oracle = basis_bracket(alg.rs)
+    basis = [(lbl, alg.element({lbl: 1})) for lbl in alg.basis_labels]
+    for a, x in basis:
+        for b, y in basis:
+            assert alg.bracket(x, y).coeffs == oracle(a, b), (a, b)
 
 
 @pytest.mark.parametrize("name", [t for t in JACOBI_TYPES if t[0] in "ADE"])
@@ -430,6 +443,36 @@ def test_ad_entries_rejects_a_label_outside_the_basis():
     # a dst label outside the basis, which no component would have met
     with pytest.raises(ValueError, match=r"\(0, 0\) is not a basis label of A2"):
         alg.ad_entries([(1, 0)], [(0, 1)], [(1, 1), (0, 0)])
+
+
+def test_ad_matrix_of_a_zero_pairing_is_zero():
+    # <(1, 0, 0), alpha_3^vee> = 0 on A3, so [H_3, X_(1,0,0)] = 0 has no
+    # component outside the destination labels
+    alg = build_algebra("A3")
+    h3 = alg.element({("H", 2): 1})
+    assert alg.ad_matrix(h3, [(1, 0, 0)], [("H", 0)]) == [[0]]
+    assert alg.ad_entries([("H", 2)], [(1, 0, 0)], [("H", 0)]) == {("H", 2): []}
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E8"])
+def test_ad_entries_are_nonzero(name):
+    alg = build_algebra(name)
+    labels = alg.basis_labels
+    entries = alg.ad_entries(labels, labels, labels)
+    assert all(v for ek in entries.values() for _, _, v in ek)
+
+
+def test_bracket_is_antisymmetric_on_multi_term_elements():
+    alg = build_algebra("E7")
+    labels = alg.basis_labels
+    rng = random.Random(5)
+    for _ in range(10):
+        x, y = (alg.element({lbl: F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                             for lbl in rng.sample(labels, 12)})
+                for _ in range(2))
+        xy = alg.bracket(x, y)
+        assert not xy.is_zero()
+        assert alg.bracket(y, x) == -xy
 
 
 def test_mixed_algebra_rejected():
