@@ -14,8 +14,11 @@ names at most one root): the decompositions of each positive root, the
 root tests and the root-string walks are int subtractions and dict lookups,
 and it raises unless every constant is a nonzero integer with |N| = p+1.
 The same keys serve every bracket of two root vectors, whose sum r + s is
-one int addition and one dict lookup.  There is no runtime Jacobi check: the
-constants depend on the Cartan type alone, and
+one int addition and one dict lookup.  `_row` is the only map from a basis
+pair to its bracket: it brackets one basis label with a list of labels in
+one loop, and both `bracket` and `ad_entries` read it, one row per label;
+no row is stored.  There is no runtime Jacobi check: the constants depend
+on the Cartan type alone, and
 `tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
 proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8, by
 checking that ad(X_{+-alpha_i}) is a derivation and that these generators
@@ -25,11 +28,11 @@ integer squared-length numerators `RootSystem.len2_numerators` (see
 `_nany`, the only map from a root pair to N, which the build's mixed-sign
 terms read too), so every bracket of basis elements has integer
 coefficients.
-Element coefficients are ints or Fractions, kept as given; floats raise
-TypeError.
+Element coefficients are ints or Fractions, kept as given; floats and
+bools raise TypeError.
 
 Every matrix of ad(x) is built here, by `ad_matrix` from the integer entries
-of `ad_entries`, which read the brackets of basis elements.
+of `ad_entries`, which read the rows of `_row`.
 
 The Killing form K(x, y) = trace(ad x ad y) is read from a Gram table over
 the basis that each algebra builds on first use, from the root data alone,
@@ -56,21 +59,34 @@ class LieElement:
 
     Labels are root tuples (for X_r) or ('H', i) for the Cartan generators;
     a label outside `alg.index` raises ValueError.  Coefficients are ints or
-    Fractions, kept as given; any other type raises TypeError.  Zero
-    coefficients are never stored, so equality is coefficientwise.
+    Fractions, kept as given; any other type, bool included, raises
+    TypeError.  Zero coefficients are never stored, so equality is
+    coefficientwise.  The results of `bracket`, `+`, `-` and `scale` are
+    built by `_computed`, which skips these checks.
     """
 
     __slots__ = ("alg", "coeffs")
 
     def __init__(self, alg, coeffs):
         for k, v in coeffs.items():
-            if not isinstance(v, (int, Fraction)):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise TypeError(f"coefficient {v!r} is not an int or a Fraction")
             if k not in alg.index:
                 raise ValueError(f"{k!r} is not a basis label of "
                                  f"{alg.rs.cartan_type}")
         self.alg = alg
         self.coeffs = {k: v for k, v in coeffs.items() if v}
+
+    @classmethod
+    def _computed(cls, alg, coeffs):
+        """The element of `alg` with the nonzero coefficients of `coeffs`,
+        for a result the library computed from checked elements: its labels
+        are basis labels and its coefficients ints or Fractions already, so
+        only the zero coefficients are dropped."""
+        x = cls.__new__(cls)
+        x.alg = alg
+        x.coeffs = {k: v for k, v in coeffs.items() if v}
+        return x
 
     def __eq__(self, other):
         return (
@@ -87,15 +103,17 @@ class LieElement:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        return LieElement(self.alg, out)
+        return LieElement._computed(self.alg, out)
 
     def __neg__(self):
-        return LieElement(self.alg, {k: -v for k, v in self.coeffs.items()})
+        return LieElement._computed(self.alg,
+                                    {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, c):
-        if not isinstance(c, (int, Fraction)):
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
             raise TypeError(f"scalar {c!r} is not an int or a Fraction")
-        return LieElement(self.alg, {k: c * v for k, v in self.coeffs.items()})
+        return LieElement._computed(self.alg,
+                                    {k: c * v for k, v in self.coeffs.items()})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -147,7 +165,7 @@ class ChevalleyAlgebra:
         every other pair follows from it (Carter, ch. 4).
 
         The build reads the algebra's root keys `_keys` and their inverse
-        `_key_roots`, the table that `_bracket_basis` reads too.  It forms
+        `_key_roots`, the table that `_row` reads too.  It forms
         t - r, r0 - r and s0 - r for positive roots, with coordinates in
         [-m, m], and s - k r for k up to p + 1 in the string walk, with
         coordinates in [-2m, m], because s - (k - 1) r is a root.  All of
@@ -266,51 +284,66 @@ class ChevalleyAlgebra:
 
     # -- operations -----------------------------------------------------
 
-    def _bracket_basis(self, k1, k2):
-        """Bracket of two basis elements, as a sparse coeff dict with no
-        zero coefficient.  For roots r, s the key of r + s is one int
-        addition (see `_root_keys`): a zero key means s = -r, a root's key
-        means r + s is that root, and any other key brackets to 0."""
-        keys = self._keys
-        key1, key2 = keys.get(k1), keys.get(k2)  # None for an H label
-        if key1 is None:
-            if key2 is None:
-                return {}
-            c = self.rs.pairings[k2][k1[1]]
-            return {k2: c} if c else {}
-        if key2 is None:
-            c = self.rs.pairings[k1][k2[1]]
-            return {k1: -c} if c else {}
-        kt = key1 + key2
-        if not kt:
-            return {("H", i): c for i, c in enumerate(self.rs.coroots[k1]) if c}
-        t = self._key_roots.get(kt)
-        if t is None:
-            return {}
-        return {t: self._nany(k1, k2, t)}
+    def _row(self, k, labels):
+        """The nonzero brackets of the basis label k with each of `labels`,
+        as the triples (j, t, v) with [e_k, e_labels[j]] = v e_t, v != 0,
+        in the order of `labels`; every label is a basis label.
+
+        An H row reads `RootSystem.pairings`: [H_i, X_s] = <s, alpha_i^vee> X_s
+        and [H_i, H_j] = 0.  In the row of a root r, an H label H_i gives
+        -<r, alpha_i^vee> X_r, and a root s gives the key of r + s with one
+        int addition (see `_root_keys`): a zero key means s = -r, whose
+        bracket is the coroot H_r, a root's key means r + s is that root,
+        with N read from `_nany`, and any other key brackets to 0."""
+        keys, pairings = self._keys, self.rs.pairings
+        out = []
+        kr = keys.get(k)
+        if kr is None:
+            i = k[1]
+            for j, lbl in enumerate(labels):
+                p = pairings.get(lbl)  # None for an H label
+                if p is not None and (c := p[i]):
+                    out.append((j, lbl, c))
+            return out
+        roots, nany, pr = self._key_roots, self._nany, pairings[k]
+        for j, lbl in enumerate(labels):
+            ks = keys.get(lbl)
+            if ks is None:
+                c = pr[lbl[1]]
+                if c:
+                    out.append((j, k, -c))
+                continue
+            kt = kr + ks
+            if not kt:
+                out.extend((j, ("H", i), c)
+                           for i, c in enumerate(self.rs.coroots[k]) if c)
+                continue
+            t = roots.get(kt)
+            if t is not None:
+                out.append((j, t, nany(k, lbl, t)))
+        return out
 
     def bracket(self, a, b):
         a._check(b)
         if a.alg is not self:
             raise ValueError("elements belong to a different algebra")
+        labels, cb = list(b.coeffs), list(b.coeffs.values())
         out = {}
         for k1, c1 in a.coeffs.items():
-            for k2, c2 in b.coeffs.items():
-                for k, v in self._bracket_basis(k1, k2).items():
-                    out[k] = out.get(k, 0) + c1 * c2 * v
-        return LieElement(self, out)
+            for j, t, v in self._row(k1, labels):
+                out[t] = out.get(t, 0) + c1 * cb[j] * v
+        return LieElement._computed(self, out)
 
     def ad_entries(self, labels, src, dst):
         """For each basis label k in `labels`, the nonzero entries (i, j, v)
         of the matrix of ad(e_k) from the span of the `src` labels to the
         span of the `dst` labels: v is the dst[i] coefficient of
-        [e_k, src[j]], read from the brackets of basis elements.  Every v
-        is an int, because every basis bracket is one: the root system's
-        `pairings` and `coroots` are int tuples (its build raises on a
-        non-integral coroot), and `_nany` raises on a remainder.  Raises
-        ValueError if a label in `labels`, `src` or `dst` is not a basis
-        label, or if some [e_k, src[j]] has a component outside the `dst`
-        labels."""
+        [e_k, src[j]], read from the row of k (`_row`).  Every v is an int,
+        because every basis bracket is one: the root system's `pairings`
+        and `coroots` are int tuples (its build raises on a non-integral
+        coroot), and `_nany` raises on a remainder.  Raises ValueError if a
+        label in `labels`, `src` or `dst` is not a basis label, or if some
+        [e_k, src[j]] has a component outside the `dst` labels."""
         index = self.index
         for lbl in chain(labels, src, dst):
             if lbl not in index:
@@ -320,13 +353,12 @@ class ChevalleyAlgebra:
         entries = {}
         for k in labels:
             ek = entries[k] = []
-            for j, lbl in enumerate(src):
-                for d, v in self._bracket_basis(k, lbl).items():
-                    i = row_of.get(d)
-                    if i is None:
-                        raise ValueError(f"[{k}, {lbl}] has a component along {d}, "
-                                         "outside the destination labels")
-                    ek.append((i, j, v))
+            for j, t, v in self._row(k, src):
+                i = row_of.get(t)
+                if i is None:
+                    raise ValueError(f"[{k}, {src[j]}] has a component along {t}, "
+                                     "outside the destination labels")
+                ek.append((i, j, v))
         return entries
 
     def ad_matrix(self, x, src, dst):

@@ -172,7 +172,7 @@ def sl2_complete(alg, grading, n0):
                                 "this N0 (not exact)", exact=False)
         raise NoTripleError("[N1, N0] = H has no solution in degree -2, and "
                             "ad(N0) is injective there (exact)")
-    n1 = LieElement(grading.alg, {lbl: c for lbl, c in zip(neg, sol)})
+    n1 = LieElement._computed(grading.alg, dict(zip(neg, sol)))
     return Sl2Triple(n0, grading.H, n1)
 
 
@@ -203,7 +203,7 @@ def generic_degree_two(alg, grading):
         raise NoTripleError(
             "no sl2-triple: some dim g_k < dim g_(k+2) with k >= 0 (exact)")
     for coeffs in _attempt_coeffs(len(g2)):
-        n0 = LieElement(grading.alg, dict(zip(g2, coeffs)))
+        n0 = LieElement._computed(grading.alg, dict(zip(g2, coeffs)))
         try:
             sl2_complete(alg, grading, n0)
             return n0

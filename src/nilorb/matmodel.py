@@ -67,7 +67,7 @@ def mu(space, v):
     """The degree-2 map v -> (u -> omega(v,u) v), landing in sp(2n).
 
     The coordinates of v are ints or Fractions, kept as given; any other
-    type raises TypeError.
+    type, bool included, raises TypeError.
 
     mu(v) is the outer product X = v w of v with the row vector
     w = v^T Omega = (-v[n:], v[:n]), read from Omega = [[0, I], [-I, 0]].
@@ -86,7 +86,7 @@ def _coordinates(space, v):
     coordinate per dimension of `space` (ValueError otherwise)."""
     v = tuple(v)
     for c in v:
-        if not isinstance(c, (int, Fraction)):
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
             raise TypeError(f"coordinate {c!r} is not an int or a Fraction")
     if len(v) != space.dim:
         raise ValueError("vector has wrong dimension")

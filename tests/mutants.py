@@ -25,13 +25,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHEVALLEY = "src/nilorb/chevalley.py"
+DYNKIN = "src/nilorb/dynkin.py"
+MATMODEL = "src/nilorb/matmodel.py"
+PARTITIONS = "src/nilorb/partitions.py"
 TC = "tests/test_chevalley.py::"
+TD = "tests/test_dynkin.py::"
 
 MUTANTS = [
-    # the zero-sum key branch never taken: [X_r, X_-r] reads 0, not H_r
+    # the zero-sum key branch of `_row` never taken: [X_r, X_-r] reads 0,
+    # not H_r
     (CHEVALLEY,
-     "        if not kt:\n",
-     "        if False:\n",
+     "            if not kt:\n",
+     "            if False:\n",
      [TC + "test_sl2_relations",
       TC + "test_every_basis_bracket_matches_the_oracle[A2]"]),
     # the key-to-root map built over the positive roots only: a sum of
@@ -40,16 +45,16 @@ MUTANTS = [
      "self._key_roots = dict(zip(keys, rs.all_roots))",
      "self._key_roots = dict(zip(pos_keys, self._pos))",
      [TC + "test_every_basis_bracket_matches_the_oracle[A2]"]),
-    # the zero-pairing fix reverted: [H_i, X_s] with <s, alpha_i^vee> = 0
-    # is reported as the component {s: 0}, in both orders
+    # a zero pairing <s, alpha_i^vee> reported as the entry 0 * X_s, in an
+    # H row and in a root row
     (CHEVALLEY,
-     "            return {k2: c} if c else {}\n",
-     "            return {k2: c}\n",
+     "                if p is not None and (c := p[i]):\n",
+     "                if p is not None and ((c := p[i]) or True):\n",
      [TC + "test_ad_matrix_of_a_zero_pairing_is_zero",
       TC + "test_ad_entries_are_nonzero[G2]"]),
     (CHEVALLEY,
-     "            return {k1: -c} if c else {}\n",
-     "            return {k1: -c}\n",
+     "                if c:\n                    out.append((j, k, -c))\n",
+     "                if True:\n                    out.append((j, k, -c))\n",
      [TC + "test_ad_entries_are_nonzero[G2]"]),
     # one extraspecial sign of `_npos` flipped, that of the first root of
     # height 2: a Chevalley basis still, but not the one of the sign
@@ -59,6 +64,38 @@ MUTANTS = [
      "            n0 = (below(kr0, ks0) + 1) * (-1 if j == rs.rank else 1)\n",
      [TC + "test_structure_constants_match_the_fraction_oracle[G2]",
       TC + "test_every_basis_bracket_matches_the_oracle[G2]"]),
+    # the unchecked constructor of computed results keeps zero coefficients
+    (CHEVALLEY,
+     "        x.coeffs = {k: v for k, v in coeffs.items() if v}\n",
+     "        x.coeffs = dict(coeffs)\n",
+     [TC + "test_computed_results_store_no_zero_coefficient"]),
+    # `pairing_criterion` skips the first root of degree 2: G2 (0,2) and
+    # (2,2) get another witness
+    (DYNKIN,
+     "    for lbl in grading.piece(2):\n",
+     "    for lbl in grading.piece(2)[1:]:\n",
+     [TD + "test_pairing_criterion_verdicts_and_witnesses"]),
+    # the E-type exclusion threshold s - m >= 2 raised by one: fewer E6
+    # diagrams are excluded
+    (DYNKIN,
+     "    if s - m >= 2:\n",
+     "    if s - m >= 3:\n",
+     [TD + "test_exclusion_puts_n_in_n_and_the_witness_outside_n_perp[E6-692]"]),
+    # the key lemma tests the blocks of degree k <= -3 only
+    (DYNKIN,
+     "for k in grading.pieces if k <= -2)",
+     "for k in grading.pieces if k <= -3)",
+     [TD + "test_key_lemma_procedures_match_full_algebra_oracles[G2]"]),
+    # `fiber` returns [w, w] in place of the sign pair
+    (MATMODEL,
+     "    return [w, tuple(-x for x in w)]\n",
+     "    return [w, w]\n",
+     ["tests/test_matmodel.py::test_fiber_is_sign_pair"]),
+    # `pi1_order` returns 2^(a+1) for distinct odd parts in B/D
+    (PARTITIONS,
+     "    return 2 ** a\n",
+     "    return 2 ** (a + 1)\n",
+     ["tests/test_partitions.py::test_pi1_orders"]),
 ]
 
 

@@ -417,6 +417,22 @@ def test_scale_rejects_a_float_scalar():
     assert alg.element({(1, 0): 3}).scale(F(1, 3)) == alg.element({(1, 0): 1})
 
 
+def test_bool_coefficients_are_rejected():
+    # True is an int: alg.element({('H', 0): True}) used to store True, with
+    # the repr True*H1
+    alg = build_algebra("A2")
+    x = alg.element({(1, 0): 1})
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="coefficient .* is not an int"):
+            alg.element({("H", 0): flag})
+        with pytest.raises(TypeError, match="coefficient .* is not an int"):
+            alg.cartan_element([1, flag])
+        with pytest.raises(TypeError, match="scalar .* is not an int"):
+            x.scale(flag)
+        with pytest.raises(TypeError, match="scalar .* is not an int"):
+            flag * x
+
+
 def test_element_rejects_a_label_outside_the_basis():
     alg = build_algebra("G2")
     for label in ((9, 9), ("H", 5)):
@@ -473,6 +489,60 @@ def test_bracket_is_antisymmetric_on_multi_term_elements():
         xy = alg.bracket(x, y)
         assert not xy.is_zero()
         assert alg.bracket(y, x) == -xy
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6"])
+def test_ad_entries_match_the_oracle(name):
+    # src reversed, so that the column j of a row is not the label's index
+    alg = build_algebra(name)
+    oracle, index = basis_bracket(alg.rs), alg.index
+    basis = alg.basis_labels
+    src = basis[::-1]
+    entries = alg.ad_entries(basis, src, basis)
+    assert list(entries) == basis
+    for k in basis:
+        want = sorted((index[t], j, v) for j, lbl in enumerate(src)
+                      for t, v in oracle(k, lbl).items())
+        assert sorted(entries[k]) == want, k
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_bracket_of_elements_matches_the_oracle(name):
+    # seeded elements with H labels and Fraction coefficients, against the
+    # bilinear sum of c_a c_b [e_a, e_b] over the oracle's basis brackets
+    alg = build_algebra(name)
+    oracle = basis_bracket(alg.rs)
+    hs = [("H", i) for i in range(alg.rank)]
+    roots = alg.basis_labels[:-alg.rank]
+    rng = random.Random(7)
+    for _ in range(4):
+        x, y = (alg.element({lbl: F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                             for lbl in rng.sample(roots, 10) + rng.sample(hs, 3)})
+                for _ in range(2))
+        want = {}
+        for a, ca in x.coeffs.items():
+            for b, cb in y.coeffs.items():
+                for t, v in oracle(a, b).items():
+                    want[t] = want.get(t, 0) + ca * cb * v
+        assert alg.bracket(x, y).coeffs == {t: v for t, v in want.items() if v}
+
+
+def test_computed_results_store_no_zero_coefficient():
+    # the library builds these results without the checks of alg.element;
+    # the first three cancel every coefficient, and x + y cancels some
+    alg = build_algebra("B3")
+    labels = alg.basis_labels
+    rng = random.Random(3)
+    for _ in range(5):
+        x = alg.element({lbl: F(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+                         for lbl in rng.sample(labels, 6)})
+        y = alg.element({lbl: -c for lbl, c in list(x.coeffs.items())[:3]}
+                        | {rng.choice(labels): 2})
+        zeros = [alg.bracket(x, x), x + (-x), x.scale(0)]
+        assert all(r.is_zero() for r in zeros)
+        for r in zeros + [alg.bracket(x, y), x + y, -x, x.scale(F(-1, 2)), 3 * x]:
+            assert 0 not in r.coeffs.values()
+            assert r == alg.element(r.coeffs)
 
 
 def test_mixed_algebra_rejected():

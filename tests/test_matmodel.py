@@ -97,6 +97,16 @@ def test_mu_rejects_a_float_coordinate():
         mu(sp, (0.0, 0))
 
 
+def test_mu_and_kk_rank_reject_a_bool_coordinate():
+    # True is an int, so mu(sp, (True, 0)) used to build a point of sp(2)
+    sp = SymplecticSpace(1)
+    for v in ((True, 0), (1, False)):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            mu(sp, v)
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            kk_rank_at(sp, v)
+
+
 def test_jordan_type_is_minimal_orbit_partition():
     for n in (1, 2, 3):
         sp = SymplecticSpace(n)
