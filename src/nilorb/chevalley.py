@@ -10,9 +10,11 @@ p below s in the direction of r.  Signs are fixed by the extraspecial-pair
 convention over the height-then-lexicographic order on positive roots; the
 build computes the positive-pair constants once, in integer arithmetic, over
 the integer root keys that each algebra keeps (`_root_keys` says why a key
-names at most one root): the decompositions of each positive root, the
-root tests and the root-string walks are int subtractions and dict lookups,
-and it raises unless every constant is a nonzero integer with |N| = p+1.
+names at most one root): inside the algebra a root is its key, and root
+tuples appear only as the labels of elements.  The constants are keyed by
+pairs of keys; the decompositions of each positive root, the root tests
+and the root-string walks are int subtractions and dict lookups, and the
+build raises unless every constant is a nonzero integer with |N| = p+1.
 The same keys serve every bracket of two root vectors, whose sum r + s is
 one int addition and one dict lookup.  `_row` is the only map from a basis
 pair to its bracket: it brackets one basis label with a list of labels in
@@ -24,10 +26,9 @@ proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8, by
 checking that ad(X_{+-alpha_i}) is a derivation and that these generators
 span the algebra.
 Every other constant is read from the positive ones by one rule over the
-integer squared-length numerators `RootSystem.len2_numerators` (see
-`_nany`, the only map from a root pair to N, which the build's mixed-sign
-terms read too), so every bracket of basis elements has integer
-coefficients.
+integer squared-length numerators of the keys, `_len2` (see `_nany`, the
+only map from a pair of root keys to N, which the build's mixed-sign terms
+read too), so every bracket of basis elements has integer coefficients.
 Element coefficients are ints or Fractions, kept as given; floats and
 bools raise TypeError.
 
@@ -147,13 +148,14 @@ class ChevalleyAlgebra:
         self.basis_labels = list(rs.all_roots) + [("H", i) for i in range(rs.rank)]
         self.index = {lbl: i for i, lbl in enumerate(self.basis_labels)}
         self._pos = rs.positive_roots
-        self._pos_index = {r: i for i, r in enumerate(self._pos)}
-        # the key of each root, and the root of each key (see `_root_keys`);
-        # all_roots lists the negatives in the order of the positive roots
+        # the key of each root, the root of each key (see `_root_keys`) and
+        # the squared-length numerator of each key; all_roots lists the
+        # negatives in the order of the positive roots
         pos_keys = _root_keys(self._pos, (3 * max(self._pos[-1])).bit_length())
         keys = pos_keys + [-k for k in pos_keys]
         self._keys = dict(zip(rs.all_roots, keys))
         self._key_roots = dict(zip(keys, rs.all_roots))
+        self._len2 = {k: rs.len2_numerators[r] for r, k in self._keys.items()}
         self._npos = {}
         self._fill_structure_constants()
 
@@ -161,18 +163,20 @@ class ChevalleyAlgebra:
 
     def _fill_structure_constants(self):
         """N(r, s) for the positive pairs with r + s a root, in both orders,
-        height by height: the extraspecial pair of each root gets p + 1, and
-        every other pair follows from it (Carter, ch. 4).
+        keyed by the pair of root keys, height by height: the extraspecial
+        pair of each root gets p + 1, and every other pair follows from it
+        (Carter, ch. 4).
 
-        The build reads the algebra's root keys `_keys` and their inverse
-        `_key_roots`, the table that `_row` reads too.  It forms
-        t - r, r0 - r and s0 - r for positive roots, with coordinates in
-        [-m, m], and s - k r for k up to p + 1 in the string walk, with
-        coordinates in [-2m, m], because s - (k - 1) r is a root.  All of
-        them lie in the bound of `_root_keys`, so the key of such a vector
-        is the key of a root only when the vector is that root: a root
-        test is a dict lookup of an int, and t - r and the walk are int
-        subtractions.
+        Inside the build a root is its key (see `_root_keys`): a key is a
+        root's key iff it is in `_len2`, positive iff the root is, and the
+        key of -r is minus the key of r.  The build forms t - r, r0 - r and
+        s0 - r for positive roots, with coordinates in [-m, m], and s - k r
+        for k up to p + 1 in the string walk, with coordinates in [-2m, m],
+        because s - (k - 1) r is a root.  All of them lie in the bound of
+        `_root_keys`, so the key of such a vector is the key of a root only
+        when the vector is that root: a root test is a dict lookup of an
+        int, and t - r, the negatives and the walk are int subtractions.
+        Root tuples are read only for the heights and the error messages.
 
         The pairs t = r + s with r before s in the order of the positive
         roots have ht(r) <= ht(t) / 2, so r is read from a running prefix
@@ -186,18 +190,18 @@ class ChevalleyAlgebra:
         d1 = r0 - r, d2 = s0 - r, a = N(r0, -r) N(s0, -s) and
         b = N(-r, s0) N(r0, -s), a term dropped when its d is not a root.
         It runs in integers: the squared lengths are the numerators
-        `len2_numerators` l1, l2 (their common denominator cancels), the
-        step is multiplied through by n0 l1 l2, and one divmod gives N; a
+        `_len2` l1, l2 (their common denominator cancels), the step is
+        multiplied through by n0 l1 l2, and one divmod gives N; a
         remainder or a zero quotient raises, and so does |N| != p + 1."""
-        rs, pos, nany, npos = self.rs, self._pos, self._nany, self._npos
-        roots, neg, len2 = self._key_roots, rs.neg, rs.len2_numerators
+        rs, pos, nany, npos, len2 = (self.rs, self._pos, self._nany,
+                                     self._npos, self._len2)
         keys = [self._keys[r] for r in pos]
         at = {k: i for i, k in enumerate(keys)}  # positive key -> position
 
         def below(kr, ks):
             """Largest p with s - p r a root."""
             p, cur = 0, ks - kr
-            while cur in roots:
+            while cur in len2:
                 p += 1
                 cur -= kr
             return p
@@ -213,57 +217,54 @@ class ChevalleyAlgebra:
             decomps = [(i, k) for i in range(low)
                        if (k := at.get(kt - keys[i], -1)) > i]
             i0, k0 = decomps[0]  # extraspecial: minimal first member
-            r0, s0, kr0, ks0 = pos[i0], pos[k0], keys[i0], keys[k0]
+            kr0, ks0 = keys[i0], keys[k0]
             n0 = below(kr0, ks0) + 1
-            npos[r0, s0], npos[s0, r0] = n0, -n0
-            lt = len2[pos[j]]
+            npos[kr0, ks0], npos[ks0, kr0] = n0, -n0
+            lt = len2[kt]
             for i, k in decomps[1:]:
-                r, s, kr = pos[i], pos[k], keys[i]
-                nr, ns = neg[r], neg[s]
-                # d1 = r0 - r and d2 = s0 - r, None when not a root; then
-                # s0 - s = -d1 and r0 - s = -d2, since r0 + s0 = r + s
-                d1, d2 = roots.get(kr0 - kr), roots.get(ks0 - kr)
-                a = nany(r0, nr, d1) * nany(s0, ns, neg[d1]) if d1 else 0
-                b = nany(nr, s0, d2) * nany(r0, ns, neg[d2]) if d2 else 0
-                l1 = len2[d1] if d1 else 1
-                l2 = len2[d2] if d2 else 1
+                kr, ks = keys[i], keys[k]
+                # d1 = r0 - r and d2 = s0 - r; then s0 - s = -d1 and
+                # r0 - s = -d2, since r0 + s0 = r + s
+                d1, d2 = kr0 - kr, ks0 - kr
+                a = nany(kr0, -kr, d1) * nany(ks0, -ks, -d1) if d1 in len2 else 0
+                b = nany(-kr, ks0, d2) * nany(kr0, -ks, -d2) if d2 in len2 else 0
+                l1, l2 = len2.get(d1, 1), len2.get(d2, 1)
                 num, den = -lt * (a * l2 + b * l1), n0 * l1 * l2
                 n, rem = divmod(num, den)
                 if rem or not n:
-                    raise AssertionError(f"N{r, s} = {Fraction(num, den)} for root "
-                                         f"{pos[j]} is not a nonzero integer")
-                if abs(n) != below(kr, keys[k]) + 1:
-                    raise AssertionError(f"|N{r, s}| = {abs(n)} is not p + 1 "
-                                         f"for root {pos[j]}")
-                npos[r, s], npos[s, r] = n, -n
+                    raise AssertionError(f"N{pos[i], pos[k]} = {Fraction(num, den)} "
+                                         f"for root {pos[j]} is not a nonzero integer")
+                if abs(n) != below(kr, ks) + 1:
+                    raise AssertionError(f"|N{pos[i], pos[k]}| = {abs(n)} is not "
+                                         f"p + 1 for root {pos[j]}")
+                npos[kr, ks], npos[ks, kr] = n, -n
 
     def _nany(self, a, b, t):
-        """N(a, b) for roots a, b whose sum t = a + b is a root (Carter,
-        Thm 4.1.2); the caller has found t, from the keys.
+        """N(a, b) for the keys a, b of roots whose sum t = a + b is the key
+        of a root (Carter, Thm 4.1.2); the caller has found t.
 
         With c = -t, exactly one cyclic pair (x, y) of (a, b, c) has
         both roots of the same sign; z is the third root.  N(x, y) is read
         from the positive constants, with N(-x, -y) = -N(x, y), and
-        N(a, b) / (c, c) = N(x, y) / (z, z).  A root is positive iff it is
-        in `_pos_index`, and its negative is read from `RootSystem.neg`."""
-        pos, neg = self._pos_index, self.rs.neg
-        c = neg[t]
-        if (a in pos) == (b in pos):
+        N(a, b) / (c, c) = N(x, y) / (z, z).  A root is positive iff its
+        key is, and the key of its negative is minus its key."""
+        c = -t
+        if (a > 0) == (b > 0):
             x, y, z = a, b, c
-        elif (b in pos) == (c in pos):
+        elif (b > 0) == (c > 0):
             x, y, z = b, c, a
         else:
             x, y, z = c, a, b
-        n = self._npos[x, y] if x in pos else -self._npos[neg[x], neg[y]]
-        # (c, c) / (z, z) as a ratio of the integer `len2_numerators`
-        len2 = self.rs.len2_numerators
-        lc, lz = len2[c], len2[z]
+        n = self._npos[x, y] if x > 0 else -self._npos[-x, -y]
+        # (c, c) / (z, z) as a ratio of the integer squared-length numerators
+        lc, lz = self._len2[c], self._len2[z]
         if lc == lz:
             return n
         n, rem = divmod(n * lc, lz)
         if rem:
-            raise AssertionError(f"N{a, b} = {Fraction(n * lz + rem, lz)} "
-                                 "is not an integer")
+            roots = self._key_roots
+            raise AssertionError(f"N{roots[a], roots[b]} = "
+                                 f"{Fraction(n * lz + rem, lz)} is not an integer")
         return n
 
     # -- elements -------------------------------------------------------
@@ -294,7 +295,8 @@ class ChevalleyAlgebra:
         -<r, alpha_i^vee> X_r, and a root s gives the key of r + s with one
         int addition (see `_root_keys`): a zero key means s = -r, whose
         bracket is the coroot H_r, a root's key means r + s is that root,
-        with N read from `_nany`, and any other key brackets to 0."""
+        with N read from `_nany` on the three keys, and any other key
+        brackets to 0."""
         keys, pairings = self._keys, self.rs.pairings
         out = []
         kr = keys.get(k)
@@ -320,7 +322,7 @@ class ChevalleyAlgebra:
                 continue
             t = roots.get(kt)
             if t is not None:
-                out.append((j, t, nany(k, lbl, t)))
+                out.append((j, t, nany(kr, ks, kt)))
         return out
 
     def bracket(self, a, b):
@@ -389,11 +391,11 @@ class ChevalleyAlgebra:
               for i in range(n)]
         hs = [("H", i) for i in range(n)]
         gram = {hi: {hj: k for hj, k in zip(hs, row) if k} for hi, row in zip(hs, kh)}
-        for r in self._pos:
+        # all_roots lists the negatives in the order of the positive roots
+        for r, neg in zip(self._pos, rs.all_roots[len(self._pos):]):
             c = rs.coroots[r]
             k = sum(ci * kij * cj for ci, row in zip(c, kh)
                     for kij, cj in zip(row, c)) // 2
-            neg = rs.neg[r]
             gram[r], gram[neg] = {neg: k}, {r: k}
         return gram
 

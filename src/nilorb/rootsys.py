@@ -8,12 +8,13 @@ length 2, and `inner` reads that Gram matrix of the simple roots.  Past
 that form the build runs in integers, once per type, and keeps for every
 root r, as dicts keyed by the root tuple: its Cartan pairings
 `pairings[r]` = (<r, alpha_j^vee> for j), kept along the closure; its
-negative `neg[r]`; its squared length as the integer numerator
+squared length as the integer numerator
 `len2_numerators[r]` = (r, r) * _denom = sum_j r_j d_j <r, alpha_j^vee>,
 with d_j = (alpha_j, alpha_j)/2 over one common denominator _denom; and
-its coroot `coroots[r]` in the simple-coroot basis.  The build raises
-unless every coroot is integral and the last positive root dominates
-every positive root.
+its coroot `coroots[r]` in the simple-coroot basis.  `all_roots` lists
+the positive roots, sorted by height, then their negatives in the same
+order.  The build raises unless every coroot is integral and the last
+positive root dominates every positive root.
 """
 
 from collections import namedtuple
@@ -157,7 +158,6 @@ class RootSystem:
         # the negatives follow the positives, in the same order
         self.all_roots = self.positive_roots + negatives
         self._root_set = set(self.all_roots)
-        self.neg = dict(zip(self.all_roots, negatives + self.positive_roots))
         # pairings[r] = (<r, alpha_j^vee> for j); those of -r are negated
         rows = [pos_pairings[r] for r in self.positive_roots]
         self.pairings = dict(zip(self.all_roots,

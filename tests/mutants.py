@@ -64,6 +64,12 @@ MUTANTS = [
      "            n0 = (below(kr0, ks0) + 1) * (-1 if j == rs.rank else 1)\n",
      [TC + "test_structure_constants_match_the_fraction_oracle[G2]",
       TC + "test_every_basis_bracket_matches_the_oracle[G2]"]),
+    # `_nany` reads N(-x, -y) as N(x, y): the build's mixed-sign terms
+    # break Carter's step, and the |N| = p + 1 gate raises on C3
+    (CHEVALLEY,
+     "else -self._npos[-x, -y]",
+     "else self._npos[-x, -y]",
+     [TC + "test_structure_constants_match_the_fraction_oracle[C3]"]),
     # the unchecked constructor of computed results keeps zero coefficients
     (CHEVALLEY,
      "        x.coeffs = {k: v for k, v in coeffs.items() if v}\n",
@@ -74,13 +80,31 @@ MUTANTS = [
     (DYNKIN,
      "    for lbl in grading.piece(2):\n",
      "    for lbl in grading.piece(2)[1:]:\n",
-     [TD + "test_pairing_criterion_verdicts_and_witnesses"]),
+     [TD + "test_pairing_criterion_tests_every_degree_two_root"]),
     # the E-type exclusion threshold s - m >= 2 raised by one: fewer E6
     # diagrams are excluded
     (DYNKIN,
      "    if s - m >= 2:\n",
      "    if s - m >= 3:\n",
-     [TD + "test_exclusion_puts_n_in_n_and_the_witness_outside_n_perp[E6-692]"]),
+     [TD + "test_e_type_exclusion_verdicts"]),
+    # the dimension test skips its last k, so G2 (2,0), where only
+    # dim g_4 < dim g_6 rules out a triple, reaches the attempts
+    (DYNKIN,
+     "               for k in range(top - 1))\n",
+     "               for k in range(top - 2))\n",
+     [TD + "test_fake_g2_diagram_rejected_exactly"]),
+    # the ninth attempt vector j^2 + 1 replaced by the eighth: E8
+    # (1,0,0,1,0,1,1,0) is no longer completed
+    (DYNKIN,
+     "    yield [j * j + 1 for j in range(n)]\n",
+     "    yield [(-1) ** j * (j + 1) ** 7 for j in range(n)]\n",
+     [TD + "test_e8_diagram_found_by_the_ninth_vector"]),
+    # the orbit of a short root vector read from the first short root, not
+    # from the highest short root
+    (DYNKIN,
+     "rs.short_positive_roots()[-1]",
+     "rs.short_positive_roots()[0]",
+     [TD + "test_root_vector_diagram_matches_reflection_walk[G2]"]),
     # the key lemma tests the blocks of degree k <= -3 only
     (DYNKIN,
      "for k in grading.pieces if k <= -2)",

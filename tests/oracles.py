@@ -206,7 +206,8 @@ def basis_bracket(rs):
 
     def pairing(s, i):
         v = 2 * rs.inner(s, simple[i]) / rs.inner(simple[i], simple[i])
-        assert v.denominator == 1
+        if v.denominator != 1:
+            raise AssertionError(f"<{s}, alpha_{i + 1}^vee> = {v} is not an integer")
         return int(v)
 
     def bracket(a, b):
@@ -223,7 +224,9 @@ def basis_bracket(rs):
             out = {}
             for i, (ri, alpha) in enumerate(zip(a, simple)):
                 c = ri * rs.inner(alpha, alpha) / rs.inner(a, a)
-                assert c.denominator == 1
+                if c.denominator != 1:
+                    raise AssertionError(f"coroot coordinate {c} of {a} is not "
+                                         "an integer")
                 if c:
                     out["H", i] = int(c)
             return out

@@ -30,9 +30,20 @@ def test_algebra_command(capsys):
     assert "projective 15" in out
 
 
+# each build runs the coroot-integrality and highest-root gates, the
+# root-key width guard and the |N| = p + 1 gate; A8-D8 have the widest root
+# keys of the classical types
 @pytest.mark.parametrize("name,line", [
     ("E8", "roots 240  positive-pair constants 2240"),
-    ("A2", "roots 6  positive-pair constants 2")])
+    ("A2", "roots 6  positive-pair constants 2"),
+    ("G2", "roots 12  positive-pair constants 10"),
+    ("F4", "roots 48  positive-pair constants 136"),
+    ("E6", "roots 72  positive-pair constants 240"),
+    ("E7", "roots 126  positive-pair constants 672"),
+    ("A8", "roots 72  positive-pair constants 168"),
+    ("B8", "roots 128  positive-pair constants 560"),
+    ("C8", "roots 128  positive-pair constants 560"),
+    ("D8", "roots 112  positive-pair constants 448")])
 def test_algebra_command_reports_the_build(capsys, name, line):
     code, out, _ = run(capsys, "algebra", name)
     assert code == 0
@@ -85,12 +96,19 @@ def test_check_pairing_pass_and_fail(capsys):
     code, out, _ = run(capsys, "check", "pairing", "--type", "G2",
                        "--diagram", "0,2")
     assert code == 1 and "fails" in out and "witness" in out
+    code, out, _ = run(capsys, "check", "pairing", "--type", "G2",
+                       "--diagram", "2,0")
+    assert code == 0 and out.splitlines() == ["pairing criterion: holds"]
 
 
 def test_check_exclusion(capsys):
-    code, out, _ = run(capsys, "check", "exclusion", "--type", "F4",
-                       "--diagram", "1,1,0,0")
-    assert code == 0 and "excluded" in out
+    for name, diagram, status in (("F4", "1,1,0,0", "excluded"),
+                                  ("E6", "1,1,1,1,1,1", "excluded"),
+                                  ("F4", "0,0,0,1", "not_excluded"),
+                                  ("E7", "2,0,0,0,0,0,0", "degree_two_case")):
+        code, out, _ = run(capsys, "check", "exclusion", "--type", name,
+                           "--diagram", diagram)
+        assert code == 0 and out.startswith(f"exclusion: {status} "), name
     code, _, err = run(capsys, "check", "exclusion", "--type", "B3",
                        "--diagram", "0,1,0")
     assert code == 2
@@ -126,10 +144,18 @@ def test_check_table_missing_file_is_usage_error(capsys, tmp_path):
 
 
 def test_check_key_lemma(capsys):
-    code, out, _ = run(capsys, "check", "key-lemma", "--type", "G2",
-                       "--diagram", "0,1")
-    assert code == 0
-    assert "kernel dim: 0" in out
+    for name, diagram in (("G2", "0,1"), ("F4", "0,0,0,1")):
+        code, out, _ = run(capsys, "check", "key-lemma", "--type", name,
+                           "--diagram", diagram)
+        assert code == 0
+        lines = out.splitlines()
+        assert "centralizer contained in n-perp: True" in lines
+        assert "extended-2-form kernel dim: 0" in lines
+    # G2 (2,0) fails the dimension test: dim g_4 = 1 < dim g_6 = 2
+    code, out, err = run(capsys, "check", "key-lemma", "--type", "G2",
+                         "--diagram", "2,0")
+    assert code == 2 and not out
+    assert "no sl2-triple" in err
 
 
 def test_model_demo(capsys):
@@ -137,6 +163,11 @@ def test_model_demo(capsys):
     assert code == 0
     assert "jordan type (2, 1, 1)" in out
     assert "kostant-kirillov rank 4" in out
+    code, out, _ = run(capsys, "model", "sp", "--n", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert "jordan type (2, 1, 1, 1, 1)" in lines
+    assert "kostant-kirillov rank 6" in lines
 
 
 def test_verify_unknown_suite(capsys):

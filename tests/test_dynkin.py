@@ -277,8 +277,9 @@ def test_e_type_exclusion_verdicts():
     assert v.status == "excluded"
     v = e_type_exclusion(minimal_orbit_diagram(alg))
     assert v.status == "not_excluded"
+    # s = 2 and every end-node label is 0, so s - m = 2 excludes it
     v = e_type_exclusion(_wd("E6", (0, 0, 1, 0, 1, 0)))
-    assert v.status in ("excluded", "degree_two_case")
+    assert (v.status, v.detail["s"], v.detail["m"]) == ("excluded", 2, 0)
 
 
 def _exclusion(wd):
@@ -667,10 +668,14 @@ def test_pairing_criterion_verdicts_and_witnesses():
 
 def test_pairing_criterion_tests_every_degree_two_root():
     """On B3 (2,0,0), g_2 = C^5 and ad(X_beta) is injective on g_-2 only
-    for its zero weight (1,1,1); the pairing fails also when that root
-    comes first in `piece(2)`."""
+    for its zero weight (1,1,1).  The first root (1,0,0) of `piece(2)` is
+    the witness, and the pairing fails also when the zero weight comes
+    first."""
     alg = build_algebra("B3")
     grading = _grading("B3", (2, 0, 0))
+    assert grading.piece(2)[0] == (1, 0, 0)
+    assert pairing_criterion(grading).witness == ({(1, 0, 0): 1},
+                                                  {(-1, -2, -2): 1})
     zero_weight = (1, 1, 1)
     assert not dynkin._bracket_kernel(grading, {zero_weight: 1})
     g2 = grading.pieces[2]
