@@ -5,7 +5,8 @@ orbit, check, model) and `verify-paper` replays the whole battery of
 lemma-level checks as a deterministic suite with machine-readable output.
 
 `SUITES` is the only definition of the paper's 11 criteria; the acceptance
-tests assert on its verdicts.  Gradings are built with `dynkin.Grading(alg,
+tests assert on its verdicts, which `run_suites` labels (`ref`) with the
+name of their suite.  Gradings are built with `dynkin.Grading(alg,
 wd)` from a weighted diagram, and the graded procedures take the grading
 alone.  `check exclusion` passes the diagram alone to the E- and F4-tests,
 which read only root data, so it builds no algebra and no grading.
@@ -24,9 +25,9 @@ from .rootsys import CartanType, build_root_system
 
 
 class VerdictReport:
-    def __init__(self, name, ref, status, detail="", witness=None):
+    def __init__(self, name, status, detail="", witness=None):
         self.name = name
-        self.ref = ref
+        self.ref = None             # the suite's name, set by `run_suites`
         self.status = status        # 'pass' | 'fail' | 'error'
         self.detail = detail
         self.witness = {} if witness is None else witness
@@ -49,8 +50,8 @@ class VerdictReport:
         }
 
 
-def _report(name, ref, ok, detail="", witness=None):
-    return VerdictReport(name, ref, "pass" if ok else "fail", detail, witness)
+def _report(name, ok, detail="", witness=None):
+    return VerdictReport(name, "pass" if ok else "fail", detail, witness)
 
 
 # ---------------------------------------------------------------- suites
@@ -65,8 +66,8 @@ def suite_exceptional_dimensions(seed):
         x = alg.root_vector(alg.rs.highest_root())
         got = alg.projective_orbit_dimension(x)
         out.append(_report(
-            f"min-orbit-proj-dim-{name}", "exceptional-dimensions",
-            got == expect, f"expected {expect}, got {got}"))
+            f"min-orbit-proj-dim-{name}", got == expect,
+            f"expected {expect}, got {got}"))
     return out
 
 
@@ -93,7 +94,7 @@ def suite_classical_dimensions(seed):
             ok = ok and proj == 2 * l - 1
             detail += f"; projective {proj} (expect {2 * l - 1})"
         out.append(_report(
-            f"min-orbit-dim-{fam}{l}", "classical-dimensions", ok, detail))
+            f"min-orbit-dim-{fam}{l}", ok, detail))
     return out
 
 
@@ -109,10 +110,10 @@ def suite_closure_order(seed):
         codims = [poset.boundary_codim(o) for o in poset.nonzero_orbits()]
         ok_codim = all(c >= 2 for c in codims)
         out.append(_report(
-            f"unique-minimal-{fam}{l}", "closure-order", ok_min,
+            f"unique-minimal-{fam}{l}", ok_min,
             f"minimal nonzero orbits: {[str(o) for o in mins]}"))
         out.append(_report(
-            f"boundary-codim-{fam}{l}", "closure-order", ok_codim,
+            f"boundary-codim-{fam}{l}", ok_codim,
             f"codims {sorted(set(codims))}"))
     return out
 
@@ -148,7 +149,7 @@ def suite_nilpotency_equivalences(seed):
         if rep.bracket_eigen_solvable or rep.centralizer_orthogonal or rep.ad_nilpotent:
             bad.append(("semisimple", alg.rs.cartan_type, i))
     return [_report(
-        "nilpotency-three-criteria", "nilpotency-equivalences", not bad,
+        "nilpotency-three-criteria", not bad,
         f"50 nilpotent + 50 semisimple fixtures over {_NILP_TYPES}",
         witness={"disagreements": [str(b) for b in bad]})]
 
@@ -174,7 +175,7 @@ def suite_g2_classification(seed):
         ok = verdict.status == expect and (
             expect == "holds" or verdict.witness is not None)
         out.append(_report(
-            f"pairing-G2-{name}", "g2-classification", ok,
+            f"pairing-G2-{name}", ok,
             f"diagram {wd.labels}: {verdict.status}",
             witness={"witness": repr(verdict.witness)} if verdict.witness else {}))
     return out
@@ -205,7 +206,7 @@ def suite_short_diagrams(seed):
         wd = dynkin.diagram_of_root_vector_orbit(alg.rs, short)
         ok = _matches_display(name[0], wd.labels)
         out.append(_report(
-            f"short-diagram-{name}", "short-diagrams", ok,
+            f"short-diagram-{name}", ok,
             f"computed {wd.labels}"))
     # highest-root value 2 on every minimal-orbit grading element
     for name in ([f"{fam}{l}" for fam, l in _CLASSICAL_SMALL]
@@ -215,8 +216,7 @@ def suite_short_diagrams(seed):
         grading = dynkin.Grading(alg, wd)
         theta = alg.rs.highest_root()
         out.append(_report(
-            f"theta-H-2-{name}", "short-diagrams",
-            grading.degree[theta] == 2,
+            f"theta-H-2-{name}", grading.degree[theta] == 2,
             f"theta degree {grading.degree[theta]}"))
     return out
 
@@ -228,7 +228,7 @@ def suite_f4_exclusion(seed):
     cneg = alg.root_vector(tuple(-c for c in dynkin.F4_GAMMA))
     br = alg.bracket(a + b, cneg)
     out = [_report(
-        "f4-bracket-vanishes", "f4-exclusion", br.is_zero(),
+        "f4-bracket-vanishes", br.is_zero(),
         f"[X_a + X_b, X_-c] = {br!r}")]
     missed = []
     for labels in product((0, 1, 2), repeat=4):
@@ -239,7 +239,7 @@ def suite_f4_exclusion(seed):
         if v.status != "excluded":
             missed.append(labels)
     out.append(_report(
-        "f4-exclusion-fires", "f4-exclusion", not missed,
+        "f4-exclusion-fires", not missed,
         "all diagrams with l1+l2+l3 >= 2 excluded",
         witness={"missed": [list(m) for m in missed]}))
     return out
@@ -254,7 +254,7 @@ def suite_e_type_facts(seed):
             facts["sigma_minus_end_is_root"].values()
         ) and all(facts["orthogonal_pairs"].values())
         out.append(_report(
-            f"simple-root-sum-{name}", "e-type-facts", ok,
+            f"simple-root-sum-{name}", ok,
             f"sigma root, ends {facts['ends']}, "
             f"orthogonal pairs {facts['orthogonal_pairs']}"))
     alg = chevalley.build_algebra("E8")
@@ -271,7 +271,7 @@ def suite_e_type_facts(seed):
         and rs.inner(lam, mu) == 0
     )
     out.append(_report(
-        "e8-two-orthogonal-degree2-roots", "e-type-facts", ok,
+        "e8-two-orthogonal-degree2-roots", ok,
         f"lambda {lam}, mu {mu}"))
     return out
 
@@ -279,7 +279,7 @@ def suite_e_type_facts(seed):
 def suite_shared_orbit_table(seed):
     rep = curated.validate_tables()
     return [_report(
-        "shared-orbit-table", "shared-orbit-table", rep.ok, rep.summary())]
+        "shared-orbit-table", rep.ok, rep.summary())]
 
 
 def suite_sp_model(seed):
@@ -298,13 +298,13 @@ def suite_sp_model(seed):
             and kk == 2 * n == partitions.orbit_dim(o)
         )
         out.append(_report(
-            f"sp-model-n{n}", "sp-model", ok,
+            f"sp-model-n{n}", ok,
             f"fiber {len(fib)}, jordan {jt}, kk-rank {kk}"))
     for ns, expect in [([1], 1), ([1, 1], 2), ([1, 2, 1], 4)]:
         deg = matmodel.product_cover_degree(ns)
         out.append(_report(
-            f"product-degree-{'x'.join(map(str, ns))}", "sp-model",
-            deg == expect, f"degree {deg} (expect {expect})"))
+            f"product-degree-{'x'.join(map(str, ns))}", deg == expect,
+            f"degree {deg} (expect {expect})"))
     return out
 
 
@@ -323,7 +323,7 @@ def suite_property_battery(seed):
                    + alg.bracket(z, alg.bracket(x, y)))
             bad += not lhs.is_zero()
     out.append(_report(
-        "jacobi-random", "property-battery", bad == 0,
+        "jacobi-random", bad == 0,
         "120 random triples over A2/B2/G2"))
     # Killing invariance
     bad = 0
@@ -335,7 +335,7 @@ def suite_property_battery(seed):
             bad += alg.killing(alg.bracket(x, y), z) != alg.killing(
                 x, alg.bracket(y, z))
     out.append(_report(
-        "killing-invariance", "property-battery", bad == 0,
+        "killing-invariance", bad == 0,
         "100 random triples over B2/G2"))
     # grading compatibility: bracket of homogeneous pieces is homogeneous
     bad = 0
@@ -352,7 +352,7 @@ def suite_property_battery(seed):
             checks += 1
             bad += any(grading.degree[lbl] != da + db for lbl in br.coeffs)
     out.append(_report(
-        "grading-compatibility", "property-battery", bad == 0,
+        "grading-compatibility", bad == 0,
         f"{checks} homogeneous bracket checks"))
     # extended-2-form kernel vanishes at generic degree-2 points
     bad = []
@@ -366,7 +366,7 @@ def suite_property_battery(seed):
         if k != 0:
             bad.append((name, labels_wd, k))
     out.append(_report(
-        "omega-kernel-zero", "property-battery", not bad,
+        "omega-kernel-zero", not bad,
         "kernel dim 0 at generic degree-2 elements",
         witness={"nonzero": [str(b) for b in bad]}))
     return out
@@ -402,10 +402,11 @@ def run_suites(only=None, seed=0):
         except Exception as exc:  # suite boundary: report it, run the others
             import traceback  # only this path needs it, and it is slow to import
             suite_reports = [VerdictReport(
-                name, name, "error", f"{type(exc).__name__}: {exc}",
+                name, "error", f"{type(exc).__name__}: {exc}",
                 {"traceback": traceback.format_exc().splitlines()})]
         # a check's runtime is the time since its suite's previous verdict
         for r in suite_reports:
+            r.ref = name
             r.runtime, prev = r.created - prev, r.created
         reports.extend(suite_reports)
     return reports

@@ -223,7 +223,9 @@ NilpotencyReport = namedtuple(
 
 def nilpotency_report(n):
     """Evaluate the three equivalent nilpotency conditions on a nonzero
-    element and raise if the verdicts disagree.
+    element and report each verdict; whether they agree is for the caller
+    to judge (the `nilpotency-equivalences` suite of `verify-paper` fails,
+    naming the fixture, if they do not).
 
     ad(N) is built once.  One reduction of [ad(N) | -N] decides whether
     some H solves [H, N] = N and gives the centralizer ker ad(N); the
@@ -240,13 +242,7 @@ def nilpotency_report(n):
         alg.killing(alg.element({labels[j]: c for j, c in enumerate(z)}), n) == 0
         for z in kernel
     )
-    nil = linalg.is_nilpotent(ad)
-    if not iv == v == nil:
-        raise AssertionError(
-            f"nilpotency criteria disagree: [H, N] = N solvable {iv}, "
-            f"K(z_N, N) = 0 {v}, ad-nilpotent {nil}"
-        )
-    return NilpotencyReport(iv, v, nil)
+    return NilpotencyReport(iv, v, linalg.is_nilpotent(ad))
 
 
 def centralizer_in_n_perp(grading, n):

@@ -3,11 +3,13 @@
 Simple roots are numbered as in Bourbaki's planches (see README for the
 table).  Roots are stored as integer coordinate tuples in the simple-root
 basis.  The symmetric form comes from a realization of the simple roots in
-a rational Euclidean space, rescaled so that long roots have squared
-length 2, and `inner` reads that Gram matrix of the simple roots.  Past
-that form the build runs in integers, once per type, and keeps for every
-root r, as dicts keyed by the root tuple: its Cartan pairings
-`pairings[r]` = (<r, alpha_j^vee> for j), kept along the closure; its
+a rational Euclidean space, the planche vectors, and nothing else: the
+build rescales their dot products by 2 / max_j (alpha_j . alpha_j), so
+that long roots have squared length 2, and `inner` reads that Gram matrix
+of the simple roots.  Past that form the build runs in integers, once per
+type, and keeps for every root r, as dicts keyed by the root tuple: its
+Cartan pairings `pairings[r]` = (<r, alpha_j^vee> for j), kept along the
+closure, whose keys are the roots that `is_root` looks up; its
 squared length as the integer numerator
 `len2_numerators[r]` = (r, r) * _denom = sum_j r_j d_j <r, alpha_j^vee>,
 with d_j = (alpha_j, alpha_j)/2 over one common denominator _denom; and
@@ -63,60 +65,29 @@ class CartanType(namedtuple("CartanType", "family rank")):
 
 
 def _simple_roots_epsilon(t):
-    """Bourbaki simple roots in an ambient rational space, plus the factor
-    by which the Euclidean dot product is rescaled (long roots -> length 2)."""
+    """Bourbaki simple roots in an ambient rational space (the planche
+    vectors), as dense Fraction lists; the ambient dimension is one past
+    the largest coordinate any of them uses.  `RootSystem` derives the
+    scale of the form from them."""
     fam, l = t.family, t.rank
-    F = Fraction
-
-    def e(i, dim):
-        v = [F(0)] * dim
-        v[i] = F(1)
-        return v
-
-    if fam == "A":
-        dim = l + 1
-        roots = [[a - b for a, b in zip(e(i, dim), e(i + 1, dim))] for i in range(l)]
-        return roots, F(1)
-    if fam == "B":
-        roots = [[a - b for a, b in zip(e(i, l), e(i + 1, l))] for i in range(l - 1)]
-        roots.append(e(l - 1, l))
-        return roots, F(1)
-    if fam == "C":
-        roots = [[a - b for a, b in zip(e(i, l), e(i + 1, l))] for i in range(l - 1)]
-        last = e(l - 1, l)
-        roots.append([2 * x for x in last])
-        return roots, F(1, 2)
-    if fam == "D":
-        roots = [[a - b for a, b in zip(e(i, l), e(i + 1, l))] for i in range(l - 1)]
-        roots.append([a + b for a, b in zip(e(l - 2, l), e(l - 1, l))])
-        return roots, F(1)
-    if fam == "E":
-        dim = 8
-        a1 = [F(1, 2), -F(1, 2), -F(1, 2), -F(1, 2), -F(1, 2), -F(1, 2), -F(1, 2), F(1, 2)]
-        a2 = [F(1), F(1), F(0), F(0), F(0), F(0), F(0), F(0)]
-        roots = [a1, a2]
-        for k in range(3, l + 1):
-            # alpha_k = e_{k-2} - e_{k-3} in 0-based coordinates
-            v = [F(0)] * dim
-            v[k - 2] = F(1)
-            v[k - 3] = F(-1)
-            roots.append(v)
-        return roots, F(1)
-    if fam == "F":
-        F1 = F(1)
-        roots = [
-            [F(0), F1, -F1, F(0)],
-            [F(0), F(0), F1, -F1],
-            [F(0), F(0), F(0), F1],
-            [F(1, 2), -F(1, 2), -F(1, 2), -F(1, 2)],
-        ]
-        return roots, F(1)
-    # G, the last family `CartanType` admits
-    roots = [
-        [F(1), F(-1), F(0)],
-        [F(-2), F(1), F(1)],
-    ]
-    return roots, F(1, 3)
+    h = Fraction(1, 2)
+    # each vector is a sparse sum of e_i, {0-based coordinate: coefficient}
+    if fam in "ABCD":
+        # alpha_i = e_i - e_(i+1) for i < l (A) or i < l - 1 (B, C, D)
+        n = l if fam == "A" else l - 1
+        vecs = [{i: 1, i + 1: -1} for i in range(n)]
+        vecs += {"A": [], "B": [{n: 1}], "C": [{n: 2}], "D": [{n - 1: 1, n: 1}]}[fam]
+    elif fam == "E":
+        # alpha_1 = (e_1 + e_8 - e_2 - ... - e_7) / 2, alpha_2 = e_1 + e_2,
+        # alpha_k = e_(k-1) - e_(k-2) for k >= 3
+        vecs = [{i: h if i in (0, 7) else -h for i in range(8)}, {0: 1, 1: 1}]
+        vecs += [{k - 2: 1, k - 3: -1} for k in range(3, l + 1)]
+    elif fam == "F":
+        vecs = [{1: 1, 2: -1}, {2: 1, 3: -1}, {3: 1}, {0: h, 1: -h, 2: -h, 3: -h}]
+    else:  # G, the last family `CartanType` admits
+        vecs = [{0: 1, 1: -1}, {0: -2, 1: 1, 2: 1}]
+    dim = 1 + max(max(v) for v in vecs)
+    return [[Fraction(v.get(i, 0)) for i in range(dim)] for v in vecs]
 
 
 def _dot(u, v):
@@ -132,14 +103,14 @@ class RootSystem:
     def __init__(self, cartan_type):
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
-        simple_eps, scale = _simple_roots_epsilon(cartan_type)
-        self._simple_eps = simple_eps
+        self._simple_eps = eps = _simple_roots_epsilon(cartan_type)
         n = self.rank
-        # sym_form[i][j] = (alpha_i, alpha_j), long roots of squared length 2
-        self.sym_form = [
-            [scale * _dot(simple_eps[i], simple_eps[j]) for j in range(n)]
-            for i in range(n)
-        ]
+        # sym_form[i][j] = (alpha_i, alpha_j): the dot products, rescaled so
+        # that the longest simple roots have squared length 2; every root is
+        # a Weyl conjugate of a simple root, so these are the long roots
+        dots = [[_dot(u, v) for v in eps] for u in eps]
+        scale = 2 / max(dots[j][j] for j in range(n))
+        self.sym_form = [[scale * x for x in row] for row in dots]
         # cartan_matrix[i][j] = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)
         self.cartan_matrix = [
             [int(2 * self.sym_form[i][j] / self.sym_form[j][j]) for j in range(n)]
@@ -157,7 +128,6 @@ class RootSystem:
         negatives = [tuple(-c for c in r) for r in self.positive_roots]
         # the negatives follow the positives, in the same order
         self.all_roots = self.positive_roots + negatives
-        self._root_set = set(self.all_roots)
         # pairings[r] = (<r, alpha_j^vee> for j); those of -r are negated
         rows = [pos_pairings[r] for r in self.positive_roots]
         self.pairings = dict(zip(self.all_roots,
@@ -224,7 +194,7 @@ class RootSystem:
     # -- queries --------------------------------------------------------
 
     def is_root(self, coords):
-        return tuple(coords) in self._root_set
+        return tuple(coords) in self.pairings
 
     def inner(self, r, s):
         """Exact inner product (r, s) = sum_ij r_i s_j (alpha_i, alpha_j),

@@ -25,11 +25,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHEVALLEY = "src/nilorb/chevalley.py"
+CLI = "src/nilorb/cli.py"
 DYNKIN = "src/nilorb/dynkin.py"
 MATMODEL = "src/nilorb/matmodel.py"
 PARTITIONS = "src/nilorb/partitions.py"
+ROOTSYS = "src/nilorb/rootsys.py"
 TC = "tests/test_chevalley.py::"
 TD = "tests/test_dynkin.py::"
+TR = "tests/test_rootsys.py::"
 
 MUTANTS = [
     # the zero-sum key branch of `_row` never taken: [X_r, X_-r] reads 0,
@@ -110,6 +113,26 @@ MUTANTS = [
      "for k in grading.pieces if k <= -2)",
      "for k in grading.pieces if k <= -3)",
      [TD + "test_key_lemma_procedures_match_full_algebra_oracles[G2]"]),
+    # the form scaled by the shortest simple root: the long roots of a
+    # doubly laced type get squared length 4
+    (ROOTSYS,
+     "scale = 2 / max(",
+     "scale = 2 / min(",
+     [TR + "test_long_roots_have_squared_length_two"]),
+    # the A-D chain built as e_i + e_(i+1): the off-diagonal Cartan
+    # entries turn positive, the closure finds only the simple roots, and
+    # the highest-root gate raises
+    (ROOTSYS,
+     "vecs = [{i: 1, i + 1: -1} for i in range(n)]",
+     "vecs = [{i: 1, i + 1: 1} for i in range(n)]",
+     [TR + "test_root_counts[A3-12]", TR + "test_root_counts[B3-18]"]),
+    # the nilpotency suite no longer asks the nilpotent fixtures for
+    # ad-nilpotency, so a library whose power test is wrong passes it
+    (CLI,
+     "                and rep.ad_nilpotent):\n",
+     "                ):\n",
+     ["tests/test_cli.py::test_verify_nilpotency_disagreement_is_a_fail"
+      "[False-nilpotent]"]),
     # `fiber` returns [w, w] in place of the sign pair
     (MATMODEL,
      "    return [w, tuple(-x for x in w)]\n",

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nilorb import cli
+from nilorb import cli, linalg
 
 
 def run(capsys, *argv):
@@ -68,6 +68,14 @@ def test_orbit_info_requires_partition(capsys):
     code, _, err = run(capsys, "orbit", "info", "--type", "C3")
     assert code == 2
     assert "partition" in err
+
+
+def test_check_requires_type_and_diagram(capsys):
+    for argv in (("check", "pairing"), ("check", "pairing", "--type", "G2"),
+                 ("check", "key-lemma", "--diagram", "0,1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"check {argv[1]} requires --type and --diagram\n"
 
 
 def test_orbit_invalid_partition_exit_2(capsys):
@@ -236,11 +244,32 @@ def test_verify_suite_exception_becomes_error_report(capsys, monkeypatch):
     assert refs == {"closure-order", "g2-classification"}
 
 
+# is_nilpotent forced to False makes the nilpotent fixtures disagree, forced
+# to True the semisimple ones: the suite fails and names them, it does not
+# crash
+@pytest.mark.parametrize("forced,kind", [(False, "nilpotent"), (True, "semisimple")])
+def test_verify_nilpotency_disagreement_is_a_fail(capsys, monkeypatch, forced, kind):
+    monkeypatch.setattr(linalg, "is_nilpotent", lambda m: forced)
+    code, out, _ = run(capsys, "verify-paper", "--only",
+                       "nilpotency-equivalences", "--json")
+    assert code == 1
+    [report] = json.loads(out)["reports"]
+    assert (report["ref"], report["status"]) == ("nilpotency-equivalences", "fail")
+    found = report["witness"]["disagreements"]
+    assert found and all(d.startswith(f"('{kind}', CartanType(") for d in found)
+    # the text report prints the witness of the failing check
+    code, out, _ = run(capsys, "verify-paper", "--only", "nilpotency-equivalences")
+    lines = out.splitlines()
+    assert code == 1 and lines[-1] == "0/1 checks passed"
+    assert lines[0].startswith("[FAIL] nilpotency-equivalences/nilpotency-three-criteria ")
+    assert lines[1] == f"       witness: {report['witness']}"
+
+
 def test_verify_runtimes_are_per_check(monkeypatch):
     def two_checks(seed):
         time.sleep(0.05)
-        first = cli._report("slow", "two-checks", True)
-        return [first, cli._report("fast", "two-checks", True)]
+        first = cli._report("slow", True)
+        return [first, cli._report("fast", True)]
 
     monkeypatch.setattr(cli, "SUITES", [("two-checks", (), two_checks)])
     slow, fast = cli.run_suites()

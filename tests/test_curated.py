@@ -81,6 +81,33 @@ def test_parse_errors_carry_line_numbers():
             (f"line 2 ({g},{g_prime})", "orbit_valid", f"invalid rank 0 for family {family}")]
 
 
+def test_blank_lines_are_skipped_and_degree_zero_is_rejected():
+    text = "g\tg_prime\torbit\tdegree\n\nA2\tG2\t3\t3\n  \n"
+    assert load_shared_table(text) == [SharedOrbitRecord("A2", "G2", "3", 3, line=3)]
+    with pytest.raises(ValueError,
+                       match="^line 2: degree must be a positive integer$"):
+        load_shared_table("g\tg_prime\torbit\tdegree\nA2\tG2\t3\t0\n")
+
+
+def test_unpaddable_orbit_fails_validation():
+    # B_l acts on 2l + 1 coordinates, which parts of size 2 cannot fill
+    rec = SharedOrbitRecord("Bl", "D(l+1)", "2,2*", 2, line=2)
+    rep = validate_tables([rec], load_exceptional_table())
+    bad = [f for f in rep.failures() if f.check != "row_count"]
+    assert [(f.row, f.check, f.detail) for f in bad] == [
+        (f"line 2 (Bl,D(l+1)) l={l}", "orbit_valid",
+         f"cannot pad 2,2* to size {2 * l + 1}") for l in range(2, 6)]
+    assert "FAIL line 2 (Bl,D(l+1)) l=2: orbit_valid cannot pad" in rep.summary()
+
+
+def test_exceptional_row_without_metadata_fails_validation():
+    # the packaged metadata has no F4 subregular orbit
+    rec = SharedOrbitRecord("F4", "E6", "sub", 2, line=2)
+    rep = validate_tables([rec], load_exceptional_table())
+    rows = [(r.row, r.check, r.ok) for r in rep.results if r.row.startswith("line 2")]
+    assert rows == [("line 2 (F4,E6)", "exceptional_metadata_present", False)]
+
+
 @pytest.mark.parametrize("spec", ["A", "A+1", "B(l", "Bl)", "Al2", "A(l)"])
 @pytest.mark.parametrize("column", [0, 1])
 def test_malformed_type_spec_rejected_with_line(spec, column):
