@@ -18,13 +18,16 @@ build raises unless every constant is a nonzero integer with |N| = p+1.
 The same keys serve every bracket of two root vectors, whose sum r + s is
 one int addition and one dict lookup.  `_row` is the only map from a basis
 pair to its bracket: it brackets one basis label with a list of labels in
-one loop, and both `bracket` and `ad_entries` read it, one row per label;
-no row is stored.  There is no runtime Jacobi check: the constants depend
-on the Cartan type alone, and
-`tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
-proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8, by
-checking that ad(X_{+-alpha_i}) is a derivation and that these generators
-span the algebra.
+one loop.  `ad_entries` reads it, one row per label.  `bracket` reads a
+stored table instead, one row per basis position, each filled from `_row`
+on first use (see `_fill`): the N of each column as a signed byte and the
+basis position of the result as an unsigned 16-bit int, with the one
+column [X_r, X_-r] = H_r marked and read from the coroot of r.  There is
+no runtime Jacobi check: the constants depend on the Cartan type alone,
+and `tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
+proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8 on
+the stored table, by checking that ad(X_{+-alpha_i}) is a derivation and
+that these generators span the algebra.
 Every other constant is read from the positive ones by one rule over the
 integer squared-length numerators of the keys, `_len2` (see `_nany`, the
 only map from a pair of root keys to N, which the build's mixed-sign terms
@@ -147,6 +150,10 @@ class ChevalleyAlgebra:
         self.dim = len(rs.all_roots) + rs.rank
         self.basis_labels = list(rs.all_roots) + [("H", i) for i in range(rs.rank)]
         self.index = {lbl: i for i, lbl in enumerate(self.basis_labels)}
+        self._nroots = len(rs.all_roots)  # the position of H_0
+        # the stored bracket table: one slot per basis position, filled by
+        # `_fill` on first use
+        self._rows = [None] * self.dim
         self._pos = rs.positive_roots
         # the key of each root, the root of each key (see `_root_keys`) and
         # the squared-length numerator of each key; all_roots lists the
@@ -325,16 +332,81 @@ class ChevalleyAlgebra:
                 out.append((j, t, nany(kr, ks, kt)))
         return out
 
+    def _fill(self, i):
+        """The stored row of the basis position i, filled from `_row` on
+        its first use: two arrays indexed by basis position j, the N of
+        [e_i, e_j] = N e_t as a signed byte (0 when the bracket is 0) and
+        the position of t as an unsigned 16-bit int.  The one column of a
+        root row whose bracket is not a multiple of a basis element,
+        [X_r, X_-r] = H_r, holds N = 1 and the position `dim`, one past the
+        last; readers take its terms from `RootSystem.coroots`.  Every N
+        lies in [-3, 3]; a dim above 65535 (A_256, B_181 and up) raises
+        OverflowError on the first fill.
+
+        On 64-bit CPython 3.11 the rows of E7 and E8 take 0.33 MB as
+        `array`s, and 0.54 MB as memoryviews of bytearrays, whose object
+        headers outweigh a row of E7.  `array` is imported on the first
+        fill, so that importing the module does not pay for it."""
+        from array import array
+
+        dim, labels, index = self.dim, self.basis_labels, self.index
+        ns, ts = array("b", [0]) * dim, array("H", [0]) * dim
+        root_row = i < self._nroots
+        for j, t, v in self._row(labels[i], labels):
+            if root_row and t[0] == "H":
+                ns[j], ts[j] = 1, dim
+            else:
+                ns[j], ts[j] = v, index[t]
+        row = self._rows[i] = ns, ts
+        return row
+
+    def table_row(self, i):
+        """The nonzero brackets of the basis element at position i with
+        every basis element, read from its stored row (see `_fill`), the
+        row `bracket` reads: the triples (j, m, v) with v the e_m
+        coefficient of [e_i, e_j], v != 0, in the order of j; the coroot
+        column gives one triple per nonzero coordinate of the coroot."""
+        ns, ts = self._rows[i] or self._fill(i)
+        out = []
+        for j, n in enumerate(ns):
+            if not n:
+                continue
+            t = ts[j]
+            if t == self.dim:
+                out.extend((j, q, h) for q, h in enumerate(
+                    self.rs.coroots[self.basis_labels[i]], self._nroots) if h)
+            else:
+                out.append((j, t, n))
+        return out
+
     def bracket(self, a, b):
+        """[a, b], read from the stored rows (see `_fill`) of the labels
+        of a: b's labels are resolved to basis positions once per call."""
         a._check(b)
         if a.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        labels, cb = list(b.coeffs), list(b.coeffs.values())
-        out = {}
+        index, rows, coroots = self.index, self._rows, self.rs.coroots
+        mark, h0 = self.dim, self._nroots
+        cols = [(index[k], c) for k, c in b.coeffs.items()]
+        out = {}  # basis position -> coefficient
         for k1, c1 in a.coeffs.items():
-            for j, t, v in self._row(k1, labels):
-                out[t] = out.get(t, 0) + c1 * cb[j] * v
-        return LieElement._computed(self, out)
+            i = index[k1]
+            ns, ts = rows[i] or self._fill(i)
+            for j, c2 in cols:
+                n = ns[j]
+                if not n:
+                    continue
+                t = ts[j]
+                if t == mark:
+                    # [X_r, X_-r] = H_r
+                    c = c1 * c2
+                    for q, h in enumerate(coroots[k1], h0):
+                        if h:
+                            out[q] = out.get(q, 0) + c * h
+                else:
+                    out[t] = out.get(t, 0) + c1 * c2 * n
+        labels = self.basis_labels
+        return LieElement._computed(self, {labels[t]: v for t, v in out.items()})
 
     def ad_entries(self, labels, src, dst):
         """For each basis label k in `labels`, the nonzero entries (i, j, v)

@@ -193,9 +193,7 @@ def _matches_display(fam, labels):
         if l == 2:
             return labels == (0, 2)
         return labels == (0, 1) + (0,) * (l - 2)
-    if fam == "F":
-        return labels == (0, 0, 0, 1)
-    return False
+    return labels == (0, 0, 0, 1)  # F
 
 
 def suite_short_diagrams(seed):
@@ -436,7 +434,11 @@ def cmd_roots(args):
 def cmd_algebra(args):
     alg = chevalley.build_algebra(args.type)
     print(f"type {alg.rs.cartan_type}  dim {alg.dim}")
-    print(f"roots {len(alg.rs.all_roots)}  positive-pair constants {len(alg._npos)}")
+    # the ordered basis pairs with a nonzero bracket, one per nonzero column
+    # of the stored rows (the coroot column gives several entries)
+    nonzero = sum(len({j for j, _, _ in alg.table_row(i)}) for i in range(alg.dim))
+    print(f"roots {len(alg.rs.all_roots)}  positive-pair constants {len(alg._npos)}"
+          f"  nonzero basis brackets {nonzero}")
     if args.orbit_dim_min:
         x = alg.root_vector(alg.rs.highest_root())
         print(f"minimal orbit dim {alg.orbit_dimension(x)}"

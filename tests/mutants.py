@@ -42,6 +42,22 @@ MUTANTS = [
      "            if False:\n",
      [TC + "test_sl2_relations",
       TC + "test_every_basis_bracket_matches_the_oracle[A2]"]),
+    # one stored entry of the bracket table flipped, that of
+    # [X_alpha_n, H_n] = -2 X_alpha_n (position 0 holds the last simple
+    # root, and dim - 1 the last H)
+    (CHEVALLEY,
+     "                ns[j], ts[j] = v, index[t]\n",
+     "                ns[j], ts[j] = (-v if (i, j) == (0, dim - 1) else v), index[t]\n",
+     [TC + "test_jacobi_identity_from_chevalley_generators[A2]",
+      TC + "test_every_basis_bracket_matches_the_oracle[A2]",
+      TC + "test_stored_rows_are_compact_and_match_the_row_map"]),
+    # the coroot column of the stored table reads 0: [X_r, X_-r] = 0
+    (CHEVALLEY,
+     "                ns[j], ts[j] = 1, dim\n",
+     "                ns[j], ts[j] = 0, dim\n",
+     [TC + "test_sl2_relations",
+      TC + "test_jacobi_identity_from_chevalley_generators[A2]",
+      TC + "test_every_basis_bracket_matches_the_oracle[A2]"]),
     # the key-to-root map built over the positive roots only: a sum of
     # negative roots brackets to 0
     (CHEVALLEY,

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from nilorb import cli, linalg
+from nilorb.rootsys import build_root_system
+from oracles import basis_bracket
 
 
 def run(capsys, *argv):
@@ -47,7 +49,38 @@ def test_algebra_command(capsys):
 def test_algebra_command_reports_the_build(capsys, name, line):
     code, out, _ = run(capsys, "algebra", name)
     assert code == 0
-    assert out.splitlines()[1] == line
+    assert out.splitlines()[1].startswith(line + "  nonzero basis brackets ")
+
+
+def _pairing(cartan, r, i):
+    """<r, alpha_i^vee> = sum_j r_j <alpha_j, alpha_i^vee>."""
+    return sum(rj * row[i] for rj, row in zip(r, cartan))
+
+
+def _nonzero_brackets(rs, name):
+    """The ordered basis pairs with a nonzero bracket, counted without the
+    algebra.  On a simply-laced type, each root r has 2h - 4 roots s with
+    r + s a root (see `test_positive_pair_count_of_simply_laced_types`),
+    [X_r, X_-r] = H_r, [X_r, H_i] and [H_i, X_r] are nonzero exactly when
+    <r, alpha_i^vee> is, and [H_i, H_j] = 0.  G2 and F4 are counted with
+    the Fraction oracle, one call per basis pair."""
+    roots = rs.all_roots
+    if name[0] in "ADE":
+        h = len(roots) // rs.rank
+        pairings = sum(1 for r in roots for i in range(rs.rank)
+                       if _pairing(rs.cartan_matrix, r, i))
+        return len(roots) * (2 * h - 4) + len(roots) + 2 * pairings
+    bracket = basis_bracket(rs)
+    labels = list(roots) + [("H", i) for i in range(rs.rank)]
+    return sum(1 for a in labels for b in labels if bracket(a, b))
+
+
+@pytest.mark.parametrize("name", ["A2", "A8", "D8", "E6", "E7", "E8", "G2", "F4"])
+def test_algebra_command_counts_the_nonzero_basis_brackets(capsys, name):
+    code, out, _ = run(capsys, "algebra", name)
+    assert code == 0
+    want = _nonzero_brackets(build_root_system(name), name)
+    assert out.splitlines()[1].endswith(f"  nonzero basis brackets {want}")
 
 
 def test_orbit_list(capsys):
