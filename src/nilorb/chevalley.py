@@ -485,6 +485,14 @@ class ChevalleyAlgebra:
                     tot += c1 * c2 * g
         return tot
 
+    def killing_vector(self, x):
+        """[K(e_j, x) for each basis position j], read from the Gram table."""
+        if x.alg is not self:
+            raise ValueError("element belongs to a different algebra")
+        gram, c = self._killing_gram, x.coeffs
+        return [sum(g * c.get(k, 0) for k, g in gram[lbl].items())
+                for lbl in self.basis_labels]
+
     def centralizer_dim(self, a):
         if a.is_zero():
             return self.dim

@@ -140,14 +140,14 @@ def suite_nilpotency_equivalences(seed):
         rep = dynkin.nilpotency_report(n)
         if not (rep.bracket_eigen_solvable and rep.centralizer_orthogonal
                 and rep.ad_nilpotent):
-            bad.append(("nilpotent", alg.rs.cartan_type, i))
+            bad.append(("nilpotent", alg.rs.cartan_type, i, repr(n), rep))
     for i in range(50):
         alg = algs[i % len(algs)]
         labels = [("H", j) for j in range(alg.rs.rank)]
         h = _random_element(alg, rng, labels)
         rep = dynkin.nilpotency_report(h)
         if rep.bracket_eigen_solvable or rep.centralizer_orthogonal or rep.ad_nilpotent:
-            bad.append(("semisimple", alg.rs.cartan_type, i))
+            bad.append(("semisimple", alg.rs.cartan_type, i, repr(h), rep))
     return [_report(
         "nilpotency-three-criteria", not bad,
         f"50 nilpotent + 50 semisimple fixtures over {_NILP_TYPES}",

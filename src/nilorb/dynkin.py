@@ -227,22 +227,21 @@ def nilpotency_report(n):
     to judge (the `nilpotency-equivalences` suite of `verify-paper` fails,
     naming the fixture, if they do not).
 
-    ad(N) is built once.  One reduction of [ad(N) | -N] decides whether
-    some H solves [H, N] = N and gives the centralizer ker ad(N); the
-    power test takes powers of the same matrix."""
+    All three come from one forward elimination of [A | -N], A = ad(N)
+    (`linalg.forward_tests`).  Some H solves [H, N] = N iff A H = -N is
+    solvable.  With f_j = K(e_j, N), K(z, N) = f . z, so K(z(N), N) = 0
+    iff f lies in (ker A)^perp, which is the row space of A: no
+    centralizer vector is formed.  ad(N) is nilpotent iff the last power
+    rank of A is 0."""
     if n.is_zero():
         raise ValueError("zero element")
     alg = n.alg
     labels = alg.basis_labels
     ad = alg.ad_matrix(n, labels, labels)
     # [H, N] = N  <=>  ad(N) H = -N
-    sol, kernel = linalg.solve_with_kernel(ad, [-v for v in n.to_vector()])
-    iv = sol is not None
-    v = all(
-        alg.killing(alg.element({labels[j]: c for j, c in enumerate(z)}), n) == 0
-        for z in kernel
-    )
-    return NilpotencyReport(iv, v, linalg.is_nilpotent(ad))
+    iv, v, ranks = linalg.forward_tests(
+        ad, [-c for c in n.to_vector()], alg.killing_vector(n))
+    return NilpotencyReport(iv, v, ranks[-1] == 0)
 
 
 def centralizer_in_n_perp(grading, n):

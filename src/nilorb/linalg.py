@@ -4,14 +4,18 @@ Every function takes a matrix as a list of dense rows of ints or
 Fractions; results are fractions.Fraction, with no floating point
 anywhere.  There is one elimination, `_independent`: fraction-free and
 sparse, on rows scaled to coprime integers, touching nonzero entries
-only.  `rank` and `power_ranks` (`is_nilpotent`) use it as it is; `rref`
-(and `solve`, `kernel_basis` on top of it) sorts its rows by pivot
-column, back-substitutes with the same row-clearing step, and converts
-the reduced rows to Fractions once.  Every function raises ValueError
-unless all rows have the same length, checked in the pass that reads the
-nonzero entries; `power_ranks` and `is_nilpotent` also unless the matrix
-is square, and `kernel_basis`, `solve` and `solve_with_kernel` also for a
-matrix with no rows, whose width is unknown.
+only.  `rank` and `power_ranks` use it as it is; `rref` (and `solve`,
+`kernel_basis` on top of it) sorts its rows by pivot column,
+back-substitutes with the same row-clearing step, and converts the
+reduced rows to Fractions once.  `forward_tests` reads three verdicts off
+one forward elimination of [A | b]: whether A x = b is solvable, whether
+a row f lies in the row space of A, and `power_ranks(A)`, whose rounds
+start from the rows of that elimination.  Every function raises
+ValueError unless all rows have the same length, checked in the pass
+that reads the nonzero entries; `power_ranks` and `forward_tests` also
+unless the matrix is square, `forward_tests` also unless b and f have
+one entry per row, and `kernel_basis`, `solve` and `solve_with_kernel`
+also for a matrix with no rows, whose width is unknown.
 """
 
 from fractions import Fraction
@@ -200,7 +204,12 @@ def power_ranks(rows):
     integer rows and multiplies it by A.  Raises ValueError unless A is
     square."""
     a = [_nonzero(row, len(rows)) for row in rows]
-    cur = _independent([_integer(e) for e in a if e])
+    return _rounds(a, _independent([_integer(e) for e in a if e]))
+
+
+def _rounds(a, cur):
+    """`power_ranks` of the sparse square matrix `a` ({column: value}
+    rows), from `cur`, an independent spanning set of its row space."""
     ranks = [len(cur)]
     while cur:
         nxt = []
@@ -219,7 +228,29 @@ def power_ranks(rows):
     return ranks
 
 
-def is_nilpotent(rows):
-    """True iff the square matrix A is nilpotent; ValueError unless A is
-    square."""
-    return power_ranks(rows)[-1] == 0
+def forward_tests(rows, rhs, f):
+    """(A x = b is solvable, f lies in the row space of A, power_ranks(A))
+    for the square matrix A, from one forward elimination of [A | b], with
+    no back-substitution and no kernel vector.
+
+    No independent row of [A | b] starts at the column of b iff A x = b is
+    solvable.  The others, with that column dropped, are an independent
+    spanning set of the row space of A, each zero in the first columns of
+    those before it; f reduced against them in order is 0 iff f lies in
+    their span, and they start the rounds of `power_ranks`.  Raises
+    ValueError unless A is square and b and f have one entry per row."""
+    n = len(rows)
+    a = [_nonzero(row, n) for row in rows]
+    if len(rhs) != n or len(f) != n:
+        raise ValueError(f"b has {len(rhs)} entries and f {len(f)}, "
+                         f"the matrix {n} rows")
+    aug = [{**e, n: b} if b else e for e, b in zip(a, rhs)]
+    basis = _independent([_integer(e) for e in aug if e])
+    parts = [{j: v for j, v in row.items() if j != n}
+             for row in basis if min(row) != n]
+    g = _integer(_nonzero(f, n))
+    for row in parts:
+        c = min(row)
+        if c in g:
+            g = _clear(g, row, c)
+    return len(parts) == len(basis), not g, _rounds(a, parts)

@@ -639,6 +639,21 @@ def test_killing_gram_matches_trace_on_basis_pairs(name):
         assert alg.killing(x, y) == _trace_killing(alg, x, y)
 
 
+@pytest.mark.parametrize("name", ["G2", "B3", "E6"])
+def test_killing_vector_reads_the_killing_form(name):
+    alg = build_algebra(name)
+    labels = list(alg.basis_labels)
+    rng = random.Random(5)
+    xs = [alg.element({lbl: F(rng.randint(-3, 3), rng.randint(1, 2))
+                       for lbl in rng.sample(labels, 6)}) for _ in range(3)]
+    xs += [alg.element({lbl: 1}) for lbl in labels[:2] + labels[-2:]]
+    for x in xs:
+        vec = alg.killing_vector(x)
+        assert vec == [alg.killing(alg.element({lbl: 1}), x) for lbl in labels]
+    with pytest.raises(ValueError, match="different algebra"):
+        build_algebra("A2").killing_vector(xs[0])
+
+
 # dual Coxeter numbers (Bourbaki, planches)
 DUAL_COXETER = {"A3": 4, "B3": 5, "C3": 4, "D4": 6,
                 "G2": 4, "F4": 9, "E6": 12, "E7": 18, "E8": 30}

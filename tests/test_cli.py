@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nilorb import cli, linalg
-from nilorb.rootsys import build_root_system
+from nilorb.rootsys import CartanType, build_root_system
 from oracles import basis_bracket
 
 
@@ -277,12 +278,19 @@ def test_verify_suite_exception_becomes_error_report(capsys, monkeypatch):
     assert refs == {"closure-order", "g2-classification"}
 
 
-# is_nilpotent forced to False makes the nilpotent fixtures disagree, forced
-# to True the semisimple ones: the suite fails and names them, it does not
-# crash
+# the nilpotency verdict of `linalg.forward_tests` forced to False makes the
+# nilpotent fixtures disagree, forced to True the semisimple ones: the suite
+# fails and names them, each with its element and its three verdicts; it
+# does not crash
 @pytest.mark.parametrize("forced,kind", [(False, "nilpotent"), (True, "semisimple")])
 def test_verify_nilpotency_disagreement_is_a_fail(capsys, monkeypatch, forced, kind):
-    monkeypatch.setattr(linalg, "is_nilpotent", lambda m: forced)
+    forward_tests = linalg.forward_tests
+
+    def forced_tests(rows, rhs, f):
+        solvable, spanned, _ = forward_tests(rows, rhs, f)
+        return solvable, spanned, [0] if forced else [1]
+
+    monkeypatch.setattr(linalg, "forward_tests", forced_tests)
     code, out, _ = run(capsys, "verify-paper", "--only",
                        "nilpotency-equivalences", "--json")
     assert code == 1
@@ -290,6 +298,17 @@ def test_verify_nilpotency_disagreement_is_a_fail(capsys, monkeypatch, forced, k
     assert (report["ref"], report["status"]) == ("nilpotency-equivalences", "fail")
     found = report["witness"]["disagreements"]
     assert found and all(d.startswith(f"('{kind}', CartanType(") for d in found)
+    # each entry names the type, the draw index, the element and the verdicts
+    verdicts = (f"NilpotencyReport(bracket_eigen_solvable={not forced}, "
+                f"centralizer_orthogonal={not forced}, ad_nilpotent={forced})")
+    label = r"-?\d+\*H\d" if forced else r"-?\d+\*X\(\d+(, \d+)*,?\)"
+    entry = re.compile(rf"\('{kind}', (CartanType\(.*?\)), (\d+), "
+                       rf"'({label}( \+ {label})*)', {re.escape(verdicts)}\)")
+    types = [repr(CartanType.parse(t)) for t in cli._NILP_TYPES]
+    matches = [entry.fullmatch(d) for d in found]
+    assert all(matches), found
+    assert [(m[1], int(m[2])) for m in matches] == [
+        (types[i % len(types)], i) for i in range(50)]
     # the text report prints the witness of the failing check
     code, out, _ = run(capsys, "verify-paper", "--only", "nilpotency-equivalences")
     lines = out.splitlines()

@@ -69,29 +69,80 @@ def _from_columns(cols):
     return rows
 
 
+def _nilpotent(rows):
+    return linalg.power_ranks(rows)[-1] == 0
+
+
 def test_sparse_is_nilpotent():
     # columns {row: value}: a strictly triangular shift, a permutation cycle
     shift = [{}, {0: F(2)}, {1: F(-1)}, {2: F(1, 3)}]
     cycle = [{1: F(1)}, {2: F(1)}, {0: F(1)}]
-    assert linalg.is_nilpotent(_from_columns(shift))
-    assert linalg.is_nilpotent(_from_columns([{}, {}]))
-    assert not linalg.is_nilpotent(_from_columns(cycle))
-    assert not linalg.is_nilpotent(_from_columns([{0: F(1)}, {}]))
+    assert _nilpotent(_from_columns(shift))
+    assert _nilpotent(_from_columns([{}, {}]))
+    assert not _nilpotent(_from_columns(cycle))
+    assert not _nilpotent(_from_columns([{0: F(1)}, {}]))
     # the shift with its corner closed is a cycle up to scalars
-    assert not linalg.is_nilpotent(_from_columns([{3: F(1)}] + shift[1:]))
+    assert not _nilpotent(_from_columns([{3: F(1)}] + shift[1:]))
+
+
+def _shift_beside_block(n, corner):
+    """The (n+1) x (n+1) matrix with a weighted n x n shift and the 1 x 1
+    block `corner`."""
+    rows = [[F(0)] * (n + 1) for _ in range(n + 1)]
+    for i in range(n - 1):
+        rows[i][i + 1] = F(i + 2)
+    rows[n][n] = corner
+    return rows
 
 
 def test_is_nilpotent_shift_beside_invertible_block():
     # the image shrinks while the shift dies, then stays the line of the
     # 1 x 1 block: the test stops there, with every power nonzero
     for n in (1, 3, 40):
-        rows = [[F(0)] * (n + 1) for _ in range(n + 1)]
-        for i in range(n - 1):
-            rows[i][i + 1] = F(i + 2)
-        rows[n][n] = F(-7, 3)
-        assert not linalg.is_nilpotent(rows)
-        rows[n][n] = F(0)
-        assert linalg.is_nilpotent(rows)
+        assert not _nilpotent(_shift_beside_block(n, F(-7, 3)))
+        assert _nilpotent(_shift_beside_block(n, F(0)))
+
+
+def _old_route(rows, rhs, f):
+    """`forward_tests` by the route it replaces: rref of [A | b] with its
+    kernel vectors, f . z on each, and `power_ranks`."""
+    x, kernel = linalg.solve_with_kernel(rows, rhs)
+    spanned = all(sum(a * b for a, b in zip(f, z)) == 0 for z in kernel)
+    return x is not None, spanned, linalg.power_ranks(rows)
+
+
+def _forward_cases(rng):
+    """Square int and Fraction matrices with a b and an f each."""
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.4:
+            rows = [[F(v, rng.randint(1, 3)) for v in row] for row in rows]
+        yield rows
+    for n in (1, 3, 6):  # a nilpotent block beside an invertible one
+        yield [[int(v) for v in row] for row in _shift_beside_block(n, F(5))]
+        yield _shift_beside_block(n, F(-7, 3))
+    for n in (1, 4):
+        yield [[0] * n for _ in range(n)]
+
+
+def test_forward_tests_match_the_rref_route():
+    rng = random.Random(29)
+    seen = set()
+    for rows in _forward_cases(rng):
+        n = len(rows)
+        x, y = ([rng.randint(-2, 2) for _ in range(n)] for _ in range(2))
+        inside_b = [sum(row[j] * x[j] for j in range(n)) for row in rows]   # A x
+        inside_f = [sum(y[i] * rows[i][j] for i in range(n)) for j in range(n)]  # y A
+        anywhere = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        for rhs in (inside_b, anywhere, [0] * n):
+            for f in (inside_f, anywhere, [0] * n):
+                got = linalg.forward_tests(rows, rhs, f)
+                assert got == _old_route(rows, rhs, f)
+                seen.add(got[:2])
+    assert seen == {(s, t) for s in (True, False) for t in (True, False)}
+    assert linalg.forward_tests([[1]], [0], [0]) == (True, True, [1, 1])
+    assert linalg.forward_tests([[0]], [1], [1]) == (False, False, [0])
 
 
 def test_solve_with_kernel_agrees_with_solve_and_annihilates():
@@ -213,8 +264,14 @@ def test_ragged_rows_raise():
 
 
 def test_nilpotency_of_a_non_square_matrix_raises():
-    # both used to return True
+    # power_ranks and the former is_nilpotent used to return True
     for rows in ([[0, 1], [0, 0], [1, 0]], [[0, 1, 0], [0, 0, 0]], [[0], [0, 0]]):
-        for proc in (linalg.power_ranks, linalg.is_nilpotent):
+        zeros = [0] * len(rows)
+        for proc in (linalg.power_ranks,
+                     lambda rows: linalg.forward_tests(rows, zeros, zeros)):
             with pytest.raises(ValueError, match="a row has"):
                 proc(rows)
+    # b and f need one entry per row
+    for rhs, f in (([0], [0, 0]), ([0, 0], [0]), ([0, 0, 0], [0, 0])):
+        with pytest.raises(ValueError, match="the matrix 2 rows"):
+            linalg.forward_tests([[0, 1], [0, 0]], rhs, f)
