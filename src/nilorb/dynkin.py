@@ -6,9 +6,8 @@ Each procedure takes the one object that names its algebra: a grading
 (`pairing_criterion`, `centralizer_in_n_perp`, `omega_kernel_dim`), an
 element (`nilpotency_report`), a root system
 (`diagram_of_root_vector_orbit`) or a weighted diagram (the exclusion
-tests, which read only root data and build no algebra).
-`generic_degree_two` and `sl2_complete` still take `alg` ahead of the
-grading, and raise ValueError unless it is the grading's algebra.
+tests, which read only root data and build no algebra);
+`generic_degree_two` and `sl2_complete` also take `alg`.
 """
 
 from collections import namedtuple
@@ -65,20 +64,27 @@ class Grading:
             raise ValueError("diagram type does not match algebra")
         self.alg = alg
         self.diagram = diagram
-        labels = diagram.labels
         rs = alg.rs
-        # H = sum x_j H_j with alpha_i(H) = sum_j C[i][j] x_j = labels_i
-        denom, inverse = rs.inverse_cartan_numerators
-        self.H = alg.cartan_element(
-            [Fraction(sum(map(mul, row, labels)), denom) for row in inverse])
+        # deg r = sum_i r_i l_i, added one simple-root column at a time
+        pos = [0] * len(rs.positive_roots)
+        for v, col in zip(diagram.labels, zip(*rs.positive_roots)):
+            if v:
+                pos = [p + v * x for p, x in zip(pos, col)]
         # basis_labels: the positive roots, their negatives, then ('H', i)
-        pos = [sum(map(mul, r, labels)) for r in rs.positive_roots]
         self.degree = dict(zip(alg.basis_labels,
                                chain(pos, [-v for v in pos], [0] * rs.rank)))
         # each piece lists its labels in basis order
         self.pieces = {}
         for lbl, d in self.degree.items():
             self.pieces.setdefault(d, []).append(lbl)
+
+    @cached_property
+    def H(self):
+        """sum_j x_j H_j with alpha_i(H) = sum_j C[i][j] x_j = labels_i."""
+        denom, inverse = self.alg.rs.inverse_cartan_numerators
+        labels = self.diagram.labels
+        return self.alg.cartan_element(
+            [Fraction(sum(map(mul, row, labels)), denom) for row in inverse])
 
     def piece(self, i):
         return self.pieces.get(i, [])
@@ -145,14 +151,13 @@ def sl2_complete(alg, grading, n0):
       antisymmetric (proved for 20 types by
       `test_jacobi_identity_from_chevalley_generators`), so [N1, N0] = H.
 
-    The same reduction gives the kernel of ad(N0) on g_-2.  When there is
-    no solution and that kernel is zero, the columns of ad(N0) and H are
-    linearly independent, and the error is exact: no element of g_2
-    completes.  If some e did, G_0.e would be open and dense in g_2
-    (Kostant 1959; Collingwood & McGovern ch. 3-4), so H would lie in the
-    image of ad(N) for N in a dense open set, which meets the open set
-    where the columns and H are independent.  With a nonzero kernel the
-    error is not exact: only this N0 fails.
+    The same forward pass gives the rank of ad(N0) on g_-2.  With no
+    solution and rank dim g_-2, the columns of ad(N0) and H are
+    independent, and the error is exact: no element of g_2 completes.  If
+    some e did, G_0.e would be open and dense in g_2 (Kostant 1959;
+    Collingwood & McGovern ch. 3-4), so H would lie in the image of ad(N)
+    for N in a dense open set, which meets the open set where the columns
+    and H are independent.  With a lower rank only this N0 fails.
 
     g_-2 is never empty here: the entry checks make N0 nonzero with every
     label of degree 2, so `piece(2)` is not empty, and `piece(-2)` holds
@@ -164,10 +169,10 @@ def sl2_complete(alg, grading, n0):
     neg = grading.piece(-2)
     g0 = grading.piece(0)
     rows = combine(grading.sl2_block, n0.coeffs, len(g0), len(neg))
-    sol, kernel = linalg.solve_with_kernel(
+    sol, rank = linalg.solve_with_rank(
         rows, [-grading.H.coeffs.get(lbl, 0) for lbl in g0])
     if sol is None:
-        if kernel:
+        if rank < len(neg):
             raise NoTripleError("[N1, N0] = H has no solution in degree -2 at "
                                 "this N0 (not exact)", exact=False)
         raise NoTripleError("[N1, N0] = H has no solution in degree -2, and "

@@ -4,18 +4,17 @@ Every function takes a matrix as a list of dense rows of ints or
 Fractions; results are fractions.Fraction, with no floating point
 anywhere.  There is one elimination, `_independent`: fraction-free and
 sparse, on rows scaled to coprime integers, touching nonzero entries
-only.  `rank` and `power_ranks` use it as it is; `rref` (and `solve`,
-`kernel_basis` on top of it) sorts its rows by pivot column,
-back-substitutes with the same row-clearing step, and converts the
-reduced rows to Fractions once.  `forward_tests` reads three verdicts off
-one forward elimination of [A | b]: whether A x = b is solvable, whether
-a row f lies in the row space of A, and `power_ranks(A)`, whose rounds
-start from the rows of that elimination.  Every function raises
-ValueError unless all rows have the same length, checked in the pass
-that reads the nonzero entries; `power_ranks` and `forward_tests` also
-unless the matrix is square, `forward_tests` also unless b and f have
-one entry per row, and `kernel_basis`, `solve` and `solve_with_kernel`
-also for a matrix with no rows, whose width is unknown.
+only.  `rank` and `power_ranks` use it as it is; `_reduced` sorts its rows
+by pivot column and back-substitutes with the same row-clearing step, for
+`rref` (and `kernel_basis`) and for a solvable `solve_with_rank`.  One
+forward elimination of [A | b] tells whether A x = b is solvable (no
+independent row starts at the column of b, `_split`) and gives rank(A);
+`forward_tests` also reads off it whether a row f lies in the row space
+of A, and `power_ranks(A)`.  Every function raises ValueError unless all
+rows have the same length; `power_ranks` and `forward_tests` also unless
+the matrix is square, `forward_tests` also unless b and f have one entry
+per row, and `kernel_basis`, `solve` and `solve_with_rank` also for a
+matrix with no rows, whose width is unknown.
 """
 
 from fractions import Fraction
@@ -94,24 +93,28 @@ def _independent(rows):
     return basis
 
 
-def rref(rows):
-    """Reduced row echelon form.
-
-    `rows` is a list of lists of ints or Fractions.  Returns the reduced
-    matrix (same shape, Fraction entries, zero rows last) together with
-    the list of pivot column indices.
-
-    The rows of `_independent`, sorted by first column, are in echelon
-    form; back-substitution clears each pivot column from the rows above
-    it, last pivot first, and each row is divided by its pivot entry."""
-    ncols = len(rows[0]) if rows else 0
-    m = sorted(_independent(_sparse(rows)), key=min)
+def _reduced(basis):
+    """(rows, pivots): the rows of `_independent` sorted by first column,
+    an echelon form, with each pivot column cleared from the rows above
+    it, last pivot first."""
+    m = sorted(basis, key=min)
     pivots = [min(row) for row in m]
     for k in reversed(range(len(m))):
         c, row = pivots[k], m[k]
         for i in range(k):
             if c in m[i]:
                 m[i] = _clear(m[i], row, c)
+    return m, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form.
+
+    `rows` is a list of lists of ints or Fractions.  Returns the reduced
+    matrix (same shape, Fraction entries, zero rows last) together with
+    the list of pivot column indices."""
+    ncols = len(rows[0]) if rows else 0
+    m, pivots = _reduced(_independent(_sparse(rows)))
     out = [[_ZERO] * ncols for _ in rows]
     for dense, c, row in zip(out, pivots, m):
         for j, v in row.items():
@@ -122,32 +125,6 @@ def rref(rows):
 def rank(rows):
     """Rank of the matrix, by forward elimination only."""
     return len(_independent(_sparse(rows)))
-
-
-def _kernel(m, pivots, ncols):
-    """Null space basis of the first `ncols` columns of a reduced matrix."""
-    pivset = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
-        v = [_ZERO] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            if pc < ncols:
-                v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
-
-
-def _solution(m, pivots, ncols):
-    """Solution read from the reduced augmented matrix [A | b], or None."""
-    if ncols in pivots:
-        return None
-    x = [_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
 
 
 def _width(rows):
@@ -163,7 +140,17 @@ def kernel_basis(rows):
     Raises ValueError if the matrix has no rows."""
     ncols = _width(rows)
     m, pivots = rref(rows)
-    return _kernel(m, pivots, ncols)
+    pivset = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
+        v = [_ZERO] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
 
 
 def _augmented(rows, rhs):
@@ -174,24 +161,35 @@ def _augmented(rows, rhs):
     return [list(row) + [b] for row, b in zip(rows, rhs)]
 
 
+def _split(basis, n):
+    """(A x = b is solvable, the other rows) for the independent rows of
+    [A | b], b in column n: solvable iff no row starts at column n.  The
+    other rows, column n dropped, span the row space of A."""
+    rest = [row for row in basis if min(row) != n]
+    return len(rest) == len(basis), rest
+
+
+def solve_with_rank(rows, rhs):
+    """(one solution of A x = b or None if inconsistent, rank(A)) from one
+    forward elimination of [A | b]; only a solvable system is
+    back-substituted, and its solution is the rref one, free variables 0.
+    Raises ValueError unless len(rhs) == len(rows), and if A has no rows."""
+    aug = _augmented(rows, rhs)
+    ncols = _width(rows)
+    basis = _independent(_sparse(aug))
+    solvable, rest = _split(basis, ncols)
+    if not solvable:
+        return None, len(rest)
+    x = [_ZERO] * ncols
+    for row, c in zip(*_reduced(basis)):
+        x[c] = Fraction(row.get(ncols, 0), row[c])
+    return x, len(basis)
+
+
 def solve(rows, rhs):
-    """One solution of A x = b (A given by `rows`, b by `rhs`), or None
-    if inconsistent.  Raises ValueError unless len(rhs) == len(rows), and
-    if A has no rows."""
-    m = _augmented(rows, rhs)
-    ncols = _width(rows)
-    m, pivots = rref(m)
-    return _solution(m, pivots, ncols)
-
-
-def solve_with_kernel(rows, rhs):
-    """One solution of A x = b (None if inconsistent) and a basis of the
-    null space of A, both from a single reduction of [A | b].  Raises
-    ValueError unless len(rhs) == len(rows), and if A has no rows."""
-    m = _augmented(rows, rhs)
-    ncols = _width(rows)
-    m, pivots = rref(m)
-    return _solution(m, pivots, ncols), _kernel(m, pivots, ncols)
+    """One solution of A x = b, or None if inconsistent (see
+    `solve_with_rank`)."""
+    return solve_with_rank(rows, rhs)[0]
 
 
 def power_ranks(rows):
@@ -233,8 +231,7 @@ def forward_tests(rows, rhs, f):
     for the square matrix A, from one forward elimination of [A | b], with
     no back-substitution and no kernel vector.
 
-    No independent row of [A | b] starts at the column of b iff A x = b is
-    solvable.  The others, with that column dropped, are an independent
+    Solvability is read by `_split`.  Its other rows are an independent
     spanning set of the row space of A, each zero in the first columns of
     those before it; f reduced against them in order is 0 iff f lies in
     their span, and they start the rounds of `power_ranks`.  Raises
@@ -245,12 +242,11 @@ def forward_tests(rows, rhs, f):
         raise ValueError(f"b has {len(rhs)} entries and f {len(f)}, "
                          f"the matrix {n} rows")
     aug = [{**e, n: b} if b else e for e, b in zip(a, rhs)]
-    basis = _independent([_integer(e) for e in aug if e])
-    parts = [{j: v for j, v in row.items() if j != n}
-             for row in basis if min(row) != n]
+    solvable, rest = _split(_independent([_integer(e) for e in aug if e]), n)
+    parts = [{j: v for j, v in row.items() if j != n} for row in rest]
     g = _integer(_nonzero(f, n))
     for row in parts:
         c = min(row)
         if c in g:
             g = _clear(g, row, c)
-    return len(parts) == len(basis), not g, _rounds(a, parts)
+    return solvable, not g, _rounds(a, parts)

@@ -529,14 +529,18 @@ def _root_vector_with_kernel(alg, grading):
 
 
 def test_sl2_complete_on_non_generic_n0_is_not_exact():
-    # (0, 2) is the diagram of the orbit G2(a1); a root vector is not generic
+    # (0, 2) is the diagram of the orbit G2(a1) and (2, 2) of the regular
+    # orbit; a root vector is not generic in either.  In (2, 2) its kernel
+    # on g_-2 is a line, so only the rank of ad(N0), not that of
+    # [ad(N0) | -H], tells the failure from an exact one
     alg = build_algebra("G2")
-    grading = _grading("G2", (0, 2))
-    generic_degree_two(alg, grading)
-    lbl = _root_vector_with_kernel(alg, grading)
-    with pytest.raises(NoTripleError, match="not exact") as exc:
-        sl2_complete(alg, grading, alg.element({lbl: 1}))
-    assert exc.value.exact is False
+    for labels in ((0, 2), (2, 2)):
+        grading = _grading("G2", labels)
+        generic_degree_two(alg, grading)
+        lbl = _root_vector_with_kernel(alg, grading)
+        with pytest.raises(NoTripleError, match="not exact") as exc:
+            sl2_complete(alg, grading, alg.element({lbl: 1}))
+        assert exc.value.exact is False
 
 
 def test_attempts_without_certificate_are_not_exact(monkeypatch):
@@ -763,3 +767,33 @@ def test_grading_element_and_degrees(name, labels):
     for lbl in alg.basis_labels:
         x = alg.element({lbl: 1})
         assert alg.bracket(grading.H, x) == x.scale(grading.degree[lbl])
+
+
+# the 33 types A1-A8, B2-B8, C2-C8, D3-D8, E6-E8, F4, G2
+ALL_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+             + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_grading_matches_its_definitions(name):
+    """degree, pieces and H against their definitions: deg r = r . labels,
+    each piece lists its labels in basis order, and alpha_i(H) = l_i,
+    read off [H, X_alpha_i] with `bracket`."""
+    alg = build_algebra(name)
+    rank = alg.rank
+    rng = random.Random(name)
+    diagrams = [(2,) * rank, minimal_orbit_diagram(alg).labels]
+    diagrams += [tuple(rng.choice((0, 1, 2)) for _ in range(rank)) for _ in range(2)]
+    for labels in diagrams:
+        grading = _grading(name, labels)
+        degree = {lbl: 0 if lbl[0] == "H" else sum(c * v for c, v in zip(lbl, labels))
+                  for lbl in alg.basis_labels}
+        assert grading.degree == degree
+        assert list(grading.degree) == alg.basis_labels
+        pieces = {d: [lbl for lbl in alg.basis_labels if degree[lbl] == d]
+                  for d in set(degree.values())}
+        assert grading.pieces == pieces
+        for r, v in zip(alg.rs.simple_roots, labels):
+            x = alg.root_vector(r)
+            assert alg.bracket(grading.H, x) == x.scale(v)

@@ -36,7 +36,7 @@ def test_solve_consistent_and_inconsistent():
 def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
     # zip used to drop the extra rows: solve(identity, [1]) returned [1, 0]
     for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 2]), ([], [1])):
-        for solver in (linalg.solve, linalg.solve_with_kernel):
+        for solver in (linalg.solve, linalg.solve_with_rank):
             with pytest.raises(ValueError, match="right-hand side has"):
                 solver(rows, rhs)
 
@@ -106,7 +106,7 @@ def test_is_nilpotent_shift_beside_invertible_block():
 def _old_route(rows, rhs, f):
     """`forward_tests` by the route it replaces: rref of [A | b] with its
     kernel vectors, f . z on each, and `power_ranks`."""
-    x, kernel = linalg.solve_with_kernel(rows, rhs)
+    x, kernel = linalg.solve(rows, rhs), linalg.kernel_basis(rows)
     spanned = all(sum(a * b for a, b in zip(f, z)) == 0 for z in kernel)
     return x is not None, spanned, linalg.power_ranks(rows)
 
@@ -143,19 +143,6 @@ def test_forward_tests_match_the_rref_route():
     assert seen == {(s, t) for s in (True, False) for t in (True, False)}
     assert linalg.forward_tests([[1]], [0], [0]) == (True, True, [1, 1])
     assert linalg.forward_tests([[0]], [1], [1]) == (False, False, [0])
-
-
-def test_solve_with_kernel_agrees_with_solve_and_annihilates():
-    rng = random.Random(9)
-    for _ in range(40):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[F(rng.randint(-2, 2)) for _ in range(nc)] for _ in range(nr)]
-        rhs = [F(rng.randint(-2, 2)) for _ in range(nr)]
-        x, ker = linalg.solve_with_kernel(rows, rhs)
-        assert x == linalg.solve(rows, rhs)
-        assert len(ker) == nc - linalg.rank(rows)
-        for v in ker:
-            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
 
 def _naive_rref(rows):
@@ -227,14 +214,57 @@ def test_rref_matches_naive_gauss_jordan():
                 assert linalg.rref(rows) == _naive_rref(rows)
 
 
+def _naive_solution(rows, rhs):
+    """Reference: (the solution read from the textbook rref of [A | b], free
+    variables 0, or None; the rank of A from the textbook rref of A)."""
+    ncols = len(rows[0])
+    m, pivots = _naive_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    rank = len(_naive_rref(rows)[1])
+    if ncols in pivots:
+        return None, rank
+    x = [F(0)] * ncols
+    for row, c in zip(m, pivots):
+        x[c] = row[ncols]
+    return x, rank
+
+
+def test_solve_with_rank_agrees_with_solve_and_rank():
+    """60 seeded int and Fraction matrices, tall, wide and square, the zero
+    matrix and 1 x 1 among them, each with b inside the column space, b
+    anywhere, b = 0 and b = e_1, against the textbook Gauss-Jordan reading
+    and against (solve, rank)."""
+    rng = random.Random(30)
+    shapes = [(1, 1), (2, 5), (5, 2), (4, 4), (7, 3), (3, 7), (6, 6)]
+    seen = set()
+    cases = [[[0] * 3 for _ in range(4)], [[F(0)]], [[2]], [[F(-3, 4)]]]
+    for _ in range(8):
+        for nrows, ncols in shapes:
+            rows = _random_matrix(rng, nrows, ncols)
+            if rng.random() < 0.4:  # integer input, as the ad blocks give
+                rows = [[int(v * 216) for v in row] for row in rows]
+            cases.append(rows)
+    for rows in cases:
+        nrows, ncols = len(rows), len(rows[0])
+        y = [rng.randint(-3, 3) for _ in range(ncols)]
+        inside = [sum(row[j] * y[j] for j in range(ncols)) for row in rows]  # A y
+        anywhere = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nrows)]
+        for rhs in (inside, anywhere, [0] * nrows, [1] + [0] * (nrows - 1)):
+            got = linalg.solve_with_rank(rows, rhs)
+            assert got == _naive_solution(rows, rhs)
+            assert got == (linalg.solve(rows, rhs), linalg.rank(rows))
+            if rhs is inside:
+                assert got[0] is not None
+            seen.add(got[0] is None)
+    assert seen == {True, False}
+
+
 def test_rref_edge_cases():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0
     assert linalg.power_ranks([]) == [0]
     # a matrix with no rows cannot tell its width: solve([], []) used to
-    # return None (inconsistent), solve_with_kernel (None, []) and
-    # kernel_basis [] (a trivial kernel)
-    for call in (lambda: linalg.solve([], []), lambda: linalg.solve_with_kernel([], []),
+    # return None (inconsistent) and kernel_basis [] (a trivial kernel)
+    for call in (lambda: linalg.solve([], []), lambda: linalg.solve_with_rank([], []),
                  lambda: linalg.kernel_basis([])):
         with pytest.raises(ValueError, match="no rows"):
             call()
@@ -254,7 +284,7 @@ def test_ragged_rows_raise():
     # right-hand side read as its column 1; rank([[1], [1, 1]]) returned 2,
     # and rref([[1], [0, 1]]) raised a bare IndexError
     for rows, rhs in (([[1, 2], [1]], [1, 1]), ([[1], [1, 1]], [1, 1])):
-        for solver in (linalg.solve, linalg.solve_with_kernel):
+        for solver in (linalg.solve, linalg.solve_with_rank):
             with pytest.raises(ValueError, match="a row has"):
                 solver(rows, rhs)
     for rows in ([[1], [1, 1]], [[1], [0, 1]], [[1, 2], [3]], [[], [1]]):
