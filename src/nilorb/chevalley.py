@@ -16,15 +16,15 @@ pairs of keys; the decompositions of each positive root, the root tests
 and the root-string walks are int subtractions and dict lookups, and the
 build raises unless every constant is a nonzero integer with |N| = p+1.
 The same keys serve every bracket of two root vectors, whose sum r + s is
-one int addition and one dict lookup.  `_row` is the only map from a basis
-pair to its bracket: it brackets one basis label with a list of labels in
-one loop.  `ad_entries` reads it, one row per label.  `bracket` reads a
-stored table instead, one row per basis position, each filled from `_row`
-on first use (see `_fill`): the N of each column as a signed byte and the
-basis position of the result as an unsigned 16-bit int, with the one
-column [X_r, X_-r] = H_r marked and read from the coroot of r.  There is
-no runtime Jacobi check: the constants depend on the Cartan type alone,
-and `tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
+one int addition and one dict lookup.  The stored table is the only
+representation of a basis-pair bracket: one row per basis position, each
+computed on first use by `_fill`, the N of each column as a signed byte and
+the basis position of the result as an unsigned 16-bit int, with the one
+column [X_r, X_-r] = H_r marked and read from the coroot of r.  `bracket`
+reads the rows in its own loop; `ad_entries` and `table_row` read them
+through `_entries`.  There is no runtime Jacobi check: the constants
+depend on the Cartan type alone, and
+`tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
 proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8 on
 the stored table, by checking that ad(X_{+-alpha_i}) is a derivation and
 that these generators span the algebra.
@@ -36,7 +36,7 @@ Element coefficients are ints or Fractions, kept as given; floats and
 bools raise TypeError.
 
 Every matrix of ad(x) is built here, by `ad_matrix` from the integer entries
-of `ad_entries`, which read the rows of `_row`.
+of `ad_entries`, which read the stored rows.
 
 The Killing form K(x, y) = trace(ad x ad y) is read from a Gram table over
 the basis that each algebra builds on first use, from the root data alone,
@@ -155,13 +155,14 @@ class ChevalleyAlgebra:
         # `_fill` on first use
         self._rows = [None] * self.dim
         self._pos = rs.positive_roots
-        # the key of each root, the root of each key (see `_root_keys`) and
-        # the squared-length numerator of each key; all_roots lists the
-        # negatives in the order of the positive roots
+        # the key of each root, the basis position of each key, in the
+        # order of the positions (see `_root_keys`), and the squared-length
+        # numerator of each key; all_roots lists the negatives in the order
+        # of the positive roots
         pos_keys = _root_keys(self._pos, (3 * max(self._pos[-1])).bit_length())
         keys = pos_keys + [-k for k in pos_keys]
         self._keys = dict(zip(rs.all_roots, keys))
-        self._key_roots = dict(zip(keys, rs.all_roots))
+        self._key_pos = {k: j for j, k in enumerate(keys)}
         self._len2 = {k: rs.len2_numerators[r] for r, k in self._keys.items()}
         self._npos = {}
         self._fill_structure_constants()
@@ -269,7 +270,7 @@ class ChevalleyAlgebra:
             return n
         n, rem = divmod(n * lc, lz)
         if rem:
-            roots = self._key_roots
+            roots = dict(zip(self._key_pos, self.basis_labels))
             raise AssertionError(f"N{roots[a], roots[b]} = "
                                  f"{Fraction(n * lz + rem, lz)} is not an integer")
         return n
@@ -292,56 +293,27 @@ class ChevalleyAlgebra:
 
     # -- operations -----------------------------------------------------
 
-    def _row(self, k, labels):
-        """The nonzero brackets of the basis label k with each of `labels`,
-        as the triples (j, t, v) with [e_k, e_labels[j]] = v e_t, v != 0,
-        in the order of `labels`; every label is a basis label.
-
-        An H row reads `RootSystem.pairings`: [H_i, X_s] = <s, alpha_i^vee> X_s
-        and [H_i, H_j] = 0.  In the row of a root r, an H label H_i gives
-        -<r, alpha_i^vee> X_r, and a root s gives the key of r + s with one
-        int addition (see `_root_keys`): a zero key means s = -r, whose
-        bracket is the coroot H_r, a root's key means r + s is that root,
-        with N read from `_nany` on the three keys, and any other key
-        brackets to 0."""
-        keys, pairings = self._keys, self.rs.pairings
-        out = []
-        kr = keys.get(k)
-        if kr is None:
-            i = k[1]
-            for j, lbl in enumerate(labels):
-                p = pairings.get(lbl)  # None for an H label
-                if p is not None and (c := p[i]):
-                    out.append((j, lbl, c))
-            return out
-        roots, nany, pr = self._key_roots, self._nany, pairings[k]
-        for j, lbl in enumerate(labels):
-            ks = keys.get(lbl)
-            if ks is None:
-                c = pr[lbl[1]]
-                if c:
-                    out.append((j, k, -c))
-                continue
-            kt = kr + ks
-            if not kt:
-                out.extend((j, ("H", i), c)
-                           for i, c in enumerate(self.rs.coroots[k]) if c)
-                continue
-            t = roots.get(kt)
-            if t is not None:
-                out.append((j, t, nany(kr, ks, kt)))
-        return out
-
     def _fill(self, i):
-        """The stored row of the basis position i, filled from `_row` on
-        its first use: two arrays indexed by basis position j, the N of
+        """The stored row of the basis position i, computed on its first
+        use: two arrays indexed by basis position j, the N of
         [e_i, e_j] = N e_t as a signed byte (0 when the bracket is 0) and
         the position of t as an unsigned 16-bit int.  The one column of a
         root row whose bracket is not a multiple of a basis element,
         [X_r, X_-r] = H_r, holds N = 1 and the position `dim`, one past the
-        last; readers take its terms from `RootSystem.coroots`.  Every N
-        lies in [-3, 3]; a dim above 65535 (A_256, B_181 and up) raises
-        OverflowError on the first fill.
+        last; readers take its terms from `RootSystem.coroots`.
+
+        An H row reads `RootSystem.pairings`: [H_q, X_s] = <s, alpha_q^vee> X_s
+        and [H_q, H_j] = 0.  In the row of a root r, the column of H_q holds
+        -<r, alpha_q^vee> at the position of X_r, and a root s gives the key
+        of r + s with one int addition (see `_root_keys`): a zero key means
+        s = -r, a root's key means r + s is that root, with N read from
+        `_nany` on the three keys, and any other key brackets to 0.  A zero
+        pairing is written as N = 0, which reads as no bracket.
+
+        Every N lies in [-3, 3].  A position must fit 16 bits, so dim is at
+        most 65535 (A_255 and B_180 are the largest such types; nothing
+        here builds more than E8, dim 248), and a larger dim raises
+        OverflowError on the first fill of a root row.
 
         On 64-bit CPython 3.11 the rows of E7 and E8 take 0.33 MB as
         `array`s, and 0.54 MB as memoryviews of bytearrays, whose object
@@ -349,35 +321,52 @@ class ChevalleyAlgebra:
         fill, so that importing the module does not pay for it."""
         from array import array
 
-        dim, labels, index = self.dim, self.basis_labels, self.index
+        dim, h0, pos = self.dim, self._nroots, self._key_pos
+        pairings = self.rs.pairings
         ns, ts = array("b", [0]) * dim, array("H", [0]) * dim
-        root_row = i < self._nroots
-        for j, t, v in self._row(labels[i], labels):
-            if root_row and t[0] == "H":
-                ns[j], ts[j] = 1, dim
-            else:
-                ns[j], ts[j] = v, index[t]
+        k = self.basis_labels[i]
+        if i >= h0:
+            for j, s in enumerate(self.rs.all_roots):
+                ns[j], ts[j] = pairings[s][k[1]], j
+        else:
+            for j, c in enumerate(pairings[k], h0):
+                ns[j], ts[j] = -c, i
+            kr, nany = self._keys[k], self._nany
+            for ks, j in pos.items():
+                kt = kr + ks
+                if not kt:
+                    ns[j], ts[j] = 1, dim
+                elif (t := pos.get(kt)) is not None:
+                    ns[j], ts[j] = nany(kr, ks, kt), t
         row = self._rows[i] = ns, ts
         return row
 
-    def table_row(self, i):
-        """The nonzero brackets of the basis element at position i with
-        every basis element, read from its stored row (see `_fill`), the
-        row `bracket` reads: the triples (j, m, v) with v the e_m
-        coefficient of [e_i, e_j], v != 0, in the order of j; the coroot
-        column gives one triple per nonzero coordinate of the coroot."""
+    def _entries(self, i, cols):
+        """The nonzero brackets of the basis element at position i with the
+        basis elements at the positions `cols`, read from its stored row
+        (see `_fill`): the triples (j, m, v) with v the e_m coefficient of
+        [e_i, e_cols[j]], v != 0, in the order of `cols`; the coroot column
+        gives one triple per nonzero coordinate of the coroot, in order."""
         ns, ts = self._rows[i] or self._fill(i)
-        out = []
-        for j, n in enumerate(ns):
+        mark, out = self.dim, []
+        for j, c in enumerate(cols):
+            n = ns[c]
             if not n:
                 continue
-            t = ts[j]
-            if t == self.dim:
+            t = ts[c]
+            if t == mark:
                 out.extend((j, q, h) for q, h in enumerate(
                     self.rs.coroots[self.basis_labels[i]], self._nroots) if h)
             else:
                 out.append((j, t, n))
         return out
+
+    def table_row(self, i):
+        """The nonzero brackets of the basis element at position i with
+        every basis element, read from its stored row, the row `bracket`
+        reads: `_entries` over every position, so the triples (j, m, v)
+        with v the e_m coefficient of [e_i, e_j], in the order of j."""
+        return self._entries(i, range(self.dim))
 
     def bracket(self, a, b):
         """[a, b], read from the stored rows (see `_fill`) of the labels
@@ -412,26 +401,30 @@ class ChevalleyAlgebra:
         """For each basis label k in `labels`, the nonzero entries (i, j, v)
         of the matrix of ad(e_k) from the span of the `src` labels to the
         span of the `dst` labels: v is the dst[i] coefficient of
-        [e_k, src[j]], read from the row of k (`_row`).  Every v is an int,
-        because every basis bracket is one: the root system's `pairings`
-        and `coroots` are int tuples (its build raises on a non-integral
-        coroot), and `_nany` raises on a remainder.  Raises ValueError if a
-        label in `labels`, `src` or `dst` is not a basis label, or if some
-        [e_k, src[j]] has a component outside the `dst` labels."""
+        [e_k, src[j]], read from the stored row of k by `_entries`, in the
+        order of j, after `src` and `dst` are mapped to basis positions once
+        per call.  Every v is an int, because every basis bracket is one:
+        the root system's `pairings` and `coroots` are int tuples (its build
+        raises on a non-integral coroot), and `_nany` raises on a
+        remainder.  Raises ValueError if a label in `labels`, `src` or `dst`
+        is not a basis label, or if some [e_k, src[j]] has a component
+        outside the `dst` labels."""
         index = self.index
         for lbl in chain(labels, src, dst):
             if lbl not in index:
                 raise ValueError(f"{lbl!r} is not a basis label of "
                                  f"{self.rs.cartan_type}")
-        row_of = {lbl: i for i, lbl in enumerate(dst)}
+        cols = [index[lbl] for lbl in src]
+        row_of = {index[lbl]: i for i, lbl in enumerate(dst)}
         entries = {}
         for k in labels:
             ek = entries[k] = []
-            for j, t, v in self._row(k, src):
-                i = row_of.get(t)
+            for j, m, v in self._entries(index[k], cols):
+                i = row_of.get(m)
                 if i is None:
-                    raise ValueError(f"[{k}, {src[j]}] has a component along {t}, "
-                                     "outside the destination labels")
+                    raise ValueError(f"[{k}, {src[j]}] has a component along "
+                                     f"{self.basis_labels[m]}, outside the "
+                                     "destination labels")
                 ek.append((i, j, v))
         return entries
 

@@ -1,7 +1,8 @@
 """Exact rational linear algebra on small matrices.
 
 Every function takes a matrix as a list of dense rows of ints or
-Fractions; results are fractions.Fraction, with no floating point
+Fractions, and raises TypeError on a nonzero entry of another type, such
+as a float; results are fractions.Fraction, with no floating point
 anywhere.  There is one elimination, `_independent`: fraction-free and
 sparse, on rows scaled to coprime integers, touching nonzero entries
 only.  `rank` and `power_ranks` use it as it is; `_reduced` sorts its rows
@@ -34,8 +35,13 @@ def _nonzero(row, ncols):
 
 def _integer(entries):
     """{column: value} of ints or Fractions scaled to coprime integers (the
-    same line, so the same reduced row echelon form)."""
-    d = lcm(*[x.denominator for x in entries.values()])
+    same line, so the same reduced row echelon form).  Raises TypeError on
+    an entry with no denominator, such as a float."""
+    try:
+        d = lcm(*[x.denominator for x in entries.values()])
+    except AttributeError:
+        bad = next(x for x in entries.values() if not hasattr(x, "denominator"))
+        raise TypeError(f"entry {bad!r} is not an int or a Fraction") from None
     ints = {j: x.numerator * (d // x.denominator) for j, x in entries.items()}
     g = gcd(*ints.values())
     return {j: v // g for j, v in ints.items()} if g > 1 else ints

@@ -240,15 +240,19 @@ class RootSystem:
         """Simple-root coordinates of a vector given in the ambient
         realization, or None if it is not in the root lattice span.
         Raises ValueError unless `eps` has one entry per ambient
-        coordinate."""
+        coordinate, and TypeError unless every coordinate is an int or a
+        Fraction (a float or a bool is not exact input)."""
         from . import linalg
 
         dim = len(self._simple_eps[0])
         if len(eps) != dim:
             raise ValueError(f"{self.cartan_type} lives in dimension {dim}, "
                              f"got {len(eps)} coordinates")
+        for v in eps:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise TypeError(f"coordinate {v!r} is not an int or a Fraction")
         rows = [[self._simple_eps[j][i] for j in range(self.rank)] for i in range(dim)]
-        x = linalg.solve(rows, [Fraction(v) for v in eps])
+        x = linalg.solve(rows, eps)
         if x is None:
             return None
         return tuple(x)

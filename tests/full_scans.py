@@ -11,7 +11,12 @@ the grading's H (de Graaf's scan).  It exits 1 unless:
   orbits (Collingwood & McGovern, ch. 8);
 - every rejection is exact (`NoTripleError.exact`);
 - every kept triple (N0, H, N1) satisfies [H, N0] = 2 N0, [H, N1] = -2 N1
-  and [N1, N0] = H, re-checked with `bracket`.
+  and [N1, N0] = H, re-checked with `bracket`;
+- on every kept diagram, dim g - dim g_0 - dim g_1 equals
+  `orbit_dimension(N0)`, the rank of ad(N0) over all of g, read from
+  `ad_entries` of every basis label;
+- the distinguished diagrams, those with dim g_0 = dim g_2, number 6 for
+  E7 and 11 for E8 (Collingwood & McGovern, ch. 8).
 
 It needs only the standard library, reads the library from `src`, and is
 not part of the tier-1 suite (`testpaths` collects `test_*.py` files only).
@@ -28,12 +33,14 @@ from nilorb import dynkin  # noqa: E402
 from nilorb.chevalley import build_algebra  # noqa: E402
 
 ORBITS = {"E7": 44, "E8": 69}
+DISTINGUISHED = {"E7": 6, "E8": 11}
 
 
 def scan(name):
-    """(kept diagrams, problems) of the full scan of one type."""
+    """(kept diagrams, distinguished kept diagrams, problems) of the full
+    scan of one type."""
     alg = build_algebra(name)
-    kept, problems = [], []
+    kept, distinguished, problems = [], 0, []
     for labels in itertools.product((0, 1, 2), repeat=alg.rank):
         if not any(labels):
             continue
@@ -51,19 +58,26 @@ def scan(name):
         if not (alg.bracket(h, n0) == n0.scale(2) and alg.bracket(h, n1) == n1.scale(-2)
                 and alg.bracket(n1, n0) == h):
             problems.append(f"{name} {labels}: the sl2 relations fail")
-    return kept, problems
+        g0, g1 = len(grading.piece(0)), len(grading.piece(1))
+        if alg.dim - g0 - g1 != alg.orbit_dimension(n0):
+            problems.append(f"{name} {labels}: dim g - dim g_0 - dim g_1 is not "
+                            "the orbit dimension of N0")
+        distinguished += g0 == len(grading.piece(2))
+    return kept, distinguished, problems
 
 
 def main():
     failed = False
     for name, want in ORBITS.items():
         start = time.perf_counter()
-        kept, problems = scan(name)
+        kept, distinguished, problems = scan(name)
         print(f"{name}: {len(kept)} diagrams kept, {want} orbits, "
+              f"{distinguished} distinguished, {DISTINGUISHED[name]} expected, "
               f"{time.perf_counter() - start:.2f} s")
         for p in problems:
             print(p)
-        failed |= bool(problems) or len(kept) != want
+        failed |= (bool(problems) or len(kept) != want
+                   or distinguished != DISTINGUISHED[name])
     return 1 if failed else 0
 
 

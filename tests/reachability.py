@@ -49,7 +49,7 @@ ALLOWED = [
      "build gate: Carter's step gives a non-integral N only on a wrong root system"),
     ("chevalley.py", "raise AssertionError(f\"|N{pos[i], pos[k]}| = {abs(n)} is not \"",
      "build gate: |N| = p + 1 fails only on a wrong root system"),
-    ("chevalley.py", "roots = self._key_roots",
+    ("chevalley.py", "roots = dict(zip(self._key_pos, self.basis_labels))",
      "the N rule's integrality gate: a correct table never leaves a remainder"),
     ("chevalley.py", "raise AssertionError(f\"N{roots[a], roots[b]} = \"",
      "the N rule's integrality gate: a correct table never leaves a remainder"),

@@ -134,8 +134,8 @@ def test_stored_rows_are_compact_and_match_the_row_map():
     `table_row`, together takes at most 0.4 MB under tracemalloc (two
     fixed-width int arrays per row take about 0.33 MB; a dict of (t, v)
     pairs per row took about ten times that), and holds, with int
-    coefficients, exactly the entries of `_row`, the map it is filled
-    from."""
+    coefficients and in the order of the columns, exactly the brackets of
+    the oracle `basis_bracket`."""
     algs = [ChevalleyAlgebra(build_root_system(t)) for t in ("E7", "E8")]
     tracemalloc.start()
     try:
@@ -148,11 +148,44 @@ def test_stored_rows_are_compact_and_match_the_row_map():
         tracemalloc.stop()
     assert size <= 0.4e6, size
     for alg in algs:
-        labels, index = alg.basis_labels, alg.index
+        oracle, labels, index = basis_bracket(alg.rs), alg.basis_labels, alg.index
         for i, k in enumerate(labels):
             row = alg.table_row(i)
-            assert row == [(j, index[t], v) for j, t, v in alg._row(k, labels)], k
+            assert row == [(j, index[t], v) for j, lbl in enumerate(labels)
+                           for t, v in oracle(k, lbl).items()], k
             assert all(type(v) is int for _, _, v in row)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4"])
+def test_ad_entries_reads_only_stored_rows(name, monkeypatch):
+    """`ad_entries` reads the stored rows of its labels and nothing else:
+    with those rows filled and `_nany` raising, it still equals the oracle,
+    with `src` and `dst` shuffled and the H labels in `dst`, so that the
+    coroot column [X_r, X_-r] = H_r splits across rows, and it fills no
+    other row."""
+    alg = ChevalleyAlgebra(build_root_system(name))
+    oracle, index = basis_bracket(alg.rs), alg.index
+    basis = alg.basis_labels
+    labels = basis[1::4]  # root labels and H_1
+    for k in labels:
+        alg.table_row(index[k])
+
+    def nany(*keys):
+        raise AssertionError(f"_nany{keys} called")
+
+    monkeypatch.setattr(alg, "_nany", nany)
+    rng = random.Random(0)
+    src, dst = basis[:], basis[:]
+    rng.shuffle(src)
+    rng.shuffle(dst)
+    entries = alg.ad_entries(labels, src, dst)
+    row_of = {lbl: i for i, lbl in enumerate(dst)}
+    assert list(entries) == labels
+    for k in labels:
+        assert entries[k] == [(row_of[t], j, v) for j, lbl in enumerate(src)
+                              for t, v in oracle(k, lbl).items()], k
+    assert ([i for i, row in enumerate(alg._rows) if row]
+            == sorted(index[k] for k in labels))
 
 
 # Brute force on G2, the smallest type with root strings of every length

@@ -293,6 +293,23 @@ def test_ragged_rows_raise():
                 proc(rows)
 
 
+def test_float_entries_raise_type_error():
+    # a float used to raise a bare AttributeError ('float' object has no
+    # attribute 'denominator'); it names the entry now, in A, b and f
+    square = [[1, 0.5], [0, 1]]
+    for call in (lambda: linalg.rank(square), lambda: linalg.rref(square),
+                 lambda: linalg.kernel_basis(square),
+                 lambda: linalg.power_ranks(square),
+                 lambda: linalg.solve(square, [1, 1]),
+                 lambda: linalg.solve_with_rank(square, [1, 1]),
+                 lambda: linalg.forward_tests(square, [1, 1], [1, 1]),
+                 lambda: linalg.solve([[1, 0], [0, 1]], [1, 0.5]),
+                 lambda: linalg.forward_tests([[1, 0], [0, 1]], [1, 0.5], [1, 1]),
+                 lambda: linalg.forward_tests([[1, 0], [0, 1]], [1, 1], [1, 0.5])):
+        with pytest.raises(TypeError, match=r"entry 0\.5 is not an int or a Fraction"):
+            call()
+
+
 def test_nilpotency_of_a_non_square_matrix_raises():
     # power_ranks and the former is_nilpotent used to return True
     for rows in ([[0, 1], [0, 0], [1, 0]], [[0, 1, 0], [0, 0, 0]], [[0], [0, 0]]):

@@ -181,6 +181,16 @@ def test_root_from_epsilon_round_trip():
     assert build_root_system("G2").root_from_epsilon([1, 1, 1]) is None
 
 
+def test_root_from_epsilon_rejects_inexact_coordinates():
+    # Fraction(0.1) used to turn a binary float into "exact" input, and
+    # True read as 1
+    rs = build_root_system("A2")
+    for eps in ([1, -1, 0.0], [0.5, -0.5, 0], [True, -1, 0]):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            rs.root_from_epsilon(eps)
+    assert rs.root_from_epsilon([1, Fraction(-1), 0]) == (1, 0)
+
+
 def test_root_from_epsilon_rejects_the_wrong_dimension():
     # A2 used to read (1, -1, 0, 5) as alpha_1, and E8 read (1, 1) as alpha_2
     for name, eps in (("A2", [1, -1, 0, 5]), ("A2", [1, -1]), ("E8", [1, 1])):
