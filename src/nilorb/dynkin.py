@@ -13,8 +13,9 @@ tests, which read only root data and build no algebra);
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import mul
+from itertools import chain, compress
+from math import lcm
+from operator import ge, mul
 
 from . import linalg
 # build_algebra is unused here, but perfbench's tracer test reads dynkin.build_algebra
@@ -57,7 +58,16 @@ Sl2Triple = namedtuple("Sl2Triple", "n0 h n1")   # LieElements
 
 class Grading:
     """Eigenspace decomposition of the algebra under a Cartan element H
-    with alpha_i(H) equal to the diagram labels."""
+    with alpha_i(H) equal to the diagram labels.
+
+    The constructor computes only the degree of each positive root and the
+    integer numerators h of H = h / d, d from `inverse_cartan_numerators`.
+    Every piece is read from these degrees, because deg(-r) = -deg r and
+    the rank H labels have degree 0: `piece(k)` lists the roots of degree
+    k; `piece(-k)` their negatives; and `piece(0)` the degree-0 roots,
+    their negatives and the H labels.  Each piece is in basis order, built
+    on first use and cached per k.  `dims` counts the pieces without
+    building them.  `degree`, `pieces` and `H` are built on first use."""
 
     def __init__(self, alg, diagram):
         if diagram.cartan_type != alg.rs.cartan_type:
@@ -70,24 +80,55 @@ class Grading:
         for v, col in zip(diagram.labels, zip(*rs.positive_roots)):
             if v:
                 pos = [p + v * x for p, x in zip(pos, col)]
-        # basis_labels: the positive roots, their negatives, then ('H', i)
-        self.degree = dict(zip(alg.basis_labels,
-                               chain(pos, [-v for v in pos], [0] * rs.rank)))
-        # each piece lists its labels in basis order
-        self.pieces = {}
-        for lbl, d in self.degree.items():
-            self.pieces.setdefault(d, []).append(lbl)
+        self._pos = pos
+        # alpha_i(H) = sum_j C[i][j] h_j / d = labels_i
+        self._h = [sum(map(mul, row, diagram.labels))
+                   for row in rs.inverse_cartan_numerators[1]]
+        self._pieces = {}
+
+    @cached_property
+    def degree(self):
+        """{label: degree} over the basis labels, in basis order."""
+        pos = self._pos
+        return dict(zip(self.alg.basis_labels,
+                        chain(pos, [-v for v in pos], [0] * self.alg.rank)))
+
+    @cached_property
+    def pieces(self):
+        """{k: piece(k)} for every nonzero piece, keyed in the order in
+        which the basis first reaches each degree."""
+        return {k: self.piece(k) for k in dict.fromkeys(self.degree.values())}
 
     @cached_property
     def H(self):
         """sum_j x_j H_j with alpha_i(H) = sum_j C[i][j] x_j = labels_i."""
-        denom, inverse = self.alg.rs.inverse_cartan_numerators
-        labels = self.diagram.labels
-        return self.alg.cartan_element(
-            [Fraction(sum(map(mul, row, labels)), denom) for row in inverse])
+        d = self.alg.rs.inverse_cartan_numerators[0]
+        return self.alg.cartan_element([Fraction(v, d) for v in self._h])
 
-    def piece(self, i):
-        return self.pieces.get(i, [])
+    def piece(self, k):
+        """The labels of degree k, in basis order (basis_labels: the
+        positive roots, their negatives, then the H labels)."""
+        out = self._pieces.get(k)
+        if out is None:
+            labels, n, a = self.alg.basis_labels, len(self._pos), abs(k)
+            keep = [d == a for d in self._pos]
+            out = [] if k < 0 else list(compress(labels, keep))
+            if k <= 0:
+                out += compress(labels[n:], keep)
+            if k == 0:
+                out += labels[2 * n:]
+            self._pieces[k] = out
+        return out
+
+    @cached_property
+    def dims(self):
+        """[dim g_0, ..., dim g_top], counted from the positive-root
+        degrees; dim g_-k = dim g_k."""
+        dims = [0] * (max(self._pos) + 1)
+        for d in self._pos:
+            dims[d] += 1
+        dims[0] = 2 * dims[0] + self.alg.rank
+        return dims
 
     @cached_property
     def sl2_block(self):
@@ -104,9 +145,8 @@ def weight_multiplicities_nonnegative(grading):
     finite-dimensional sl2-module on which H has eigenvalue k on g_k, so
     ad(N0) maps g_k onto g_{k+2} for k >= -1 (Collingwood & McGovern,
     ch. 3).  When it fails, no degree-2 element completes."""
-    top = max(grading.pieces)
-    return all(len(grading.piece(k)) >= len(grading.piece(k + 2))
-               for k in range(top - 1))
+    dims = grading.dims
+    return all(map(ge, dims, dims[2:]))
 
 
 def _require_grading_algebra(alg, grading):
@@ -118,10 +158,12 @@ def _require_grading_algebra(alg, grading):
 
 def _require_degree_two(grading, n):
     """Raise ValueError unless N belongs to the grading's algebra and every
-    label of N has degree 2."""
+    label of N has degree 2: a positive root, whose basis position indexes
+    the positive-root degrees."""
     if n.alg is not grading.alg:
         raise ValueError("N belongs to a different algebra than the grading")
-    if not all(grading.degree[lbl] == 2 for lbl in n.coeffs):
+    index, pos = grading.alg.index, grading._pos
+    if not all((p := index[lbl]) < len(pos) and pos[p] == 2 for lbl in n.coeffs):
         raise ValueError("N must be homogeneous of degree 2")
 
 
@@ -132,8 +174,17 @@ def sl2_complete(alg, grading, n0):
 
     [N1, N0] = H is solved as ad(N0) N1 = -H on the map g_-2 -> g_0, the
     only rows where either side can be nonzero.  `alg` must be the
-    grading's algebra (ValueError otherwise).  The matrix is combined
-    from the grading's `sl2_block`, and the triple is returned as solved,
+    grading's algebra (ValueError otherwise).  The system is solved over
+    the integers: with D the least common denominator of N0's
+    coefficients and H = h / d (see `Grading`), the sparse integer rows of
+    [ad(D N0) | -h] are read from the grading's `sl2_block` and go to
+    `linalg`'s one elimination.  Each entry of ad(D N0) is one nonzero
+    product D c_k v, never a sum: [X_k, X_-s] lies along X_(k-s), or in h
+    for k = s, so the entry in row X_t and column X_-s comes only from
+    k = s + t, and one in an H row only from k = s.  Scaling the rows by D
+    and the right-hand side by d changes neither solvability nor rank, and
+    the solution with free variables 0 is linear in the right-hand side,
+    so N1 is that solution times D / d.  The triple is returned as solved,
     without re-checking it with `bracket`.  Its three relations hold:
 
     - [H, N0] = 2 N0: every label of N0 has degree 2 (checked on entry).
@@ -167,17 +218,28 @@ def sl2_complete(alg, grading, n0):
         raise ValueError("N0 must be nonzero")
     _require_degree_two(grading, n0)
     neg = grading.piece(-2)
-    g0 = grading.piece(0)
-    rows = combine(grading.sl2_block, n0.coeffs, len(g0), len(neg))
-    sol, rank = linalg.solve_with_rank(
-        rows, [-grading.H.coeffs.get(lbl, 0) for lbl in g0])
+    n = len(neg)
+    D = lcm(*[c.denominator for c in n0.coeffs.values()])
+    # the H labels are the last rows of g_0
+    h = grading._h
+    rows = ([{} for _ in range(len(grading.piece(0)) - len(h))]
+            + [{n: -v} if v else {} for v in h])
+    block = grading.sl2_block
+    for k, c in n0.coeffs.items():
+        c = c.numerator * (D // c.denominator)
+        for i, j, v in block[k]:
+            rows[i][j] = c * v
+    sol, rank = linalg._solve([row for row in rows if row], n)
     if sol is None:
-        if rank < len(neg):
+        if rank < n:
             raise NoTripleError("[N1, N0] = H has no solution in degree -2 at "
                                 "this N0 (not exact)", exact=False)
         raise NoTripleError("[N1, N0] = H has no solution in degree -2, and "
                             "ad(N0) is injective there (exact)")
-    n1 = LieElement._computed(grading.alg, dict(zip(neg, sol)))
+    # N1 = x D / d, for x the solution of [ad(D N0) | -h]
+    scale = Fraction(D, grading.alg.rs.inverse_cartan_numerators[0])
+    n1 = LieElement._computed(grading.alg,
+                              {lbl: v * scale for lbl, v in zip(neg, sol)})
     return Sl2Triple(n0, grading.H, n1)
 
 

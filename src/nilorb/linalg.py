@@ -1,11 +1,15 @@
 """Exact rational linear algebra on small matrices.
 
-Every function takes a matrix as a list of dense rows of ints or
+Every public function takes a matrix as a list of dense rows of ints or
 Fractions, and raises TypeError on a nonzero entry of another type, such
 as a float; results are fractions.Fraction, with no floating point
 anywhere.  There is one elimination, `_independent`: fraction-free and
-sparse, on rows scaled to coprime integers, touching nonzero entries
-only.  `rank` and `power_ranks` use it as it is; `_reduced` sorts its rows
+sparse, on integer rows, touching nonzero entries only; the dense entries
+scale each row to coprime integers first.  The one sparse entry, `_solve`,
+takes the nonzero rows of [A | b] as sparse integer rows:
+`solve_with_rank` wraps it, and `dynkin.sl2_complete` builds such rows
+from its integer blocks, with no dense matrix and no Fraction.  `rank`
+and `power_ranks` use `_independent` as it is; `_reduced` sorts its rows
 by pivot column and back-substitutes with the same row-clearing step, for
 `rref` (and `kernel_basis`) and for a solvable `solve_with_rank`.  One
 forward elimination of [A | b] tells whether A x = b is solvable (no
@@ -181,14 +185,21 @@ def solve_with_rank(rows, rhs):
     back-substituted, and its solution is the rref one, free variables 0.
     Raises ValueError unless len(rhs) == len(rows), and if A has no rows."""
     aug = _augmented(rows, rhs)
-    ncols = _width(rows)
-    basis = _independent(_sparse(aug))
-    solvable, rest = _split(basis, ncols)
+    return _solve(_sparse(aug), _width(rows))
+
+
+def _solve(rows, n):
+    """`solve_with_rank` on [A | b], b in column n, given as its nonzero
+    rows: {column: int} with columns in 0..n and no zero entry, the form
+    `_sparse` gives (the rows need not be coprime).  The caller builds
+    them, so nothing is checked."""
+    basis = _independent(rows)
+    solvable, rest = _split(basis, n)
     if not solvable:
         return None, len(rest)
-    x = [_ZERO] * ncols
+    x = [_ZERO] * n
     for row, c in zip(*_reduced(basis)):
-        x[c] = Fraction(row.get(ncols, 0), row[c])
+        x[c] = Fraction(row.get(n, 0), row[c])
     return x, len(basis)
 
 

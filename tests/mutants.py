@@ -107,9 +107,25 @@ MUTANTS = [
     # the dimension test skips its last k, so G2 (2,0), where only
     # dim g_4 < dim g_6 rules out a triple, reaches the attempts
     (DYNKIN,
-     "               for k in range(top - 1))\n",
-     "               for k in range(top - 2))\n",
+     "all(map(ge, dims, dims[2:]))",
+     "all(map(ge, dims, dims[2:-1]))",
      [TD + "test_fake_g2_diagram_rejected_exactly"]),
+    # g_-k read from the positive roots: piece(-k) repeats piece(k)
+    (DYNKIN,
+     "out += compress(labels[n:], keep)",
+     "out += compress(labels, keep)",
+     [TD + "test_grading_matches_its_definitions[G2]"]),
+    # dim g_0 counted without the rank H labels
+    (DYNKIN,
+     "dims[0] = 2 * dims[0] + self.alg.rank",
+     "dims[0] = 2 * dims[0]",
+     [TD + "test_grading_matches_its_definitions[G2]"]),
+    # the sl2 solution not divided by d: N1 is d times too large wherever
+    # H has a denominator d > 1 (B3, C3, D4, A4; not G2 or F4)
+    (DYNKIN,
+     "Fraction(D, grading.alg.rs.inverse_cartan_numerators[0])",
+     "Fraction(D)",
+     [TD + "test_sl2_complete_restricted_solve_matches_full_rows[B3]"]),
     # the ninth attempt vector j^2 + 1 replaced by the eighth: E8
     # (1,0,0,1,0,1,1,0) is no longer completed
     (DYNKIN,

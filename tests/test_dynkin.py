@@ -461,7 +461,8 @@ def _full_row_n1(alg, grading, n0):
     return None if sol is None else alg.element(dict(zip(neg, sol)))
 
 
-@pytest.mark.parametrize("name", ["G2", "F4"])
+# G2 and F4 have H integral (d = 1); B3, C3, D4 and A4 have d > 1
+@pytest.mark.parametrize("name", ["G2", "F4", "B3", "C3", "D4", "A4"])
 def test_sl2_complete_restricted_solve_matches_full_rows(name):
     alg = build_algebra(name)
     kept = 0
@@ -470,6 +471,10 @@ def test_sl2_complete_restricted_solve_matches_full_rows(name):
         g2 = grading.piece(2)
         if not g2:
             continue
+        # the blocks of distinct degree-2 labels never share an entry,
+        # so sl2_complete writes each entry of ad(N0) once
+        cells = [(i, j) for entries in grading.sl2_block.values() for i, j, _ in entries]
+        assert len(cells) == len(set(cells))
         # the elements generic_degree_two tries, up to the first triple
         for attempt in range(8):
             n0 = alg.element({lbl: (-1) ** j * (j + 1) ** attempt
@@ -480,9 +485,12 @@ def test_sl2_complete_restricted_solve_matches_full_rows(name):
                     sl2_complete(alg, grading, n0)
             else:
                 assert sl2_complete(alg, grading, n0).n1 == expected
+                # N0 with a denominator: N1 scales inversely
+                scaled = sl2_complete(alg, grading, n0.scale(F(2, 3)))
+                assert scaled.n1 == expected.scale(F(3, 2))
                 kept += 1
                 break
-    assert kept == {"G2": 4, "F4": 15}[name]
+    assert kept == {"G2": 4, "F4": 15, "B3": 6, "C3": 7, "D4": 11, "A4": 6}[name]
 
 
 def test_ad_restricted_rejects_image_outside_destination():
@@ -777,9 +785,12 @@ ALL_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_grading_matches_its_definitions(name):
-    """degree, pieces and H against their definitions: deg r = r . labels,
-    each piece lists its labels in basis order, and alpha_i(H) = l_i,
-    read off [H, X_alpha_i] with `bracket`."""
+    """piece, dims, degree, pieces and H against their definitions:
+    deg r = r . labels, each piece lists its labels in basis order, and
+    alpha_i(H) = l_i, read off [H, X_alpha_i] with `bracket`.  Every
+    piece(k) for -top <= k <= top + 1 is read before `degree` or `pieces`
+    is built, and its length is dims[|k|], the size that
+    `weight_multiplicities_nonnegative` compares (0 beyond top)."""
     alg = build_algebra(name)
     rank = alg.rank
     rng = random.Random(name)
@@ -789,6 +800,14 @@ def test_grading_matches_its_definitions(name):
         grading = _grading(name, labels)
         degree = {lbl: 0 if lbl[0] == "H" else sum(c * v for c, v in zip(lbl, labels))
                   for lbl in alg.basis_labels}
+        top = max(degree.values())
+        dims = grading.dims + [0]
+        assert len(dims) == top + 2
+        for k in range(-top, top + 2):
+            piece = [lbl for lbl in alg.basis_labels if degree[lbl] == k]
+            assert grading.piece(k) == piece, k
+            assert dims[abs(k)] == len(piece), k
+        assert "degree" not in vars(grading) and "pieces" not in vars(grading)
         assert grading.degree == degree
         assert list(grading.degree) == alg.basis_labels
         pieces = {d: [lbl for lbl in alg.basis_labels if degree[lbl] == d]
