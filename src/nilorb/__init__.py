@@ -1,8 +1,8 @@
 """Exact computations with nilpotent orbits of simple complex Lie algebras.
 
 Modules:
-    linalg      exact linear algebra on dense rows: fraction-free rref, kernel,
-                rank, nilpotency
+    linalg      exact linear algebra on dense rows: rank, kernel, solve, ranks
+                of powers, on one fraction-free sparse elimination
     rootsys     root systems from Cartan matrices, Bourbaki realizations
     chevalley   Chevalley bases, structure constants, brackets, ad(x) matrices,
                 Killing form, centralizers

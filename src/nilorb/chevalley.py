@@ -407,8 +407,9 @@ class ChevalleyAlgebra:
         the root system's `pairings` and `coroots` are int tuples (its build
         raises on a non-integral coroot), and `_nany` raises on a
         remainder.  Raises ValueError if a label in `labels`, `src` or `dst`
-        is not a basis label, or if some [e_k, src[j]] has a component
-        outside the `dst` labels."""
+        is not a basis label, if a label repeats in `dst` (a row would go
+        unfilled), or if some [e_k, src[j]] has a component outside the
+        `dst` labels."""
         index = self.index
         for lbl in chain(labels, src, dst):
             if lbl not in index:
@@ -416,6 +417,9 @@ class ChevalleyAlgebra:
                                  f"{self.rs.cartan_type}")
         cols = [index[lbl] for lbl in src]
         row_of = {index[lbl]: i for i, lbl in enumerate(dst)}
+        if len(row_of) < len(dst):  # a dict keeps the last row of a label
+            lbl = next(lbl for i, lbl in enumerate(dst) if row_of[index[lbl]] != i)
+            raise ValueError(f"{lbl!r} repeats in the destination labels")
         entries = {}
         for k in labels:
             ek = entries[k] = []
@@ -431,13 +435,20 @@ class ChevalleyAlgebra:
     def ad_matrix(self, x, src, dst):
         """Matrix of ad(x) from the span of the `src` labels to the span of
         the `dst` labels: row i, column j holds the dst[i] coefficient of
-        [x, src[j]].  Its entries are ints when x is integral.  Raises
-        ValueError unless x belongs to this algebra, and as `ad_entries`
-        does."""
+        [x, src[j]], summed over the `ad_entries` of x's labels.  Integral
+        coefficients are used as ints, so the entries are ints when x is
+        integral.  Raises ValueError unless x belongs to this algebra, and
+        as `ad_entries` does."""
         if x.alg is not self:
             raise ValueError("element belongs to a different algebra")
-        return combine(self.ad_entries(x.coeffs, src, dst), x.coeffs,
-                       len(dst), len(src))
+        entries = self.ad_entries(x.coeffs, src, dst)
+        rows = [[0] * len(src) for _ in dst]
+        for k, c in x.coeffs.items():
+            if c.denominator == 1:
+                c = c.numerator
+            for i, j, v in entries[k]:
+                rows[i][j] += c * v
+        return rows
 
     @cached_property
     def _killing_gram(self):
@@ -499,19 +510,6 @@ class ChevalleyAlgebra:
 
     def projective_orbit_dimension(self, a):
         return self.orbit_dimension(a) - 1
-
-
-def combine(entries, coeffs, nrows, ncols):
-    """The nrows x ncols matrix sum_k coeffs[k] * ad(e_k), from the
-    `ad_entries` of the labels k; integral coefficients are used as ints,
-    so an integral combination stays over the integers."""
-    rows = [[0] * ncols for _ in range(nrows)]
-    for k, c in coeffs.items():
-        if c.denominator == 1:
-            c = c.numerator
-        for i, j, v in entries[k]:
-            rows[i][j] += c * v
-    return rows
 
 
 def _root_keys(roots, bits):

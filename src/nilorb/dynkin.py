@@ -19,7 +19,7 @@ from operator import ge, mul
 
 from . import linalg
 # build_algebra is unused here, but perfbench's tracer test reads dynkin.build_algebra
-from .chevalley import LieElement, build_algebra, combine
+from .chevalley import LieElement, build_algebra
 from .rootsys import CartanType, build_root_system
 
 
@@ -67,7 +67,7 @@ class Grading:
     k; `piece(-k)` their negatives; and `piece(0)` the degree-0 roots,
     their negatives and the H labels.  Each piece is in basis order, built
     on first use and cached per k.  `dims` counts the pieces without
-    building them.  `degree`, `pieces` and `H` are built on first use."""
+    building them.  `degree` and `H` are built on first use."""
 
     def __init__(self, alg, diagram):
         if diagram.cartan_type != alg.rs.cartan_type:
@@ -92,12 +92,6 @@ class Grading:
         pos = self._pos
         return dict(zip(self.alg.basis_labels,
                         chain(pos, [-v for v in pos], [0] * self.alg.rank)))
-
-    @cached_property
-    def pieces(self):
-        """{k: piece(k)} for every nonzero piece, keyed in the order in
-        which the basis first reaches each degree."""
-        return {k: self.piece(k) for k in dict.fromkeys(self.degree.values())}
 
     @cached_property
     def H(self):
@@ -328,7 +322,7 @@ def centralizer_in_n_perp(grading, n):
     _require_degree_two(grading, n)
     return all(
         linalg.rank(grading.alg.ad_matrix(n, grading.piece(k), grading.piece(k + 2)))
-        == len(grading.piece(k)) for k in grading.pieces if k <= -2)
+        == len(grading.piece(k)) for k in range(1 - len(grading.dims), -1))
 
 
 def omega_kernel_dim(grading, n):
@@ -353,13 +347,6 @@ def omega_kernel_dim(grading, n):
 PairingVerdict = namedtuple("PairingVerdict", "status witness", defaults=(None,))
 
 
-def _bracket_kernel(grading, n_coeffs):
-    """Kernel of Q -> [N, Q] on the degree -2 piece, for N of degree 2
-    (the map g_-2 -> g_0, combined from the grading's `sl2_block`)."""
-    return linalg.kernel_basis(combine(
-        grading.sl2_block, n_coeffs, len(grading.piece(0)), len(grading.piece(-2))))
-
-
 def pairing_criterion(grading):
     """Decide exactly whether [N, Q] != 0 for all nonzero N of degree 2
     and Q of degree -2, by testing the root vectors X_beta of degree 2.
@@ -372,9 +359,9 @@ def pairing_criterion(grading):
     Groups* 21.2), and a T-fixed line in g_2 is a weight line C X_beta,
     because the weights of g_2 are distinct roots.  The first root of
     `piece(2)` whose ad(X_beta) has a kernel on g_-2 gives the witness."""
-    gm2 = grading.piece(-2)
+    alg, gm2, g0 = grading.alg, grading.piece(-2), grading.piece(0)
     for lbl in grading.piece(2):
-        ker = _bracket_kernel(grading, {lbl: 1})
+        ker = linalg.kernel_basis(alg.ad_matrix(alg.element({lbl: 1}), gm2, g0))
         if ker:
             q = {m: c for m, c in zip(gm2, ker[0]) if c}
             return PairingVerdict("fails", witness=({lbl: 1}, q))

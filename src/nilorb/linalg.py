@@ -5,21 +5,21 @@ Fractions, and raises TypeError on a nonzero entry of another type, such
 as a float; results are fractions.Fraction, with no floating point
 anywhere.  There is one elimination, `_independent`: fraction-free and
 sparse, on integer rows, touching nonzero entries only; the dense entries
-scale each row to coprime integers first.  The one sparse entry, `_solve`,
-takes the nonzero rows of [A | b] as sparse integer rows:
-`solve_with_rank` wraps it, and `dynkin.sl2_complete` builds such rows
-from its integer blocks, with no dense matrix and no Fraction.  `rank`
-and `power_ranks` use `_independent` as it is; `_reduced` sorts its rows
-by pivot column and back-substitutes with the same row-clearing step, for
-`rref` (and `kernel_basis`) and for a solvable `solve_with_rank`.  One
-forward elimination of [A | b] tells whether A x = b is solvable (no
-independent row starts at the column of b, `_split`) and gives rank(A);
-`forward_tests` also reads off it whether a row f lies in the row space
-of A, and `power_ranks(A)`.  Every function raises ValueError unless all
-rows have the same length; `power_ranks` and `forward_tests` also unless
-the matrix is square, `forward_tests` also unless b and f have one entry
-per row, and `kernel_basis`, `solve` and `solve_with_rank` also for a
-matrix with no rows, whose width is unknown.
+scale each row to coprime integers first.  `rank` and `power_ranks` use
+it as it is; `_reduced` sorts its rows by pivot column and
+back-substitutes with the same row-clearing step, for `kernel_basis` and
+for a solvable `_solve`.  `_solve` takes the nonzero rows of [A | b] as
+sparse integer rows: `solve` builds them from dense rows, and
+`dynkin.sl2_complete` from its integer blocks, with no dense matrix and
+no Fraction.  One forward elimination of [A | b] tells whether A x = b is
+solvable (no independent row starts at the column of b, `_split`) and
+gives rank(A); `forward_tests` also reads off it whether a row f lies in
+the row space of A, and `power_ranks(A)`.  Every function raises
+ValueError unless all rows have the same length; `power_ranks` and
+`forward_tests` also unless the matrix is square, `solve` and
+`forward_tests` also unless b (and f) have one entry per row, and
+`kernel_basis` and `solve` also for a matrix with no rows, whose width is
+unknown.
 """
 
 from fractions import Fraction
@@ -117,21 +117,6 @@ def _reduced(basis):
     return m, pivots
 
 
-def rref(rows):
-    """Reduced row echelon form.
-
-    `rows` is a list of lists of ints or Fractions.  Returns the reduced
-    matrix (same shape, Fraction entries, zero rows last) together with
-    the list of pivot column indices."""
-    ncols = len(rows[0]) if rows else 0
-    m, pivots = _reduced(_independent(_sparse(rows)))
-    out = [[_ZERO] * ncols for _ in rows]
-    for dense, c, row in zip(out, pivots, m):
-        for j, v in row.items():
-            dense[j] = Fraction(v, row[c])
-    return out, pivots
-
-
 def rank(rows):
     """Rank of the matrix, by forward elimination only."""
     return len(_independent(_sparse(rows)))
@@ -146,10 +131,12 @@ def _width(rows):
 
 
 def kernel_basis(rows):
-    """Basis of the right null space of the matrix, as coefficient lists.
+    """Basis of the right null space of the matrix, as coefficient lists:
+    one vector per non-pivot column c of the reduced rows, with v[c] = 1
+    and v[pc] = -row[c] / row[pc] for each row and its pivot column pc.
     Raises ValueError if the matrix has no rows."""
     ncols = _width(rows)
-    m, pivots = rref(rows)
+    m, pivots = _reduced(_independent(_sparse(rows)))
     pivset = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -157,8 +144,8 @@ def kernel_basis(rows):
             continue
         v = [_ZERO] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row.get(fc, 0), row[pc])
         basis.append(v)
     return basis
 
@@ -179,20 +166,14 @@ def _split(basis, n):
     return len(rest) == len(basis), rest
 
 
-def solve_with_rank(rows, rhs):
-    """(one solution of A x = b or None if inconsistent, rank(A)) from one
-    forward elimination of [A | b]; only a solvable system is
-    back-substituted, and its solution is the rref one, free variables 0.
-    Raises ValueError unless len(rhs) == len(rows), and if A has no rows."""
-    aug = _augmented(rows, rhs)
-    return _solve(_sparse(aug), _width(rows))
-
-
 def _solve(rows, n):
-    """`solve_with_rank` on [A | b], b in column n, given as its nonzero
+    """(one solution of A x = b or None if inconsistent, rank(A)) from one
+    forward elimination of [A | b], b in column n, given as its nonzero
     rows: {column: int} with columns in 0..n and no zero entry, the form
-    `_sparse` gives (the rows need not be coprime).  The caller builds
-    them, so nothing is checked."""
+    `_sparse` gives (the rows need not be coprime).  Only a solvable
+    system is back-substituted, and its solution is the reduced row
+    echelon one, free variables 0.  The caller builds the rows, so nothing
+    is checked."""
     basis = _independent(rows)
     solvable, rest = _split(basis, n)
     if not solvable:
@@ -204,9 +185,10 @@ def _solve(rows, n):
 
 
 def solve(rows, rhs):
-    """One solution of A x = b, or None if inconsistent (see
-    `solve_with_rank`)."""
-    return solve_with_rank(rows, rhs)[0]
+    """One solution of A x = b, or None if inconsistent (see `_solve`).
+    Raises ValueError unless len(rhs) == len(rows), and if A has no
+    rows."""
+    return _solve(_sparse(_augmented(rows, rhs)), _width(rows))[0]
 
 
 def power_ranks(rows):

@@ -217,19 +217,18 @@ class RootSystem:
     @cached_property
     def inverse_cartan_numerators(self):
         """(d, rows): the inverse of the Cartan matrix C as integer rows
-        over one common denominator d, computed on first use; column k
-        holds d times the simple-coroot coordinates of the k-th fundamental
-        coweight.  Raises unless C rows = d I, which every grading element
-        H relies on (see `dynkin.sl2_complete`)."""
+        over one common denominator d, computed on first use; column k,
+        solved from C x = e_k, holds d times the simple-coroot coordinates
+        of the k-th fundamental coweight.  Raises unless C rows = d I,
+        which every grading element H relies on (see
+        `dynkin.sl2_complete`)."""
         from . import linalg
 
         n = self.rank
         C = self.cartan_matrix
-        m, _ = linalg.rref([row + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(C)])
-        inv = [row[n:] for row in m]
-        d = lcm(*(x.denominator for row in inv for x in row))
-        rows = [[int(x * d) for x in row] for row in inv]
+        cols = [linalg.solve(C, [int(i == k) for i in range(n)]) for k in range(n)]
+        d = lcm(*(x.denominator for col in cols for x in col))
+        rows = [[int(x * d) for x in row] for row in zip(*cols)]
         if any(sum(C[i][j] * rows[j][k] for j in range(n)) != d * (i == k)
                for i in range(n) for k in range(n)):
             raise AssertionError(f"{self.cartan_type}: C times the inverse "

@@ -140,8 +140,13 @@ MUTANTS = [
      [TD + "test_root_vector_diagram_matches_reflection_walk[G2]"]),
     # the key lemma tests the blocks of degree k <= -3 only
     (DYNKIN,
-     "for k in grading.pieces if k <= -2)",
-     "for k in grading.pieces if k <= -3)",
+     "for k in range(1 - len(grading.dims), -1))",
+     "for k in range(1 - len(grading.dims), -2))",
+     [TD + "test_key_lemma_procedures_match_full_algebra_oracles[G2]"]),
+    # the key lemma skips the block of the lowest degree -top
+    (DYNKIN,
+     "for k in range(1 - len(grading.dims), -1))",
+     "for k in range(2 - len(grading.dims), -1))",
      [TD + "test_key_lemma_procedures_match_full_algebra_oracles[G2]"]),
     # `forward_tests` calls every A x = b solvable, ignoring the column of b
     (LINALG,
@@ -178,6 +183,12 @@ MUTANTS = [
      "    for k in reversed(range(len(m) - 1)):\n",
      [TL + "test_rref_matches_naive_gauss_jordan",
       TL + "test_solve_with_rank_agrees_with_solve_and_rank"]),
+    # each kernel vector with its pivot entries negated: A v != 0
+    (LINALG,
+     "v[pc] = Fraction(-row.get(fc, 0), row[pc])",
+     "v[pc] = Fraction(row.get(fc, 0), row[pc])",
+     [TL + "test_rank_and_kernel",
+      TD + "test_nilpotency_report_against_independent_oracles[B3]"]),
     # the column-wise degrees ignore the label value: a label 2 counts as 1
     (DYNKIN,
      "pos = [p + v * x for p, x in zip(pos, col)]",
@@ -189,6 +200,13 @@ MUTANTS = [
      "scale = 2 / max(",
      "scale = 2 / min(",
      [TR + "test_long_roots_have_squared_length_two"]),
+    # every column of the inverse Cartan matrix solved for e_0: the rows
+    # hold the first fundamental coweight n times, and the C rows = d I
+    # gate raises
+    (ROOTSYS,
+     "[int(i == k) for i in range(n)]",
+     "[int(i == 0) for i in range(n)]",
+     [TD + "test_inverse_cartan_matrix[G2]"]),
     # the A-D chain built as e_i + e_(i+1): the off-diagonal Cartan
     # entries turn positive, the closure finds only the simple roots, and
     # the highest-root gate raises

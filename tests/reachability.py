@@ -60,7 +60,7 @@ ALLOWED = [
     ("rootsys.py", "raise AssertionError(f\"highest root {top} is not coordinatewise maximal\")",
      "build gate: the last positive root is the highest root of every type"),
     ("rootsys.py", "raise AssertionError(f\"{self.cartan_type}: C times the inverse \"",
-     "gate: rref inverts every Cartan matrix exactly"),
+     "gate: solve inverts every Cartan matrix exactly"),
     ("cli.py", "missed.append(labels)",
      "suite failure branch: only a wrong f4_exclusion misses a diagram"),
     ("cli.py", "bad.append((name, labels_wd, k))",

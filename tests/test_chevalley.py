@@ -527,6 +527,19 @@ def test_ad_entries_rejects_a_label_outside_the_basis():
         alg.ad_entries([(1, 0)], [(0, 1)], [(1, 1), (0, 0)])
 
 
+def test_ad_entries_rejects_a_repeated_destination_label():
+    # a repeated dst label used to keep only its last row: on A2 this
+    # matrix read [[0], [-1]], where both rows are [X_(1,0), X_(0,1)] = -X_(1,1)
+    alg = build_algebra("A2")
+    x = alg.root_vector((1, 0))
+    with pytest.raises(ValueError, match=r"\(1, 1\) repeats in the destination labels"):
+        alg.ad_matrix(x, [(0, 1)], [(1, 1), (1, 1)])
+    with pytest.raises(ValueError, match=r"\('H', 0\) repeats"):
+        alg.ad_entries([(1, 0)], [(0, 1)], [("H", 0), (1, 1), ("H", 0)])
+    # a repeated src label is a repeated column
+    assert alg.ad_matrix(x, [(0, 1), (0, 1)], [(1, 1)]) == [[-1, -1]]
+
+
 def test_ad_matrix_of_a_zero_pairing_is_zero():
     # <(1, 0, 0), alpha_3^vee> = 0 on A3, so [H_3, X_(1,0,0)] = 0 has no
     # component outside the destination labels

@@ -65,12 +65,14 @@ def test_grading_pieces_partition_algebra():
     for name, labels in [("G2", (0, 1)), ("C3", (1, 0, 0)), ("F4", (0, 0, 0, 1))]:
         alg = build_algebra(name)
         grading = Grading(alg, _wd(name, labels))
-        assert sum(len(v) for v in grading.pieces.values()) == alg.dim
+        top = len(grading.dims) - 1
+        pieces = {k: grading.piece(k) for k in range(-top, top + 1)}
+        assert sum(len(v) for v in pieces.values()) == alg.dim
         # each piece lists its labels in basis order
-        expected = {}
+        expected = {k: [] for k in pieces}
         for lbl in alg.basis_labels:
-            expected.setdefault(grading.degree[lbl], []).append(lbl)
-        assert grading.pieces == expected
+            expected[grading.degree[lbl]].append(lbl)
+        assert pieces == expected
         # bracket compatibility on every basis pair
         for a in alg.basis_labels:
             for b in alg.basis_labels:
@@ -635,7 +637,8 @@ def test_ad_restricted_matches_per_column_brackets(name, diagrams):
     checked = 0
     for labels in diagrams:
         grading = _grading(name, labels)
-        degrees = sorted(grading.pieces)
+        top = len(grading.dims) - 1
+        degrees = range(-top, top + 1)
         for d in (-2, -1, 0, 1, 2, 3):
             support = grading.piece(d)
             if not support:
@@ -690,8 +693,10 @@ def test_pairing_criterion_tests_every_degree_two_root():
     assert pairing_criterion(grading).witness == ({(1, 0, 0): 1},
                                                   {(-1, -2, -2): 1})
     zero_weight = (1, 1, 1)
-    assert not dynkin._bracket_kernel(grading, {zero_weight: 1})
-    g2 = grading.pieces[2]
+    block = alg.ad_matrix(alg.root_vector(zero_weight), grading.piece(-2),
+                          grading.piece(0))
+    assert not linalg.kernel_basis(block)
+    g2 = grading.piece(2)
     g2.insert(0, g2.pop(g2.index(zero_weight)))
     v = pairing_criterion(grading)
     assert v.status == "fails"
@@ -785,12 +790,13 @@ ALL_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_grading_matches_its_definitions(name):
-    """piece, dims, degree, pieces and H against their definitions:
-    deg r = r . labels, each piece lists its labels in basis order, and
-    alpha_i(H) = l_i, read off [H, X_alpha_i] with `bracket`.  Every
-    piece(k) for -top <= k <= top + 1 is read before `degree` or `pieces`
-    is built, and its length is dims[|k|], the size that
-    `weight_multiplicities_nonnegative` compares (0 beyond top)."""
+    """piece, dims, degree and H against their definitions: deg r =
+    r . labels, each piece lists its labels in basis order, the pieces
+    for -top <= k <= top partition the basis, and alpha_i(H) = l_i, read
+    off [H, X_alpha_i] with `bracket`.  Every piece(k) for
+    -top <= k <= top + 1 is read before `degree` is built, and its length
+    is dims[|k|], the size that `weight_multiplicities_nonnegative`
+    compares (0 beyond top)."""
     alg = build_algebra(name)
     rank = alg.rank
     rng = random.Random(name)
@@ -807,12 +813,10 @@ def test_grading_matches_its_definitions(name):
             piece = [lbl for lbl in alg.basis_labels if degree[lbl] == k]
             assert grading.piece(k) == piece, k
             assert dims[abs(k)] == len(piece), k
-        assert "degree" not in vars(grading) and "pieces" not in vars(grading)
+        assert "degree" not in vars(grading)
         assert grading.degree == degree
         assert list(grading.degree) == alg.basis_labels
-        pieces = {d: [lbl for lbl in alg.basis_labels if degree[lbl] == d]
-                  for d in set(degree.values())}
-        assert grading.pieces == pieces
+        assert sum(len(grading.piece(k)) for k in range(-top, top + 1)) == alg.dim
         for r, v in zip(alg.rs.simple_roots, labels):
             x = alg.root_vector(r)
             assert alg.bracket(grading.H, x) == x.scale(v)

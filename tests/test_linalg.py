@@ -10,9 +10,10 @@ F = Fraction
 
 
 def test_rref_identity():
-    m, pivots = linalg.rref([[F(2), F(0)], [F(0), F(3)]])
-    assert m == [[F(1), F(0)], [F(0), F(1)]]
-    assert pivots == [0, 1]
+    # an invertible matrix has no kernel; each free column's vector reads
+    # the reduced rows, every pivot scaled to 1
+    assert linalg.kernel_basis([[F(2), F(0)], [F(0), F(3)]]) == []
+    assert linalg.kernel_basis([[2, 0, 4], [0, 3, 3]]) == [[F(-2), F(-1), F(1)]]
 
 
 def test_rank_and_kernel():
@@ -36,18 +37,18 @@ def test_solve_consistent_and_inconsistent():
 def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
     # zip used to drop the extra rows: solve(identity, [1]) returned [1, 0]
     for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 2]), ([], [1])):
-        for solver in (linalg.solve, linalg.solve_with_rank):
-            with pytest.raises(ValueError, match="right-hand side has"):
-                solver(rows, rhs)
+        with pytest.raises(ValueError, match="right-hand side has"):
+            linalg.solve(rows, rhs)
 
 
 def test_sparse_rank_matches_dense():
-    # rank eliminates on the nonzero entries; rref is the dense reference
+    # rank eliminates on the nonzero entries; the textbook rref is the
+    # dense reference
     rng = random.Random(7)
     for _ in range(20):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         dense = [[F(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)]
-        assert linalg.rank(dense) == len(linalg.rref(dense)[1])
+        assert linalg.rank(dense) == len(_naive_rref(dense)[1])
 
 
 def test_kernel_dimension_theorem():
@@ -166,6 +167,32 @@ def _naive_rref(rows):
     return m, pivots
 
 
+def _naive_kernel(rows):
+    """Reference: the kernel basis read from the textbook rref, one vector
+    per free column c, with v[c] = 1 and v[p] = -m[r][c] for row r and its
+    pivot column p."""
+    m, pivots = _naive_rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[c] = F(1)
+        for row, p in zip(m, pivots):
+            v[p] = -row[c]
+        basis.append(v)
+    return basis
+
+
+def _assert_kernel(rows):
+    """kernel_basis equals the textbook reference, and every entry is a
+    Fraction."""
+    got = linalg.kernel_basis(rows)
+    assert got == _naive_kernel(rows)
+    assert all(type(x) is F for v in got for x in v)
+
+
 def _random_matrix(rng, nrows, ncols):
     """Seeded matrix with a random rank, mixed denominators, and some zero
     rows, zero columns and duplicate rows."""
@@ -211,7 +238,7 @@ def test_rref_matches_naive_gauss_jordan():
                 rows = make(rng, nrows, ncols)
                 if rng.random() < 0.3:  # integer input, as the ad blocks give
                     rows = [[int(x * 36) for x in row] for row in rows]
-                assert linalg.rref(rows) == _naive_rref(rows)
+                _assert_kernel(rows)
 
 
 def _naive_solution(rows, rhs):
@@ -231,8 +258,10 @@ def _naive_solution(rows, rhs):
 def test_solve_with_rank_agrees_with_solve_and_rank():
     """60 seeded int and Fraction matrices, tall, wide and square, the zero
     matrix and 1 x 1 among them, each with b inside the column space, b
-    anywhere, b = 0 and b = e_1, against the textbook Gauss-Jordan reading
-    and against (solve, rank)."""
+    anywhere, b = 0 and b = e_1: `solve` and the sparse entry `_solve`
+    against the textbook Gauss-Jordan reading.  `_solve` also gives
+    rank(A), which `dynkin.sl2_complete` reads for its exact flag, so an
+    inconsistent system must report the rank of A, not of [A | b]."""
     rng = random.Random(30)
     shapes = [(1, 1), (2, 5), (5, 2), (4, 4), (7, 3), (3, 7), (6, 6)]
     seen = set()
@@ -249,9 +278,12 @@ def test_solve_with_rank_agrees_with_solve_and_rank():
         inside = [sum(row[j] * y[j] for j in range(ncols)) for row in rows]  # A y
         anywhere = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nrows)]
         for rhs in (inside, anywhere, [0] * nrows, [1] + [0] * (nrows - 1)):
-            got = linalg.solve_with_rank(rows, rhs)
-            assert got == _naive_solution(rows, rhs)
-            assert got == (linalg.solve(rows, rhs), linalg.rank(rows))
+            want = _naive_solution(rows, rhs)
+            aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+            got = linalg._solve(linalg._sparse(aug), ncols)
+            assert got == want
+            assert linalg.solve(rows, rhs) == got[0]
+            assert linalg.rank(rows) == got[1]
             if rhs is inside:
                 assert got[0] is not None
             seen.add(got[0] is None)
@@ -259,36 +291,34 @@ def test_solve_with_rank_agrees_with_solve_and_rank():
 
 
 def test_rref_edge_cases():
-    assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0
     assert linalg.power_ranks([]) == [0]
     # a matrix with no rows cannot tell its width: solve([], []) used to
     # return None (inconsistent) and kernel_basis [] (a trivial kernel)
-    for call in (lambda: linalg.solve([], []), lambda: linalg.solve_with_rank([], []),
-                 lambda: linalg.kernel_basis([])):
+    for call in (lambda: linalg.solve([], []), lambda: linalg.kernel_basis([])):
         with pytest.raises(ValueError, match="no rows"):
             call()
     zero = [[F(0)] * 4 for _ in range(3)]
-    assert linalg.rref(zero) == (zero, [])
+    assert linalg.kernel_basis(zero) == [[F(int(i == j)) for j in range(4)]
+                                         for i in range(4)]
     assert linalg.rank(zero) == 0
+    for rows in (zero, [[0]], [[F(0)]], [[5]], [[F(-3, 4)]]):
+        _assert_kernel(rows)
+    # one pivot, in column 1, with the reduced row [0, 1, 2/3]
     rows = [[0, F(1, 2), F(1, 3)], [0, 3, 2], [0, 0, 0], [0, F(3, 2), 1]]
-    m, pivots = linalg.rref(rows)
-    assert (m, pivots) == _naive_rref(rows)
-    assert pivots == [1]
-    assert m[0] == [F(0), F(1), F(2, 3)]
-    assert all(isinstance(x, F) for row in m for x in row)
+    _assert_kernel(rows)
+    assert linalg.kernel_basis(rows) == [[F(1), F(0), F(0)], [F(0), F(-2, 3), F(1)]]
 
 
 def test_ragged_rows_raise():
     # solve([[1, 2], [1]], [1, 1]) used to return [-1, 1], the short row's
     # right-hand side read as its column 1; rank([[1], [1, 1]]) returned 2,
-    # and rref([[1], [0, 1]]) raised a bare IndexError
+    # and the kernel of [[1], [0, 1]] raised a bare IndexError
     for rows, rhs in (([[1, 2], [1]], [1, 1]), ([[1], [1, 1]], [1, 1])):
-        for solver in (linalg.solve, linalg.solve_with_rank):
-            with pytest.raises(ValueError, match="a row has"):
-                solver(rows, rhs)
+        with pytest.raises(ValueError, match="a row has"):
+            linalg.solve(rows, rhs)
     for rows in ([[1], [1, 1]], [[1], [0, 1]], [[1, 2], [3]], [[], [1]]):
-        for proc in (linalg.rank, linalg.rref, linalg.kernel_basis):
+        for proc in (linalg.rank, linalg.kernel_basis):
             with pytest.raises(ValueError, match="a row has"):
                 proc(rows)
 
@@ -297,11 +327,9 @@ def test_float_entries_raise_type_error():
     # a float used to raise a bare AttributeError ('float' object has no
     # attribute 'denominator'); it names the entry now, in A, b and f
     square = [[1, 0.5], [0, 1]]
-    for call in (lambda: linalg.rank(square), lambda: linalg.rref(square),
-                 lambda: linalg.kernel_basis(square),
+    for call in (lambda: linalg.rank(square), lambda: linalg.kernel_basis(square),
                  lambda: linalg.power_ranks(square),
                  lambda: linalg.solve(square, [1, 1]),
-                 lambda: linalg.solve_with_rank(square, [1, 1]),
                  lambda: linalg.forward_tests(square, [1, 1], [1, 1]),
                  lambda: linalg.solve([[1, 0], [0, 1]], [1, 0.5]),
                  lambda: linalg.forward_tests([[1, 0], [0, 1]], [1, 0.5], [1, 1]),
