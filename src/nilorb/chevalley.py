@@ -52,7 +52,6 @@ K(X_r, X_-r) = K(H_r, H_r) / 2, an integer.
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain
 
 from . import linalg
 from .rootsys import _as_cartan_type, build_root_system
@@ -401,36 +400,48 @@ class ChevalleyAlgebra:
         """For each basis label k in `labels`, the nonzero entries (i, j, v)
         of the matrix of ad(e_k) from the span of the `src` labels to the
         span of the `dst` labels: v is the dst[i] coefficient of
-        [e_k, src[j]], read from the stored row of k by `_entries`, in the
-        order of j, after `src` and `dst` are mapped to basis positions once
-        per call.  Every v is an int, because every basis bracket is one:
-        the root system's `pairings` and `coroots` are int tuples (its build
-        raises on a non-integral coroot), and `_nany` raises on a
-        remainder.  Raises ValueError if a label in `labels`, `src` or `dst`
-        is not a basis label, if a label repeats in `dst` (a row would go
-        unfilled), or if some [e_k, src[j]] has a component outside the
-        `dst` labels."""
+        [e_k, src[j]], in the order of j.  The labels are checked and mapped
+        to basis positions once per call, and `_ad_block` reads the entries
+        at those positions.  Every v is an int, because every basis bracket
+        is one: the root system's `pairings` and `coroots` are int tuples
+        (its build raises on a non-integral coroot), and `_nany` raises on
+        a remainder.  Raises ValueError if a label in `labels`, `src` or
+        `dst` is not a basis label, and as `_ad_block` does."""
         index = self.index
-        for lbl in chain(labels, src, dst):
-            if lbl not in index:
-                raise ValueError(f"{lbl!r} is not a basis label of "
-                                 f"{self.rs.cartan_type}")
-        cols = [index[lbl] for lbl in src]
-        row_of = {index[lbl]: i for i, lbl in enumerate(dst)}
-        if len(row_of) < len(dst):  # a dict keeps the last row of a label
-            lbl = next(lbl for i, lbl in enumerate(dst) if row_of[index[lbl]] != i)
-            raise ValueError(f"{lbl!r} repeats in the destination labels")
-        entries = {}
-        for k in labels:
-            ek = entries[k] = []
-            for j, m, v in self._entries(index[k], cols):
+        try:
+            ks = [index[lbl] for lbl in labels]
+            cols = [index[lbl] for lbl in src]
+            rows = [index[lbl] for lbl in dst]
+        except KeyError as e:
+            raise ValueError(f"{e.args[0]!r} is not a basis label of "
+                             f"{self.rs.cartan_type}") from None
+        return dict(zip(labels, self._ad_block(ks, cols, rows)))
+
+    def _ad_block(self, ks, cols, rows):
+        """`ad_entries` on basis positions: for each position k in `ks`,
+        the list of nonzero entries (i, j, v) with v the e_rows[i]
+        coefficient of [e_k, e_cols[j]], read from the stored row of k by
+        `_entries`, in the order of j.  Raises ValueError if a position
+        repeats in `rows` (a row would go unfilled), or if some
+        [e_k, e_cols[j]] has a component outside the `rows` positions; the
+        messages name the basis labels."""
+        labels = self.basis_labels
+        row_of = {m: i for i, m in enumerate(rows)}
+        if len(row_of) < len(rows):  # a dict keeps the last row of a position
+            m = next(m for i, m in enumerate(rows) if row_of[m] != i)
+            raise ValueError(f"{labels[m]!r} repeats in the destination labels")
+        out = []
+        for k in ks:
+            ek = []
+            for j, m, v in self._entries(k, cols):
                 i = row_of.get(m)
                 if i is None:
-                    raise ValueError(f"[{k}, {src[j]}] has a component along "
-                                     f"{self.basis_labels[m]}, outside the "
-                                     "destination labels")
+                    raise ValueError(f"[{labels[k]}, {labels[cols[j]]}] has a "
+                                     f"component along {labels[m]}, outside "
+                                     "the destination labels")
                 ek.append((i, j, v))
-        return entries
+            out.append(ek)
+        return out
 
     def ad_matrix(self, x, src, dst):
         """Matrix of ad(x) from the span of the `src` labels to the span of

@@ -44,11 +44,11 @@ class WeightedDiagram(namedtuple("WeightedDiagram", "cartan_type labels")):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         labels = self.labels
-        if type(labels) is not tuple or any(type(v) is not int for v in labels):
+        if type(labels) is not tuple or not set(map(type, labels)) <= {int}:
             raise TypeError(f"labels must be a tuple of ints: {labels!r}")
         if len(labels) != self.cartan_type.rank:
             raise ValueError("label count does not match rank")
-        if not all(v in (0, 1, 2) for v in labels):
+        if not set(labels) <= {0, 1, 2}:
             raise ValueError(f"labels must lie in {{0,1,2}}: {labels}")
         return self
 
@@ -60,7 +60,8 @@ class Grading:
     """Eigenspace decomposition of the algebra under a Cartan element H
     with alpha_i(H) equal to the diagram labels.
 
-    The constructor computes only the degree of each positive root and the
+    The constructor computes only the degree of each positive root, in one
+    pass over the root system's step table (see `RootSystem`), and the
     integer numerators h of H = h / d, d from `inverse_cartan_numerators`.
     Every piece is read from these degrees, because deg(-r) = -deg r and
     the rank H labels have degree 0: `piece(k)` lists the roots of degree
@@ -74,15 +75,16 @@ class Grading:
             raise ValueError("diagram type does not match algebra")
         self.alg = alg
         self.diagram = diagram
-        rs = alg.rs
-        # deg r = sum_i r_i l_i, added one simple-root column at a time
-        pos = [0] * len(rs.positive_roots)
-        for v, col in zip(diagram.labels, zip(*rs.positive_roots)):
-            if v:
-                pos = [p + v * x for p, x in zip(pos, col)]
+        rs, labels = alg.rs, diagram.labels
+        # deg r = sum_i r_i l_i in one pass over the step table: the simple
+        # roots come first, alpha_rank first, and each later root t is
+        # positive_roots[p] + alpha_i, so deg t = deg positive_roots[p] + l_i
+        pos = list(reversed(labels))
+        for p, i in rs.steps:
+            pos.append(pos[p] + labels[i])
         self._pos = pos
         # alpha_i(H) = sum_j C[i][j] h_j / d = labels_i
-        self._h = [sum(map(mul, row, diagram.labels))
+        self._h = [sum(map(mul, row, labels))
                    for row in rs.inverse_cartan_numerators[1]]
         self._pieces = {}
 
@@ -127,9 +129,20 @@ class Grading:
     @cached_property
     def sl2_block(self):
         """ad(e_k) on g_-2 -> g_0 for every degree-2 label k, as integer
-        entries (see `ChevalleyAlgebra.ad_entries`); built once per
+        entries: `ad_entries(piece(2), piece(-2), piece(0))`, read by basis
+        position (`ChevalleyAlgebra._ad_block`), with the positions of the
+        three pieces taken from the positive-root degrees; built once per
         grading."""
-        return self.alg.ad_entries(self.piece(2), self.piece(-2), self.piece(0))
+        pos, n = self._pos, len(self._pos)
+        two, zero = [], []
+        for k, d in enumerate(pos):
+            if d == 2:
+                two.append(k)
+            elif not d:
+                zero.append(k)
+        g0 = zero + [n + k for k in zero] + list(range(2 * n, self.alg.dim))
+        block = self.alg._ad_block(two, [n + k for k in two], g0)
+        return dict(zip(self.piece(2), block))
 
 
 def weight_multiplicities_nonnegative(grading):
@@ -190,9 +203,10 @@ def sl2_complete(alg, grading, n0):
     - [H, N1] = -2 N1: the same argument, since N1 is built on the
       `piece(-2)` labels.
     - [N1, N0] = H: `sl2_block` is `ad_entries(piece(2), piece(-2),
-      piece(0))`, which raises ValueError for any component outside g_0,
-      so the exact solve of ad(N0) N1 = -H on the g_0 rows gives
-      [N0, N1] = -H in every coordinate.  The basis-pair brackets are
+      piece(0))`, read by position through `ChevalleyAlgebra._ad_block`,
+      the reader behind `ad_entries`, which raises ValueError for any
+      component outside g_0, so the exact solve of ad(N0) N1 = -H on the
+      g_0 rows gives [N0, N1] = -H in every coordinate.  The basis-pair brackets are
       antisymmetric (proved for 20 types by
       `test_jacobi_identity_from_chevalley_generators`), so [N1, N0] = H.
 

@@ -5,10 +5,11 @@ Fractions, and raises TypeError on a nonzero entry of another type, such
 as a float; results are fractions.Fraction, with no floating point
 anywhere.  There is one elimination, `_independent`: fraction-free and
 sparse, on integer rows, touching nonzero entries only; the dense entries
-scale each row to coprime integers first.  `rank` and `power_ranks` use
-it as it is; `_reduced` sorts its rows by pivot column and
-back-substitutes with the same row-clearing step, for `kernel_basis` and
-for a solvable `_solve`.  `_solve` takes the nonzero rows of [A | b] as
+scale each row to coprime integers first, and a cleared row is made
+coprime again only when its pivot needed scaling (see `_clear`).  `rank`
+and `power_ranks` use it as it is; `_reduced` sorts its rows by pivot
+column and back-substitutes with the same row-clearing step, for
+`kernel_basis` and for a solvable `_solve`.  `_solve` takes the nonzero rows of [A | b] as
 sparse integer rows: `solve` builds them from dense rows, and
 `dynkin.sl2_complete` from its integer blocks, with no dense matrix and
 no Fraction.  One forward elimination of [A | b] tells whether A x = b is
@@ -60,29 +61,35 @@ def _sparse(rows):
 
 def _clear(other, row, c):
     """The sparse integer row `other` with column c cleared by the pivot
-    row `row`: (p * other - f * row) / gcd(p, f), p and f their entries in
-    column c, scaled back to coprime integers ({} if zero).  Only nonzero
-    entries are touched, and every division is exact."""
+    row `row`: a * other - b * row with a = p / gcd(p, f) and
+    b = f / gcd(p, f), p and f their entries in column c ({} if zero).
+    Only nonzero entries are touched, and every division is exact.  When
+    a is 1 (a positive p that divides f), other - b * row is returned as
+    it is, with no scaled copy and no gcd; otherwise it is divided by the
+    gcd of its entries, which keeps them from growing.  So a cleared row
+    need not be coprime: ranks, solvability, the row-space test and the
+    reduced echelon solutions do not change when a row is scaled."""
     p, f = row[c], other[c]
     g = gcd(p, f)
     a, b = p // g, f // g
-    new = {cc: a * v for cc, v in other.items()}
+    unit = a == 1
+    new = other.copy() if unit else {cc: a * v for cc, v in other.items()}
     for cc, v in row.items():
         w = new.get(cc, 0) - b * v
         if w:
             new[cc] = w
         else:  # column c, or a cancellation; never a new entry
             del new[cc]
-    if new:
-        g = gcd(*new.values())
-        if g > 1:
-            return {cc: v // g for cc, v in new.items()}
-    return new
+    if unit or not new:
+        return new
+    g = gcd(*new.values())
+    return {cc: v // g for cc, v in new.items()} if g > 1 else new
 
 
 def _independent(rows):
     """Linearly independent sparse integer rows with the same span as the
-    sparse integer rows `rows`, each with its own first column.
+    sparse integer rows `rows`, each with its own first column; a row
+    cleared by `_clear` need not be coprime.
 
     Each step takes a row as pivot row and clears its first column from
     every other row, so a pivot row is zero in the first columns of the

@@ -98,7 +98,16 @@ def _dot(u, v):
 
 class RootSystem:
     """All roots of a simple type, generated from the Cartan matrix by the
-    root-string closure algorithm."""
+    root-string closure algorithm.
+
+    The closure also leaves a step table, `steps`, read by position.  The
+    first `rank` positive roots are the simple roots alpha_rank, ...,
+    alpha_1 (the sort by height, then coordinates, puts alpha_rank
+    first), and `steps[k]` = (p, i) says that the positive root t at
+    position rank + k is positive_roots[p] + alpha_i, with p < rank + k,
+    the step by which the closure first reached t.  A sum over the
+    coordinates of every positive root, such as a grading's degrees, is
+    then one pass: deg t = deg positive_roots[p] + l_i."""
 
     def __init__(self, cartan_type):
         self.cartan_type = cartan_type
@@ -123,8 +132,11 @@ class RootSystem:
         self.simple_roots = [
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         ]
-        pos_pairings = self._root_string_closure()
+        pos_pairings, below = self._root_string_closure()
         self.positive_roots = sorted(pos_pairings, key=lambda r: (sum(r), r))
+        # steps[k] = (p, i): positive_roots[n + k] = positive_roots[p] + alpha_i
+        at = {r: k for k, r in enumerate(self.positive_roots)}
+        self.steps = [(at[r], i) for r, i in map(below.get, self.positive_roots[n:])]
         negatives = [tuple(-c for c in r) for r in self.positive_roots]
         # the negatives follow the positives, in the same order
         self.all_roots = self.positive_roots + negatives
@@ -160,12 +172,15 @@ class RootSystem:
     # -- construction ---------------------------------------------------
 
     def _root_string_closure(self):
-        """The positive roots, each mapped to its Cartan pairings
-        (<r, alpha_j^vee> for j), by the root-string closure.  The pairings
+        """(pairings, below): the positive roots, each mapped to its Cartan
+        pairings (<r, alpha_j^vee> for j), by the root-string closure, and
+        each non-simple positive root t mapped to the pair (r, j) with
+        t = r + alpha_j by which the closure first reached it.  The pairings
         are kept along the closure: those of r + alpha_j are those of r plus
         row j of the Cartan matrix."""
         n, C = self.rank, self.cartan_matrix
         pairings = {r: tuple(C[i]) for i, r in enumerate(self.simple_roots)}
+        below = {}
         layer = list(self.simple_roots)
         while layer:
             new = []
@@ -187,9 +202,10 @@ class RootSystem:
                         t = tuple(up)
                         if t not in pairings:
                             pairings[t] = tuple(map(add, pr, C[j]))
+                            below[t] = r, j
                             new.append(t)
             layer = new
-        return pairings
+        return pairings, below
 
     # -- queries --------------------------------------------------------
 

@@ -18,6 +18,11 @@ the grading's H (de Graaf's scan).  It exits 1 unless:
 - the distinguished diagrams, those with dim g_0 = dim g_2, number 6 for
   E7 and 11 for E8 (Collingwood & McGovern, ch. 8).
 
+Each line reports the total time, the scan loop's share (gradings and
+`generic_degree_two`, de Graaf's test itself) and the re-checks' share
+(the triple solved again and re-checked with `bracket`, and
+`orbit_dimension`); the rest is the algebra's build.
+
 It needs only the standard library, reads the library from `src`, and is
 not part of the tier-1 suite (`testpaths` collects `test_*.py` files only).
 """
@@ -37,21 +42,26 @@ DISTINGUISHED = {"E7": 6, "E8": 11}
 
 
 def scan(name):
-    """(kept diagrams, distinguished kept diagrams, problems) of the full
-    scan of one type."""
+    """(kept diagrams, distinguished kept diagrams, problems, scan loop
+    seconds, re-check seconds) of the full scan of one type."""
     alg = build_algebra(name)
     kept, distinguished, problems = [], 0, []
+    scan_s = check_s = 0.0
     for labels in itertools.product((0, 1, 2), repeat=alg.rank):
         if not any(labels):
             continue
+        start = time.perf_counter()
         grading = dynkin.Grading(alg, dynkin.WeightedDiagram(alg.rs.cartan_type, labels))
-        if not grading.piece(2):
-            continue
-        try:
-            n0 = dynkin.generic_degree_two(alg, grading)
-        except dynkin.NoTripleError as e:
-            if not e.exact:
-                problems.append(f"{name} {labels}: rejected without a certificate")
+        n0 = None
+        if grading.piece(2):
+            try:
+                n0 = dynkin.generic_degree_two(alg, grading)
+            except dynkin.NoTripleError as e:
+                if not e.exact:
+                    problems.append(f"{name} {labels}: rejected without a certificate")
+        checked = time.perf_counter()
+        scan_s += checked - start
+        if n0 is None:
             continue
         kept.append(labels)
         h, n1 = grading.H, dynkin.sl2_complete(alg, grading, n0).n1
@@ -63,17 +73,19 @@ def scan(name):
             problems.append(f"{name} {labels}: dim g - dim g_0 - dim g_1 is not "
                             "the orbit dimension of N0")
         distinguished += g0 == len(grading.piece(2))
-    return kept, distinguished, problems
+        check_s += time.perf_counter() - checked
+    return kept, distinguished, problems, scan_s, check_s
 
 
 def main():
     failed = False
     for name, want in ORBITS.items():
         start = time.perf_counter()
-        kept, distinguished, problems = scan(name)
+        kept, distinguished, problems, scan_s, check_s = scan(name)
         print(f"{name}: {len(kept)} diagrams kept, {want} orbits, "
               f"{distinguished} distinguished, {DISTINGUISHED[name]} expected, "
-              f"{time.perf_counter() - start:.2f} s")
+              f"{time.perf_counter() - start:.2f} s (scan loop {scan_s:.2f} s, "
+              f"re-checks {check_s:.2f} s)")
         for p in problems:
             print(p)
         failed |= (bool(problems) or len(kept) != want

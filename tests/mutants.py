@@ -189,11 +189,33 @@ MUTANTS = [
      "v[pc] = Fraction(row.get(fc, 0), row[pc])",
      [TL + "test_rank_and_kernel",
       TD + "test_nilpotency_report_against_independent_oracles[B3]"]),
-    # the column-wise degrees ignore the label value: a label 2 counts as 1
+    # a step adds the label of the wrong simple root: deg t reads l_(i-1)
     (DYNKIN,
-     "pos = [p + v * x for p, x in zip(pos, col)]",
-     "pos = [p + x for p, x in zip(pos, col)]",
-     [TD + "test_grading_matches_its_definitions[G2]"]),
+     "pos.append(pos[p] + labels[i])",
+     "pos.append(pos[p] + labels[i - 1])",
+     [TD + "test_grading_degrees_from_the_step_table[G2]",
+      TD + "test_grading_matches_its_definitions[G2]"]),
+    # the step table records the next simple root, not the one the closure
+    # added
+    (ROOTSYS,
+     "below[t] = r, j\n",
+     "below[t] = r, (j + 1) % n\n",
+     [TR + "test_step_table[G2]",
+      TD + "test_grading_degrees_from_the_step_table[G2]"]),
+    # the position reader skips a component outside the destination rows,
+    # such as an H_r of [X_r, X_-r] outside g_0, instead of raising
+    (CHEVALLEY,
+     "                if i is None:\n                    raise ValueError(",
+     "                if i is None:\n                    continue\n                    raise ValueError(",
+     [TD + "test_ad_restricted_rejects_image_outside_destination"]),
+    # a unit-pivot clear forgets to subtract b * row: the row keeps the
+    # pivot's column
+    (LINALG,
+     "    new = other.copy() if unit else {cc: a * v for cc, v in other.items()}\n",
+     "    if unit:\n        return other.copy()\n"
+     "    new = {cc: a * v for cc, v in other.items()}\n",
+     [TL + "test_rank_and_kernel",
+      TL + "test_sparse_rank_matches_dense"]),
     # the form scaled by the shortest simple root: the long roots of a
     # doubly laced type get squared length 4
     (ROOTSYS,

@@ -504,6 +504,10 @@ def test_ad_restricted_rejects_image_outside_destination():
     assert all(len(row) == len(grading.piece(-2)) for row in rows)
     with pytest.raises(ValueError, match="outside the destination"):
         alg.ad_matrix(n, grading.piece(-2), grading.piece(2))
+    # g_0 without its last H label: [X_r, X_-r] = H_r has a component along
+    # it for the degree-2 root r = (3, 2)
+    with pytest.raises(ValueError, match=r"along \('H', 1\), outside the destination"):
+        alg.ad_entries(grading.piece(2), grading.piece(-2), grading.piece(0)[:-1])
 
 
 def _grading(name, labels):
@@ -820,3 +824,41 @@ def test_grading_matches_its_definitions(name):
         for r, v in zip(alg.rs.simple_roots, labels):
             x = alg.root_vector(r)
             assert alg.bracket(grading.H, x) == x.scale(v)
+
+
+# every type of rank at most 4
+SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+               "D3", "D4", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", SMALL_TYPES + ["E6", "E7", "E8"])
+def test_grading_degrees_from_the_step_table(name):
+    """Every degree the step table gives is sum_i r_i l_i, over every
+    diagram of the types of rank at most 4 and 30 seeded diagrams of each
+    E type."""
+    alg = build_algebra(name)
+    rank = alg.rank
+    if name in SMALL_TYPES:
+        diagrams = list(itertools.product((0, 1, 2), repeat=rank))
+    else:
+        rng = random.Random(name)
+        diagrams = [tuple(rng.choice((0, 1, 2)) for _ in range(rank)) for _ in range(30)]
+    for labels in diagrams:
+        grading = _grading(name, labels)
+        assert grading.degree == {
+            lbl: 0 if lbl[0] == "H" else sum(c * v for c, v in zip(lbl, labels))
+            for lbl in alg.basis_labels}
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "B4", "C4", "D4"])
+def test_sl2_block_read_by_position_matches_ad_entries(name):
+    """On every diagram, the block read by basis position equals the one
+    `ad_entries` reads from the labels of g_2, g_-2 and g_0, and is keyed
+    by the labels of g_2 in basis order."""
+    alg = build_algebra(name)
+    for labels in itertools.product((0, 1, 2), repeat=alg.rank):
+        grading = _grading(name, labels)
+        block = grading.sl2_block
+        g2 = grading.piece(2)
+        assert block == alg.ad_entries(g2, grading.piece(-2), grading.piece(0))
+        assert list(block) == g2

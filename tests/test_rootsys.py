@@ -224,3 +224,23 @@ def test_root_tables_match_closed_forms(name):
         assert rs.coroots[r] == tuple(c * rs.sym_form[i][i] / rr
                                       for i, c in enumerate(r))
         assert all(type(v) is int for v in rs.pairings[r] + rs.coroots[r])
+
+
+# A1-A8, B2-B8, C2-C8, D4-D8, E6-E8, F4 and G2
+STEP_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+              + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", STEP_TYPES)
+def test_step_table(name):
+    """The first rank positive roots are the simple roots, alpha_rank
+    first, and the step (p, i) of every later positive root t has p before
+    t and t = positive_roots[p] + alpha_i."""
+    rs = build_root_system(name)
+    n, pos = rs.rank, rs.positive_roots
+    assert pos[:n] == rs.simple_roots[::-1]
+    assert len(rs.steps) == len(pos) - n
+    for t, (p, i) in enumerate(rs.steps, n):
+        assert 0 <= p < t and 0 <= i < n
+        assert pos[t] == tuple(c + (k == i) for k, c in enumerate(pos[p]))
