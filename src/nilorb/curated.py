@@ -224,8 +224,7 @@ _DIM_CHECK_MAX_RANK = 4
 
 
 def _grading_orbit_dim(alg, wd):
-    grading = dynkin.Grading(alg, wd)
-    return alg.dim - len(grading.piece(0)) - len(grading.piece(1))
+    return alg.dim - sum(dynkin.Grading(alg, wd).dims[:2])
 
 
 def _exceptional_lookup(exceptional, type_name, orbit_name):

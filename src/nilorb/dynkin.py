@@ -13,7 +13,7 @@ tests, which read only root data and build no algebra);
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from math import lcm
 from operator import ge, mul
 
@@ -60,15 +60,18 @@ class Grading:
     """Eigenspace decomposition of the algebra under a Cartan element H
     with alpha_i(H) equal to the diagram labels.
 
-    The constructor computes only the degree of each positive root, in one
-    pass over the root system's step table (see `RootSystem`), and the
-    integer numerators h of H = h / d, d from `inverse_cartan_numerators`.
-    Every piece is read from these degrees, because deg(-r) = -deg r and
-    the rank H labels have degree 0: `piece(k)` lists the roots of degree
-    k; `piece(-k)` their negatives; and `piece(0)` the degree-0 roots,
-    their negatives and the H labels.  Each piece is in basis order, built
-    on first use and cached per k.  `dims` counts the pieces without
-    building them.  `degree` and `H` are built on first use."""
+    The constructor computes the degree of each positive root, in one pass
+    over the root system's step table (see `RootSystem`), sorts the
+    positive-root positions into one list per degree 0..top in one more
+    pass, and computes the integer numerators h of H = h / d, d from
+    `inverse_cartan_numerators`.  Every piece and size is read from these
+    lists, because deg(-r) = -deg r, the negatives sit at n + p for the
+    n positive roots, and the rank H labels have degree 0: `piece(k)`
+    lists the roots of degree k; `piece(-k)` their negatives; and
+    `piece(0)` the degree-0 roots, their negatives and the H labels.  Each
+    piece is in basis order, built on first use and cached per k.  `dims`
+    are the list sizes.  `degree`, `H` and `sl2_block` are built on first
+    use."""
 
     def __init__(self, alg, diagram):
         if diagram.cartan_type != alg.rs.cartan_type:
@@ -83,6 +86,10 @@ class Grading:
         for p, i in rs.steps:
             pos.append(pos[p] + labels[i])
         self._pos = pos
+        # the positive-root positions of each degree 0..top, in basis order
+        at = self._at = [[] for _ in range(max(pos) + 1)]
+        for p, d in enumerate(pos):
+            at[d].append(p)
         # alpha_i(H) = sum_j C[i][j] h_j / d = labels_i
         self._h = [sum(map(mul, row, labels))
                    for row in rs.inverse_cartan_numerators[1]]
@@ -107,10 +114,10 @@ class Grading:
         out = self._pieces.get(k)
         if out is None:
             labels, n, a = self.alg.basis_labels, len(self._pos), abs(k)
-            keep = [d == a for d in self._pos]
-            out = [] if k < 0 else list(compress(labels, keep))
+            at = self._at[a] if a < len(self._at) else []
+            out = [] if k < 0 else [labels[p] for p in at]
             if k <= 0:
-                out += compress(labels[n:], keep)
+                out += [labels[n + p] for p in at]
             if k == 0:
                 out += labels[2 * n:]
             self._pieces[k] = out
@@ -118,31 +125,18 @@ class Grading:
 
     @cached_property
     def dims(self):
-        """[dim g_0, ..., dim g_top], counted from the positive-root
-        degrees; dim g_-k = dim g_k."""
-        dims = [0] * (max(self._pos) + 1)
-        for d in self._pos:
-            dims[d] += 1
+        """[dim g_0, ..., dim g_top], the sizes of the degree lists;
+        dim g_-k = dim g_k."""
+        dims = list(map(len, self._at))
         dims[0] = 2 * dims[0] + self.alg.rank
         return dims
 
     @cached_property
     def sl2_block(self):
         """ad(e_k) on g_-2 -> g_0 for every degree-2 label k, as integer
-        entries: `ad_entries(piece(2), piece(-2), piece(0))`, read by basis
-        position (`ChevalleyAlgebra._ad_block`), with the positions of the
-        three pieces taken from the positive-root degrees; built once per
-        grading."""
-        pos, n = self._pos, len(self._pos)
-        two, zero = [], []
-        for k, d in enumerate(pos):
-            if d == 2:
-                two.append(k)
-            elif not d:
-                zero.append(k)
-        g0 = zero + [n + k for k in zero] + list(range(2 * n, self.alg.dim))
-        block = self.alg._ad_block(two, [n + k for k in two], g0)
-        return dict(zip(self.piece(2), block))
+        entries: `ad_entries(piece(2), piece(-2), piece(0))`, built once
+        per grading."""
+        return self.alg.ad_entries(self.piece(2), self.piece(-2), self.piece(0))
 
 
 def weight_multiplicities_nonnegative(grading):
@@ -203,10 +197,9 @@ def sl2_complete(alg, grading, n0):
     - [H, N1] = -2 N1: the same argument, since N1 is built on the
       `piece(-2)` labels.
     - [N1, N0] = H: `sl2_block` is `ad_entries(piece(2), piece(-2),
-      piece(0))`, read by position through `ChevalleyAlgebra._ad_block`,
-      the reader behind `ad_entries`, which raises ValueError for any
-      component outside g_0, so the exact solve of ad(N0) N1 = -H on the
-      g_0 rows gives [N0, N1] = -H in every coordinate.  The basis-pair brackets are
+      piece(0))`, which raises ValueError for any component outside g_0,
+      so the exact solve of ad(N0) N1 = -H on the g_0 rows gives
+      [N0, N1] = -H in every coordinate.  The basis-pair brackets are
       antisymmetric (proved for 20 types by
       `test_jacobi_identity_from_chevalley_generators`), so [N1, N0] = H.
 
@@ -230,7 +223,7 @@ def sl2_complete(alg, grading, n0):
     D = lcm(*[c.denominator for c in n0.coeffs.values()])
     # the H labels are the last rows of g_0
     h = grading._h
-    rows = ([{} for _ in range(len(grading.piece(0)) - len(h))]
+    rows = ([{} for _ in range(grading.dims[0] - len(h))]
             + [{n: -v} if v else {} for v in h])
     block = grading.sl2_block
     for k, c in n0.coeffs.items():

@@ -1,4 +1,5 @@
-"""Full diagram scans of E7 and E8: the orbit counts of the exact scan.
+"""Full diagram scans of E7 and E8: the orbit counts of the exact scan,
+and the pairing criterion on the kept diagrams.
 
     python tests/full_scans.py
 
@@ -12,16 +13,19 @@ the grading's H (de Graaf's scan).  It exits 1 unless:
 - every rejection is exact (`NoTripleError.exact`);
 - every kept triple (N0, H, N1) satisfies [H, N0] = 2 N0, [H, N1] = -2 N1
   and [N1, N0] = H, re-checked with `bracket`;
-- on every kept diagram, dim g - dim g_0 - dim g_1 equals
-  `orbit_dimension(N0)`, the rank of ad(N0) over all of g, read from
-  `ad_entries` of every basis label;
-- the distinguished diagrams, those with dim g_0 = dim g_2, number 6 for
-  E7 and 11 for E8 (Collingwood & McGovern, ch. 8).
+- on every kept diagram, dim g - dim g_0 - dim g_1, read from the
+  grading's `dims`, equals `orbit_dimension(N0)`, the rank of ad(N0) over
+  all of g, read from `ad_entries` of every basis label;
+- the distinguished diagrams, those with dim g_0 = dim g_2 in `dims`,
+  number 6 for E7 and 11 for E8 (Collingwood & McGovern, ch. 8);
+- among the kept diagrams, `pairing_criterion` holds exactly at
+  `minimal_orbit_diagram`.
 
 Each line reports the total time, the scan loop's share (gradings and
 `generic_degree_two`, de Graaf's test itself) and the re-checks' share
-(the triple solved again and re-checked with `bracket`, and
-`orbit_dimension`); the rest is the algebra's build.
+(the triple solved again and re-checked with `bracket`,
+`orbit_dimension` and the pairing criterion); the rest is the algebra's
+build.
 
 It needs only the standard library, reads the library from `src`, and is
 not part of the tier-1 suite (`testpaths` collects `test_*.py` files only).
@@ -45,7 +49,7 @@ def scan(name):
     """(kept diagrams, distinguished kept diagrams, problems, scan loop
     seconds, re-check seconds) of the full scan of one type."""
     alg = build_algebra(name)
-    kept, distinguished, problems = [], 0, []
+    kept, distinguished, problems, holds = [], 0, [], []
     scan_s = check_s = 0.0
     for labels in itertools.product((0, 1, 2), repeat=alg.rank):
         if not any(labels):
@@ -68,12 +72,18 @@ def scan(name):
         if not (alg.bracket(h, n0) == n0.scale(2) and alg.bracket(h, n1) == n1.scale(-2)
                 and alg.bracket(n1, n0) == h):
             problems.append(f"{name} {labels}: the sl2 relations fail")
-        g0, g1 = len(grading.piece(0)), len(grading.piece(1))
-        if alg.dim - g0 - g1 != alg.orbit_dimension(n0):
+        dims = grading.dims
+        if alg.dim - dims[0] - dims[1] != alg.orbit_dimension(n0):
             problems.append(f"{name} {labels}: dim g - dim g_0 - dim g_1 is not "
                             "the orbit dimension of N0")
-        distinguished += g0 == len(grading.piece(2))
+        distinguished += dims[0] == dims[2]
+        if dynkin.pairing_criterion(grading).status == "holds":
+            holds.append(labels)
         check_s += time.perf_counter() - checked
+    minimal = [dynkin.minimal_orbit_diagram(alg).labels]
+    if holds != minimal:
+        problems.append(f"{name}: the pairing holds at {holds}, not exactly at "
+                        f"the minimal orbit {minimal[0]}")
     return kept, distinguished, problems, scan_s, check_s
 
 

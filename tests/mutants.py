@@ -112,9 +112,15 @@ MUTANTS = [
      [TD + "test_fake_g2_diagram_rejected_exactly"]),
     # g_-k read from the positive roots: piece(-k) repeats piece(k)
     (DYNKIN,
-     "out += compress(labels[n:], keep)",
-     "out += compress(labels, keep)",
-     [TD + "test_grading_matches_its_definitions[G2]"]),
+     "out += [labels[n + p] for p in at]",
+     "out += [labels[p] for p in at]",
+     [TD + "test_grading_matches_its_definitions[G2]",
+      TD + "test_grading_degrees_from_the_step_table[G2]"]),
+    # g_0 without the rank H labels
+    (DYNKIN,
+     "                out += labels[2 * n:]\n",
+     "                pass\n",
+     [TD + "test_grading_degrees_from_the_step_table[G2]"]),
     # dim g_0 counted without the rank H labels
     (DYNKIN,
      "dims[0] = 2 * dims[0] + self.alg.rank",
@@ -202,8 +208,8 @@ MUTANTS = [
      "below[t] = r, (j + 1) % n\n",
      [TR + "test_step_table[G2]",
       TD + "test_grading_degrees_from_the_step_table[G2]"]),
-    # the position reader skips a component outside the destination rows,
-    # such as an H_r of [X_r, X_-r] outside g_0, instead of raising
+    # `ad_entries` skips a component outside the destination rows, such
+    # as an H_r of [X_r, X_-r] outside g_0, instead of raising
     (CHEVALLEY,
      "                if i is None:\n                    raise ValueError(",
      "                if i is None:\n                    continue\n                    raise ValueError(",

@@ -714,11 +714,10 @@ def test_pairing_criterion_on_every_diagram(name):
     """On every nonzero diagram: g_2 holds root vectors only (the weights
     of g_2 are distinct, as the criterion's proof needs), every `fails`
     witness is a degree-2 root vector N and a nonzero degree -2 Q with
-    [N, Q] = 0 under `bracket`, and among the orbits the pairing holds
-    exactly on the minimal one, plus G2's short-root orbit (1,0)."""
+    [N, Q] = 0 under `bracket`.  Where it holds among the orbits is
+    `test_pairing_holds_exactly_at_the_minimal_orbit`."""
     alg = build_algebra(name)
     roots = set(alg.rs.all_roots)
-    holds = set()
     for labels in itertools.product((0, 1, 2), repeat=alg.rank):
         if not any(labels):
             continue
@@ -727,7 +726,6 @@ def test_pairing_criterion_on_every_diagram(name):
         v = pairing_criterion(grading)
         if v.status == "holds":
             assert v.witness is None
-            holds.add(labels)
             continue
         assert v.status == "fails"
         n_coeffs, q_coeffs = v.witness
@@ -737,10 +735,22 @@ def test_pairing_criterion_on_every_diagram(name):
         assert not q.is_zero()
         assert {grading.degree[lbl] for lbl in q_coeffs} == {-2}
         assert alg.bracket(alg.element(n_coeffs), q).is_zero(), labels
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                  "B5", "C2", "C3", "C4", "C5", "D3", "D4", "D5",
+                                  "G2", "F4", "E6"])
+def test_pairing_holds_exactly_at_the_minimal_orbit(name):
+    """Among the diagrams that the scan keeps, one per nonzero orbit, the
+    pairing criterion holds exactly at the minimal orbit, plus G2's
+    short-root orbit (1,0).  `tests/full_scans.py` checks E7 and E8."""
+    alg = build_algebra(name)
+    holds = {labels for labels in _scan_diagrams(name)
+             if pairing_criterion(_grading(name, labels)).status == "holds"}
     expected = {minimal_orbit_diagram(alg).labels}
     if name == "G2":
         expected.add((1, 0))
-    assert holds & _scan_diagrams(name) == expected
+    assert holds == expected
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C4", "D5", "F4", "E6", "E7", "E8"])
@@ -833,9 +843,11 @@ SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
 
 @pytest.mark.parametrize("name", SMALL_TYPES + ["E6", "E7", "E8"])
 def test_grading_degrees_from_the_step_table(name):
-    """Every degree the step table gives is sum_i r_i l_i, over every
-    diagram of the types of rank at most 4 and 30 seeded diagrams of each
-    E type."""
+    """Every degree the step table gives is sum_i r_i l_i, every piece(k)
+    for -top - 1 <= k <= top + 1 lists the labels of degree k in basis
+    order, `dims` holds the sizes of g_0..g_top, and `sl2_block` is keyed
+    by the labels of piece(2) in basis order, over every diagram of the
+    types of rank at most 4 and 30 seeded diagrams of each E type."""
     alg = build_algebra(name)
     rank = alg.rank
     if name in SMALL_TYPES:
@@ -845,20 +857,14 @@ def test_grading_degrees_from_the_step_table(name):
         diagrams = [tuple(rng.choice((0, 1, 2)) for _ in range(rank)) for _ in range(30)]
     for labels in diagrams:
         grading = _grading(name, labels)
-        assert grading.degree == {
-            lbl: 0 if lbl[0] == "H" else sum(c * v for c, v in zip(lbl, labels))
-            for lbl in alg.basis_labels}
-
-
-@pytest.mark.parametrize("name", ["G2", "F4", "B4", "C4", "D4"])
-def test_sl2_block_read_by_position_matches_ad_entries(name):
-    """On every diagram, the block read by basis position equals the one
-    `ad_entries` reads from the labels of g_2, g_-2 and g_0, and is keyed
-    by the labels of g_2 in basis order."""
-    alg = build_algebra(name)
-    for labels in itertools.product((0, 1, 2), repeat=alg.rank):
-        grading = _grading(name, labels)
-        block = grading.sl2_block
-        g2 = grading.piece(2)
-        assert block == alg.ad_entries(g2, grading.piece(-2), grading.piece(0))
-        assert list(block) == g2
+        degree = {lbl: 0 if lbl[0] == "H" else sum(c * v for c, v in zip(lbl, labels))
+                  for lbl in alg.basis_labels}
+        by_degree = {}
+        for lbl, d in degree.items():
+            by_degree.setdefault(d, []).append(lbl)
+        top = max(by_degree)
+        for k in range(-top - 1, top + 2):
+            assert grading.piece(k) == by_degree.get(k, []), (labels, k)
+        assert grading.dims == [len(by_degree.get(k, [])) for k in range(top + 1)], labels
+        assert grading.degree == degree
+        assert list(grading.sl2_block) == by_degree.get(2, []), labels
