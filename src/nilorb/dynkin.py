@@ -69,9 +69,9 @@ class Grading:
     n positive roots, and the rank H labels have degree 0: `piece(k)`
     lists the roots of degree k; `piece(-k)` their negatives; and
     `piece(0)` the degree-0 roots, their negatives and the H labels.  Each
-    piece is in basis order, built on first use and cached per k.  `dims`
-    are the list sizes.  `degree`, `H` and `sl2_block` are built on first
-    use."""
+    piece is a tuple in basis order, built on first use and cached per k.
+    `dims` are the list sizes.  `degree`, `H` and `sl2_block` are built on
+    first use."""
 
     def __init__(self, alg, diagram):
         if diagram.cartan_type != alg.rs.cartan_type:
@@ -110,7 +110,8 @@ class Grading:
 
     def piece(self, k):
         """The labels of degree k, in basis order (basis_labels: the
-        positive roots, their negatives, then the H labels)."""
+        positive roots, their negatives, then the H labels), as a tuple,
+        so that no caller can edit the cached piece."""
         out = self._pieces.get(k)
         if out is None:
             labels, n, a = self.alg.basis_labels, len(self._pos), abs(k)
@@ -120,7 +121,7 @@ class Grading:
                 out += [labels[n + p] for p in at]
             if k == 0:
                 out += labels[2 * n:]
-            self._pieces[k] = out
+            out = self._pieces[k] = tuple(out)
         return out
 
     @cached_property
@@ -295,21 +296,36 @@ def nilpotency_report(n):
     to judge (the `nilpotency-equivalences` suite of `verify-paper` fails,
     naming the fixture, if they do not).
 
-    All three come from one forward elimination of [A | -N], A = ad(N)
-    (`linalg.forward_tests`).  Some H solves [H, N] = N iff A H = -N is
-    solvable.  With f_j = K(e_j, N), K(z, N) = f . z, so K(z(N), N) = 0
-    iff f lies in (ker A)^perp, which is the row space of A: no
-    centralizer vector is formed.  ad(N) is nilpotent iff the last power
-    rank of A is 0."""
+    All three come from one forward elimination of [A | -N], A = ad(N),
+    on sparse integer rows (`linalg._forward_tests`).  With D the least
+    common denominator of N's coefficients, the rows of [ad(D N) | -D N]
+    are summed from one `ad_entries` call over the basis, and the Killing
+    row f_j = K(e_j, D N) from the Gram table; scaling by D changes no
+    verdict.  Some H solves [H, N] = N iff A H = -N is solvable.
+    K(z, N) = f . z / D, so K(z(N), N) = 0 iff f lies in (ker A)^perp,
+    which is the row space of A: no centralizer vector is formed.  ad(N)
+    is nilpotent if the support graph of A is acyclic, since a
+    topological order makes it strictly triangular; only a support with a
+    cycle (the Cartan part of N gives self-loops) runs the power ranks of
+    A, and ad(N) is nilpotent iff the last one is 0."""
     if n.is_zero():
         raise ValueError("zero element")
     alg = n.alg
-    labels = alg.basis_labels
-    ad = alg.ad_matrix(n, labels, labels)
+    labels, index, gram = alg.basis_labels, alg.index, alg._killing_gram
+    D = lcm(*[c.denominator for c in n.coeffs.values()])
+    dn = {k: c.numerator * (D // c.denominator) for k, c in n.coeffs.items()}
+    a, f = [{} for _ in labels], {}
+    for k, entries in alg.ad_entries(dn, labels, labels).items():
+        c = dn[k]
+        for i, j, v in entries:
+            a[i][j] = a[i].get(j, 0) + c * v
+        for m, g in gram[k].items():
+            f[index[m]] = f.get(index[m], 0) + c * g
+    a = [{j: v for j, v in row.items() if v} for row in a]
     # [H, N] = N  <=>  ad(N) H = -N
-    iv, v, ranks = linalg.forward_tests(
-        ad, [-c for c in n.to_vector()], alg.killing_vector(n))
-    return NilpotencyReport(iv, v, ranks[-1] == 0)
+    b = {index[k]: -c for k, c in dn.items()}
+    return NilpotencyReport(*linalg._forward_tests(
+        a, b, {j: v for j, v in f.items() if v}))
 
 
 def centralizer_in_n_perp(grading, n):

@@ -7,15 +7,22 @@ anywhere.  There is one elimination, `_independent`: fraction-free and
 sparse, on integer rows, touching nonzero entries only; the dense entries
 scale each row to coprime integers first, and a cleared row is made
 coprime again only when its pivot needed scaling (see `_clear`).  `rank`
-and `power_ranks` use it as it is; `_reduced` sorts its rows by pivot
-column and back-substitutes with the same row-clearing step, for
-`kernel_basis` and for a solvable `_solve`.  `_solve` takes the nonzero rows of [A | b] as
+uses it as it is; `_reduced` sorts its rows by pivot column and
+back-substitutes with the same row-clearing step, for `kernel_basis` and
+for a solvable `_solve`.  `_solve` takes the nonzero rows of [A | b] as
 sparse integer rows: `solve` builds them from dense rows, and
 `dynkin.sl2_complete` from its integer blocks, with no dense matrix and
 no Fraction.  One forward elimination of [A | b] tells whether A x = b is
 solvable (no independent row starts at the column of b, `_split`) and
 gives rank(A); `forward_tests` also reads off it whether a row f lies in
-the row space of A, and `power_ranks(A)`.  Every function raises
+the row space of A, and whether A is nilpotent.  Its sparse entry,
+`_forward_tests`, takes A, b and f as sparse integer data, which
+`dynkin.nilpotency_report` builds from `ad_entries` and the Killing Gram
+table.  A is nilpotent when its support graph (an edge j -> i for each
+A[j][i] != 0) is acyclic, by one topological sort (`_acyclic`): a
+topological order makes P A P^T strictly triangular.  Only a support with
+a cycle runs the rounds of `power_ranks`, on A scaled once to integer
+rows: the ranks of A, A^2, ... until they stop.  Every function raises
 ValueError unless all rows have the same length; `power_ranks` and
 `forward_tests` also unless the matrix is square, `solve` and
 `forward_tests` also unless b (and f) have one entry per row, and
@@ -198,21 +205,32 @@ def solve(rows, rhs):
     return _solve(_sparse(_augmented(rows, rhs)), _width(rows))[0]
 
 
+def _integer_rows(a):
+    """The sparse rows `a` ({column: value}, ints or Fractions) times one
+    common factor that makes them coprime integers, so every rank, power
+    rank and row space is kept; TypeError as `_integer`."""
+    out = [{} for _ in a]
+    for (i, j), v in _integer({(i, j): v for i, e in enumerate(a)
+                               for j, v in e.items()}).items():
+        out[i][j] = v
+    return out
+
+
 def power_ranks(rows):
     """Ranks of the powers A, A^2, ... of the square matrix A, up to the
     first that is 0 or equals the one before.
 
     Row space of A^(k+1) = (row space of A^k) A lies in that of A^k, so
     the ranks decrease until they stop for good: A is nilpotent iff the
-    last rank is 0.  Each round keeps an independent spanning set of
-    integer rows and multiplies it by A.  Raises ValueError unless A is
-    square."""
-    a = [_nonzero(row, len(rows)) for row in rows]
-    return _rounds(a, _independent([_integer(e) for e in a if e]))
+    last rank is 0.  A is scaled once to integer rows (`_integer_rows`),
+    and each round keeps an independent spanning set of integer rows and
+    multiplies it by A.  Raises ValueError unless A is square."""
+    a = _integer_rows([_nonzero(row, len(rows)) for row in rows])
+    return _rounds(a, _independent([e for e in a if e]))
 
 
 def _rounds(a, cur):
-    """`power_ranks` of the sparse square matrix `a` ({column: value}
+    """`power_ranks` of the sparse square integer matrix `a` ({column: int}
     rows), from `cur`, an independent spanning set of its row space."""
     ranks = [len(cur)]
     while cur:
@@ -224,7 +242,7 @@ def _rounds(a, cur):
                     out[i] = out.get(i, 0) + c * v
             out = {i: x for i, x in out.items() if x}
             if out:
-                nxt.append(_integer(out))
+                nxt.append(out)
         cur = _independent(nxt)
         ranks.append(len(cur))
         if ranks[-1] == ranks[-2]:
@@ -232,27 +250,58 @@ def _rounds(a, cur):
     return ranks
 
 
+def _acyclic(a):
+    """True iff the support graph of the sparse square matrix `a`, with an
+    edge j -> i for each a[j][i] != 0, has no cycle (a self-loop is one):
+    Kahn's topological sort, O(nnz).  Then A is nilpotent, since ordering
+    the indices topologically makes P A P^T strictly upper triangular."""
+    indeg = [0] * len(a)
+    for row in a:
+        for i in row:
+            indeg[i] += 1
+    ready = [j for j, d in enumerate(indeg) if not d]
+    # `ready` grows as the loop runs: each index once, in topological order
+    for j in ready:
+        for i in a[j]:
+            indeg[i] -= 1
+            if not indeg[i]:
+                ready.append(i)
+    return len(ready) == len(a)
+
+
+def _forward_tests(a, b, f):
+    """`forward_tests` on sparse integer data: the rows `a` of A
+    ({column: int}, one per row, maybe empty), b as {row: int} and f as
+    {column: int}, none with a zero entry; a scaled A, b or f gives the
+    same verdicts.  The caller builds them, so nothing is checked."""
+    n = len(a)
+    aug = [{**e, n: v} if (v := b.get(i)) else e for i, e in enumerate(a)]
+    solvable, rest = _split(_independent([e for e in aug if e]), n)
+    parts = [{j: v for j, v in row.items() if j != n} for row in rest]
+    for row in parts:
+        c = min(row)
+        if c in f:
+            f = _clear(f, row, c)
+    return solvable, not f, _acyclic(a) or _rounds(a, parts)[-1] == 0
+
+
 def forward_tests(rows, rhs, f):
-    """(A x = b is solvable, f lies in the row space of A, power_ranks(A))
+    """(A x = b is solvable, f lies in the row space of A, A is nilpotent)
     for the square matrix A, from one forward elimination of [A | b], with
-    no back-substitution and no kernel vector.
+    no back-substitution and no kernel vector (see `_forward_tests`, the
+    sparse entry behind it).
 
     Solvability is read by `_split`.  Its other rows are an independent
     spanning set of the row space of A, each zero in the first columns of
     those before it; f reduced against them in order is 0 iff f lies in
-    their span, and they start the rounds of `power_ranks`.  Raises
-    ValueError unless A is square and b and f have one entry per row."""
+    their span.  A is nilpotent if its support graph is acyclic
+    (`_acyclic`); only a support with a cycle runs the rounds of
+    `power_ranks`, from those rows.  Raises ValueError unless A is square
+    and b and f have one entry per row."""
     n = len(rows)
     a = [_nonzero(row, n) for row in rows]
     if len(rhs) != n or len(f) != n:
         raise ValueError(f"b has {len(rhs)} entries and f {len(f)}, "
                          f"the matrix {n} rows")
-    aug = [{**e, n: b} if b else e for e, b in zip(a, rhs)]
-    solvable, rest = _split(_independent([_integer(e) for e in aug if e]), n)
-    parts = [{j: v for j, v in row.items() if j != n} for row in rest]
-    g = _integer(_nonzero(f, n))
-    for row in parts:
-        c = min(row)
-        if c in g:
-            g = _clear(g, row, c)
-    return solvable, not g, _rounds(a, parts)
+    return _forward_tests(_integer_rows(a), _integer(_nonzero(rhs, n)),
+                          _integer(_nonzero(f, n)))

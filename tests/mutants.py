@@ -156,8 +156,8 @@ MUTANTS = [
      [TD + "test_key_lemma_procedures_match_full_algebra_oracles[G2]"]),
     # `forward_tests` calls every A x = b solvable, ignoring the column of b
     (LINALG,
-     "    return solvable, not g, _rounds(a, parts)\n",
-     "    return True, not g, _rounds(a, parts)\n",
+     "    return solvable, not f, _acyclic(a)",
+     "    return True, not f, _acyclic(a)",
      [TL + "test_forward_tests_match_the_rref_route",
       TD + "test_nilpotency_report_polarity",
       TD + "test_nilpotency_report_against_independent_oracles[B3]"]),
@@ -170,11 +170,25 @@ MUTANTS = [
      [TL + "test_forward_tests_match_the_rref_route"]),
     # the rounds start from the rows of [A | b] with the column of b kept
     (LINALG,
-     "_rounds(a, parts)\n",
-     "_rounds(a, rest)\n",
+     "_rounds(a, parts)[-1]",
+     "_rounds(a, rest)[-1]",
      [TL + "test_forward_tests_match_the_rref_route",
       TD + "test_nilpotency_report_polarity",
       TD + "test_nilpotency_report_against_independent_oracles[B3]"]),
+    # the certificate counts no self-loop in the in-degrees: a diagonal
+    # ad(H) reads as acyclic, so nilpotent
+    (LINALG,
+     "    for row in a:\n        for i in row:\n            indeg[i] += 1\n",
+     "    for j, row in enumerate(a):\n        for i in row:\n"
+     "            indeg[i] += i != j\n",
+     [TD + "test_nilpotency_report_polarity"]),
+    # a cyclic support is called nilpotent without the rounds, and only an
+    # acyclic one runs them
+    (LINALG,
+     " _acyclic(a) or _rounds(",
+     " not _acyclic(a) or _rounds(",
+     [TL + "test_cyclic_supports_run_the_rounds",
+      TL + "test_nilpotent_verdict_matches_the_power_ranks"]),
     # an inconsistent solve reports the rank of [A | b], not of A: where
     # ker ad(N0) on g_-2 is a line, a failure at one N0 reads as exact
     (LINALG,

@@ -278,19 +278,19 @@ def test_verify_suite_exception_becomes_error_report(capsys, monkeypatch):
     assert refs == {"closure-order", "g2-classification"}
 
 
-# the nilpotency verdict of `linalg.forward_tests` forced to False makes the
-# nilpotent fixtures disagree, forced to True the semisimple ones: the suite
-# fails and names them, each with its element and its three verdicts; it
-# does not crash
+# the nilpotency verdict of `linalg._forward_tests`, the sparse entry that
+# `nilpotency_report` calls, forced to False makes the nilpotent fixtures
+# disagree, forced to True the semisimple ones: the suite fails and names
+# them, each with its element and its three verdicts; it does not crash
 @pytest.mark.parametrize("forced,kind", [(False, "nilpotent"), (True, "semisimple")])
 def test_verify_nilpotency_disagreement_is_a_fail(capsys, monkeypatch, forced, kind):
-    forward_tests = linalg.forward_tests
+    forward_tests = linalg._forward_tests
 
-    def forced_tests(rows, rhs, f):
-        solvable, spanned, _ = forward_tests(rows, rhs, f)
-        return solvable, spanned, [0] if forced else [1]
+    def forced_tests(a, b, f):
+        solvable, spanned, _ = forward_tests(a, b, f)
+        return solvable, spanned, forced
 
-    monkeypatch.setattr(linalg, "forward_tests", forced_tests)
+    monkeypatch.setattr(linalg, "_forward_tests", forced_tests)
     code, out, _ = run(capsys, "verify-paper", "--only",
                        "nilpotency-equivalences", "--json")
     assert code == 1

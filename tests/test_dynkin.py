@@ -72,7 +72,7 @@ def test_grading_pieces_partition_algebra():
         expected = {k: [] for k in pieces}
         for lbl in alg.basis_labels:
             expected[grading.degree[lbl]].append(lbl)
-        assert pieces == expected
+        assert pieces == {k: tuple(v) for k, v in expected.items()}
         # bracket compatibility on every basis pair
         for a in alg.basis_labels:
             for b in alg.basis_labels:
@@ -136,6 +136,18 @@ def test_nilpotency_report_polarity():
     mixed = x + alg.cartan_element([1, 0])
     rep = nilpotency_report(mixed)
     assert not rep.ad_nilpotent
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_nilpotency_report_on_e_types(name):
+    """The regular nilpotent sum of the simple root vectors meets all three
+    criteria (its support is acyclic), and the regular semisimple
+    H_1 + ... + H_rank none (the rounds run on its self-loops)."""
+    alg = build_algebra(name)
+    regular = alg.element({r: 1 for r in alg.rs.simple_roots})
+    assert nilpotency_report(regular) == (True, True, True)
+    h = alg.cartan_element([1] * alg.rank)
+    assert nilpotency_report(h) == (False, False, False)
 
 
 def _nilpotency_fixtures(alg, rng):
@@ -686,11 +698,12 @@ def test_pairing_criterion_verdicts_and_witnesses():
         assert (v.status, v.witness) == (status, witness), (name, labels)
 
 
-def test_pairing_criterion_tests_every_degree_two_root():
+def test_pairing_criterion_tests_every_degree_two_root(monkeypatch):
     """On B3 (2,0,0), g_2 = C^5 and ad(X_beta) is injective on g_-2 only
     for its zero weight (1,1,1).  The first root (1,0,0) of `piece(2)` is
     the witness, and the pairing fails also when the zero weight comes
-    first."""
+    first: the grading's `piece` is wrapped to list it first, with the
+    cached pieces left as they are."""
     alg = build_algebra("B3")
     grading = _grading("B3", (2, 0, 0))
     assert grading.piece(2)[0] == (1, 0, 0)
@@ -701,12 +714,36 @@ def test_pairing_criterion_tests_every_degree_two_root():
                           grading.piece(0))
     assert not linalg.kernel_basis(block)
     g2 = grading.piece(2)
-    g2.insert(0, g2.pop(g2.index(zero_weight)))
+    reordered = (zero_weight,) + tuple(r for r in g2 if r != zero_weight)
+    piece = grading.piece
+    monkeypatch.setattr(grading, "piece",
+                        lambda k: reordered if k == 2 else piece(k),
+                        raising=False)
     v = pairing_criterion(grading)
     assert v.status == "fails"
     n_coeffs, q_coeffs = v.witness
     assert n_coeffs == {(1, 0, 0): 1}
     assert alg.bracket(alg.element(n_coeffs), alg.element(q_coeffs)).is_zero()
+
+
+def test_a_returned_piece_cannot_be_edited():
+    """`piece` returns its cached tuple: editing it in place raises, and
+    a later `piece(2)` and `sl2_block` read the grading's own g_2."""
+    alg = build_algebra("B3")
+    grading = _grading("B3", (2, 0, 0))
+    g2 = grading.piece(2)
+    want = tuple(lbl for lbl in alg.basis_labels if grading.degree[lbl] == 2)
+    assert g2 == want
+    with pytest.raises(AttributeError):
+        g2.insert(0, g2[-1])
+    with pytest.raises(TypeError):
+        g2[0] = g2[-1]
+    with pytest.raises(TypeError):
+        del g2[0]
+    assert grading.piece(2) == want
+    assert tuple(grading.sl2_block) == want
+    assert grading.sl2_block == alg.ad_entries(want, grading.piece(-2),
+                                               grading.piece(0))
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4"])
@@ -824,7 +861,7 @@ def test_grading_matches_its_definitions(name):
         dims = grading.dims + [0]
         assert len(dims) == top + 2
         for k in range(-top, top + 2):
-            piece = [lbl for lbl in alg.basis_labels if degree[lbl] == k]
+            piece = tuple(lbl for lbl in alg.basis_labels if degree[lbl] == k)
             assert grading.piece(k) == piece, k
             assert dims[abs(k)] == len(piece), k
         assert "degree" not in vars(grading)
@@ -864,7 +901,7 @@ def test_grading_degrees_from_the_step_table(name):
             by_degree.setdefault(d, []).append(lbl)
         top = max(by_degree)
         for k in range(-top - 1, top + 2):
-            assert grading.piece(k) == by_degree.get(k, []), (labels, k)
+            assert grading.piece(k) == tuple(by_degree.get(k, ())), (labels, k)
         assert grading.dims == [len(by_degree.get(k, [])) for k in range(top + 1)], labels
         assert grading.degree == degree
         assert list(grading.sl2_block) == by_degree.get(2, []), labels

@@ -106,10 +106,10 @@ def test_is_nilpotent_shift_beside_invertible_block():
 
 def _old_route(rows, rhs, f):
     """`forward_tests` by the route it replaces: rref of [A | b] with its
-    kernel vectors, f . z on each, and `power_ranks`."""
+    kernel vectors, f . z on each, and the last of `power_ranks`."""
     x, kernel = linalg.solve(rows, rhs), linalg.kernel_basis(rows)
     spanned = all(sum(a * b for a, b in zip(f, z)) == 0 for z in kernel)
-    return x is not None, spanned, linalg.power_ranks(rows)
+    return x is not None, spanned, _nilpotent(rows)
 
 
 def _forward_cases(rng):
@@ -142,8 +142,103 @@ def test_forward_tests_match_the_rref_route():
                 assert got == _old_route(rows, rhs, f)
                 seen.add(got[:2])
     assert seen == {(s, t) for s in (True, False) for t in (True, False)}
-    assert linalg.forward_tests([[1]], [0], [0]) == (True, True, [1, 1])
-    assert linalg.forward_tests([[0]], [1], [1]) == (False, False, [0])
+    assert linalg.forward_tests([[1]], [0], [0]) == (True, True, False)
+    assert linalg.forward_tests([[0]], [1], [1]) == (False, False, True)
+
+
+def _power_is_zero(rows):
+    """Reference: A^n == 0 for the n x n matrix A, by dense Fraction
+    products."""
+    n, p = len(rows), rows
+    for _ in range(n - 1):
+        p = [[sum(F(p[i][k]) * rows[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+    return not any(map(any, p))
+
+
+def _acyclic(rows):
+    return linalg._acyclic([linalg._nonzero(row, len(rows)) for row in rows])
+
+
+def _conjugated_shift(n, i, j, t):
+    """E S E^-1 for the n x n shift S (ones above the diagonal) and the
+    elementary E = I + t e_ij, i != j: nilpotent, and for most i, j, t its
+    support has a cycle."""
+    s = [[int(c == r + 1) for c in range(n)] for r in range(n)]
+    e = [[int(r == c) + (t if (r, c) == (i, j) else 0) for c in range(n)]
+         for r in range(n)]
+    inv = [[int(r == c) - (t if (r, c) == (i, j) else 0) for c in range(n)]
+           for r in range(n)]
+
+    def mul(x, y):
+        return [[sum(x[r][k] * y[k][c] for k in range(n)) for c in range(n)]
+                for r in range(n)]
+    return mul(mul(e, s), inv)
+
+
+def _permuted_triangular(rng, n):
+    """A random strictly upper triangular matrix with its indices permuted
+    (P A P^T): its support is acyclic."""
+    perm = rng.sample(range(n), n)
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r + 1, n):
+            rows[perm[r]][perm[c]] = rng.choice([0, 0, 1, -2, F(1, 3)])
+    return rows
+
+
+def test_nilpotent_verdict_matches_the_power_ranks():
+    """The third value of `forward_tests` against the last power rank and
+    against A^n == 0, on random sparse int and Fraction matrices: acyclic
+    supports, conjugated shifts with cycles, and general ones.  Both
+    verdicts and both routes (certificate, rounds) occur."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        cases.append(_permuted_triangular(rng, n))
+        rows = [[rng.choice([0, 0, 0, 1, -1, F(1, 2)]) for _ in range(n)]
+                for _ in range(n)]
+        cases.append(rows)
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            cases.append(_conjugated_shift(n, i, j, rng.choice([1, -2, F(1, 3)])))
+    seen = set()
+    for rows in cases:
+        zeros = [0] * len(rows)
+        want = _power_is_zero(rows)
+        assert _nilpotent(rows) == want, rows
+        assert linalg.forward_tests(rows, zeros, zeros)[2] == want, rows
+        seen.add((_acyclic(rows), want))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_cyclic_supports_run_the_rounds():
+    """A nilpotent matrix whose support has a cycle is decided by the
+    rounds, not the certificate; so are self-loops, nilpotent or not."""
+    nilpotent_cyclic = [
+        [[1, 1], [-1, -1]],                 # its square is 0
+        _conjugated_shift(3, 2, 0, 1),
+        _conjugated_shift(4, 3, 1, F(-1, 2)),
+    ]
+    for rows in nilpotent_cyclic:
+        assert not _acyclic(rows) and _power_is_zero(rows)
+        zeros = [0] * len(rows)
+        assert linalg.forward_tests(rows, zeros, zeros)[2]
+    not_nilpotent = [
+        [[F(2, 3)]],                        # one self-loop
+        [[0, 1], [0, 5]],                   # a self-loop below a shift
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # a permutation cycle
+        [[1, 1], [-1, 1]],
+    ]
+    for rows in not_nilpotent:
+        assert not _acyclic(rows) and not _power_is_zero(rows)
+        zeros = [0] * len(rows)
+        assert not linalg.forward_tests(rows, zeros, zeros)[2]
+    # the zero matrix, and a shift: acyclic, so nilpotent
+    for rows in ([[0]], [[0, 0], [0, 0]], [[0, 3], [0, 0]]):
+        assert _acyclic(rows)
+        assert linalg.forward_tests(rows, [0] * len(rows), [0] * len(rows))[2]
 
 
 def _naive_rref(rows):
