@@ -21,9 +21,14 @@ representation of a basis-pair bracket: one row per basis position, each
 computed on first use by `_fill`, the N of each column as a signed byte and
 the basis position of the result as an unsigned 16-bit int, with the one
 column [X_r, X_-r] = H_r marked and read from the coroot of r.  `bracket`
-reads the rows in its own loop (its docstring says why); `ad_entries`,
-the one reader of ad entries, and `table_row` read them through
-`_entries`.  There is no runtime Jacobi check: the constants
+reads the rows in two loops of its own, chosen by a fixed rule: a right
+operand of at most dim / 2 terms is probed at its positions in each row,
+and a larger one is met by walking each row's nonzero triples,
+`table_row(i)`, kept the first time this row loop reads row i, so only the
+rows of many-term brackets are held twice (its docstring gives the
+measured E7/E8 costs behind the rule); `ad_entries`, the one reader of ad
+entries, and `table_row` read the rows through `_entries`.  There is no
+runtime Jacobi check: the constants
 depend on the Cartan type alone, and
 `tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
 proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8 on
@@ -154,6 +159,9 @@ class ChevalleyAlgebra:
         # the stored bracket table: one slot per basis position, filled by
         # `_fill` on first use
         self._rows = [None] * self.dim
+        # the nonzero triples of each stored row, `table_row(i)`, kept for
+        # the rows a bracket with a many-term right operand reads
+        self._triples = [None] * self.dim
         self._pos = rs.positive_roots
         # the key of each root, the basis position of each key, in the
         # order of the positions (see `_root_keys`), and the squared-length
@@ -365,21 +373,56 @@ class ChevalleyAlgebra:
         """The nonzero brackets of the basis element at position i with
         every basis element, read from its stored row, the row `bracket`
         reads: `_entries` over every position, so the triples (j, m, v)
-        with v the e_m coefficient of [e_i, e_j], in the order of j."""
+        with v the e_m coefficient of [e_i, e_j], in the order of j.  The
+        row loop of `bracket` keeps it per row."""
         return self._entries(i, range(self.dim))
 
     def bracket(self, a, b):
         """[a, b], read from the stored rows (see `_fill`) of the labels
-        of a: b's labels are resolved to basis positions once per call.
-        It reads the rows in its own loop, not through `_entries`, because
-        that route made E7 and E8 brackets of 1, 4 and 16 terms 10-25%
-        slower per call (CPython 3.11 on a Xeon), and most brackets the
-        library and its callers make have a few terms."""
+        of a, by one of two loops chosen by the size of b.
+
+        A b with at most dim / 2 terms takes the column loop: b's labels
+        are resolved to basis positions once per call, and each row of a is
+        probed at those positions.  It reads the rows itself, not through
+        `_entries`, because that route made E7 and E8 brackets of 1, 4 and
+        16 terms 10-25% slower per call (CPython 3.11 on a Xeon), and most
+        brackets the library and its callers make have a few terms.
+
+        A b with more than dim / 2 terms takes the row loop: b's
+        coefficients are spread over a list indexed by basis position, and
+        each row of a is walked through its nonzero triples, `table_row(i)`,
+        which skips the zero brackets the column loop would probe.  The
+        triples of a row are kept the first time this loop reads it, so
+        only the rows that many-term brackets read are held twice.  The
+        row loop does not serve a few-term b, because its cost grows with
+        dim: on CPython 3.11 (shared 2-vCPU x86-64 VM) an E8 bracket of one
+        term by one took 32-39 us in it against 1.8-2.7 us in the column
+        loop, 40-50 against 5.5-7.1 us for 4 terms, and 82-96 against
+        45-70 us for 16, the largest brackets of the benchmark's E7/E8
+        stream, which the rule keeps on the column loop.
+
+        Both loops add the same products, so they give the same result,
+        with ints for int coefficients."""
         a._check(b)
         if a.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        index, rows, coroots = self.index, self._rows, self.rs.coroots
-        mark, h0 = self.dim, self._nroots
+        index, labels, dim = self.index, self.basis_labels, self.dim
+        if 2 * len(b.coeffs) > dim:
+            col = [0] * dim  # basis position -> b's coefficient
+            for k, c in b.coeffs.items():
+                col[index[k]] = c
+            acc, triples = [0] * dim, self._triples
+            for k1, c1 in a.coeffs.items():
+                i = index[k1]
+                row = triples[i]
+                if row is None:
+                    row = triples[i] = self.table_row(i)
+                for j, t, n in row:
+                    c2 = col[j]
+                    if c2:
+                        acc[t] += c1 * c2 * n
+            return LieElement._computed(self, dict(zip(labels, acc)))
+        rows, coroots, h0 = self._rows, self.rs.coroots, self._nroots
         cols = [(index[k], c) for k, c in b.coeffs.items()]
         out = {}  # basis position -> coefficient
         for k1, c1 in a.coeffs.items():
@@ -390,7 +433,7 @@ class ChevalleyAlgebra:
                 if not n:
                     continue
                 t = ts[j]
-                if t == mark:
+                if t == dim:
                     # [X_r, X_-r] = H_r
                     c = c1 * c2
                     for q, h in enumerate(coroots[k1], h0):
@@ -398,7 +441,6 @@ class ChevalleyAlgebra:
                             out[q] = out.get(q, 0) + c * h
                 else:
                     out[t] = out.get(t, 0) + c1 * c2 * n
-        labels = self.basis_labels
         return LieElement._computed(self, {labels[t]: v for t, v in out.items()})
 
     def ad_entries(self, labels, src, dst):
@@ -495,14 +537,6 @@ class ChevalleyAlgebra:
                 if c2:
                     tot += c1 * c2 * g
         return tot
-
-    def killing_vector(self, x):
-        """[K(e_j, x) for each basis position j], read from the Gram table."""
-        if x.alg is not self:
-            raise ValueError("element belongs to a different algebra")
-        gram, c = self._killing_gram, x.coeffs
-        return [sum(g * c.get(k, 0) for k, g in gram[lbl].items())
-                for lbl in self.basis_labels]
 
     def centralizer_dim(self, a):
         if a.is_zero():

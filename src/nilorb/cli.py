@@ -18,6 +18,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from . import chevalley, curated, dynkin, matmodel, partitions
@@ -122,11 +123,13 @@ _NILP_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
 
 
 def _random_element(alg, rng, labels):
+    """A nonzero element of `alg` over the basis labels `labels`, each
+    coefficient drawn uniformly from -3..3 in one `rng.choices` call; an
+    all-zero draw is drawn again."""
     while True:
-        coeffs = {lbl: rng.randint(-3, 3) for lbl in labels}
-        e = alg.element({k: v for k, v in coeffs.items() if v})
-        if not e.is_zero():
-            return e
+        cs = rng.choices(range(-3, 4), k=len(labels))
+        if any(cs):
+            return chevalley.LieElement._computed(alg, dict(zip(labels, cs)))
 
 
 def suite_nilpotency_equivalences(seed):
@@ -550,7 +553,9 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+@cache
 def build_parser():
+    """The argument parser of `main`, built once per process."""
     p = argparse.ArgumentParser(
         prog="nilorb",
         description="Exact computations with nilpotent orbits of simple Lie algebras")

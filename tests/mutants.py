@@ -87,6 +87,24 @@ MUTANTS = [
      "else -self._npos[-x, -y]",
      "else self._npos[-x, -y]",
      [TC + "test_structure_constants_match_the_fraction_oracle[C3]"]),
+    # the row loop of `bracket` drops b's coefficient: it adds c1 N, not
+    # c1 c2 N
+    (CHEVALLEY,
+     "                        acc[t] += c1 * c2 * n\n",
+     "                        acc[t] += c1 * n\n",
+     [TC + "test_both_bracket_loops_match_the_oracle[A2]"]),
+    # the row loop keeps the triples of row i under row i - 1: a later
+    # bracket through row i - 1 reads those of row i
+    (CHEVALLEY,
+     "row = triples[i] = self.table_row(i)",
+     "row = triples[i - 1] = self.table_row(i)",
+     [TC + "test_both_bracket_loops_match_the_oracle[G2]"]),
+    # the crossover moved down by one term: a b of exactly dim / 2 terms
+    # takes the row loop
+    (CHEVALLEY,
+     "if 2 * len(b.coeffs) > dim:",
+     "if 2 * len(b.coeffs) >= dim:",
+     [TC + "test_both_bracket_loops_match_the_oracle[A2]"]),
     # the unchecked constructor of computed results keeps zero coefficients
     (CHEVALLEY,
      "        x.coeffs = {k: v for k, v in coeffs.items() if v}\n",

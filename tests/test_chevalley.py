@@ -606,6 +606,59 @@ def test_bracket_of_elements_matches_the_oracle(name):
         assert alg.bracket(x, y).coeffs == {t: v for t, v in want.items() if v}
 
 
+def _bilinear(oracle, x, y):
+    """The sum of c_a c_b [e_a, e_b] over the oracle's basis brackets, with
+    no zero coefficient."""
+    want = {}
+    for a, ca in x.coeffs.items():
+        for b, cb in y.coeffs.items():
+            for t, v in oracle(a, b).items():
+                want[t] = want.get(t, 0) + ca * cb * v
+    return {t: v for t, v in want.items() if v}
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C3", "D4", "G2",
+                                  "F4", "E6"])
+def test_both_bracket_loops_match_the_oracle(name):
+    """`bracket` takes its row loop exactly when b has more than dim / 2
+    terms: on a fresh algebra, a b of dim // 2 terms keeps no row's
+    triples, and one more term keeps those of a's rows and no other.  Each
+    loop equals the bilinear expansion over the oracle with int and with
+    Fraction coefficients, with the oracle's types (ints for ints); [b, b]
+    is 0, and a row-loop [a, b] is minus the column-loop [b, a]."""
+    alg = ChevalleyAlgebra(build_root_system(name))
+    oracle, labels, index, dim = (basis_bracket(alg.rs), alg.basis_labels,
+                                  alg.index, alg.dim)
+    rng = random.Random(13)
+
+    def kept():
+        return {i for i, row in enumerate(alg._triples) if row is not None}
+
+    def coeff(frac):
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        return F(c, rng.randint(1, 3)) if frac else c
+
+    for frac in (False, True):
+        for terms in (dim // 2, dim // 2 + 1):
+            for _ in range(3):
+                # at most dim / 4 terms: [b, a] takes the column loop
+                a, b = (alg.element({k: coeff(frac) for k in rng.sample(labels, n)})
+                        for n in (rng.randint(1, max(1, min(4, dim // 4))), terms))
+                before = kept()
+                ab = alg.bracket(a, b)
+                assert kept() == (before | {index[k] for k in a.coeffs}
+                                  if 2 * terms > dim else before)
+                want = _bilinear(oracle, a, b)
+                assert ab.coeffs == want
+                assert ({t: type(v) for t, v in ab.coeffs.items()}
+                        == {t: type(v) for t, v in want.items()})
+                assert frac or all(type(v) is int for v in ab.coeffs.values())
+                before = kept()
+                assert alg.bracket(b, a) == -ab
+                assert kept() == before
+                assert alg.bracket(b, b).is_zero()
+
+
 def test_computed_results_store_no_zero_coefficient():
     # the library builds these results without the checks of alg.element;
     # the first three cancel every coefficient, and x + y cancels some
@@ -683,21 +736,6 @@ def test_killing_gram_matches_trace_on_basis_pairs(name):
     for a, b in pairs:
         x, y = alg.element({a: F(1)}), alg.element({b: F(1)})
         assert alg.killing(x, y) == _trace_killing(alg, x, y)
-
-
-@pytest.mark.parametrize("name", ["G2", "B3", "E6"])
-def test_killing_vector_reads_the_killing_form(name):
-    alg = build_algebra(name)
-    labels = list(alg.basis_labels)
-    rng = random.Random(5)
-    xs = [alg.element({lbl: F(rng.randint(-3, 3), rng.randint(1, 2))
-                       for lbl in rng.sample(labels, 6)}) for _ in range(3)]
-    xs += [alg.element({lbl: 1}) for lbl in labels[:2] + labels[-2:]]
-    for x in xs:
-        vec = alg.killing_vector(x)
-        assert vec == [alg.killing(alg.element({lbl: 1}), x) for lbl in labels]
-    with pytest.raises(ValueError, match="different algebra"):
-        build_algebra("A2").killing_vector(xs[0])
 
 
 # dual Coxeter numbers (Bourbaki, planches)

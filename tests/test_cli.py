@@ -248,6 +248,22 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_main_call(capsys):
+    """`main` parses with one parser per process, and a call keeps no
+    option of the call before it: after an `orbit info` with a partition,
+    one without still lacks it, and other subcommands run in between."""
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "orbit", "info", "--type", "C3",
+                       "--partition", "2,2,2")
+    assert code == 0 and "dimension 12" in out
+    code, out, _ = run(capsys, "roots", "G2")
+    assert code == 0 and "positive roots: 6" in out
+    code, out, _ = run(capsys, "verify-paper", "--only", "g2-classification")
+    assert code == 0 and out.count("[PASS]") == 4
+    code, _, err = run(capsys, "orbit", "info", "--type", "C3")
+    assert code == 2 and "partition" in err
+
+
 @pytest.mark.parametrize("argv", [("verify-paper", "--jobs", "2"),
                                   ("algebra", "G2", "--dim"),
                                   ("model", "sp", "--demo"),
