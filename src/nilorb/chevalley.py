@@ -20,16 +20,19 @@ one int addition and one dict lookup.  The stored table is the only
 representation of a basis-pair bracket: one row per basis position, each
 computed on first use by `_fill`, the N of each column as a signed byte and
 the basis position of the result as an unsigned 16-bit int, with the one
-column [X_r, X_-r] = H_r marked and read from the coroot of r.  `bracket`
-reads the rows in two loops of its own, chosen by a fixed rule: a right
-operand of at most dim / 2 terms is probed at its positions in each row,
-and a larger one is met by walking each row's nonzero triples,
-`table_row(i)`, kept the first time this row loop reads row i, so only the
-rows of many-term brackets are held twice (its docstring gives the
-measured E7/E8 costs behind the rule); `ad_entries`, the one reader of ad
-entries, and `table_row` read the rows through `_entries`.  There is no
-runtime Jacobi check: the constants
-depend on the Cartan type alone, and
+column [X_r, X_-r] = H_r marked and read from the coroot of r.  The rows
+have two readers.  Whole rows are read as nonzero triples, `table_row(i)`,
+kept by `_kept_row` the first time a reader asks for row i, so only the
+rows read whole are held twice: the row loop of `bracket` and
+`dynkin.nilpotency_report`, which sums ad(N) over the whole basis, read
+them.  Restricted blocks are read by `ad_entries`, through `_entries` at
+the positions of the source labels, for `ad_matrix` and the graded blocks
+of `dynkin`.  `bracket` chooses between two loops by a fixed rule: a right
+operand of at most dim / 2 terms is probed at its positions in each row
+(the column loop, which reads the stored arrays itself), and a larger one
+is met by walking each row's kept triples (its docstring gives the
+measured E7/E8 costs behind the rule).  There is no runtime Jacobi check:
+the constants depend on the Cartan type alone, and
 `tests/test_chevalley.py::test_jacobi_identity_from_chevalley_generators`
 proves the identity for A1-A4, B2-B5, C2-C5, D3-D5, G2, F4 and E6-E8 on
 the stored table, by checking that ad(X_{+-alpha_i}) is a derivation and
@@ -41,8 +44,9 @@ read too), so every bracket of basis elements has integer coefficients.
 Element coefficients are ints or Fractions, kept as given; floats and
 bools raise TypeError.
 
-Every matrix of ad(x) is built here, by `ad_matrix` from the integer entries
-of `ad_entries`, which read the stored rows.
+Every dense matrix of ad(x) is built here, by `ad_matrix` from the integer
+entries of `ad_entries`; the sparse rows of ad(N) over the whole basis are
+summed by `dynkin.nilpotency_report` from the kept triples of N's rows.
 
 The Killing form K(x, y) = trace(ad x ad y) is read from a Gram table over
 the basis that each algebra builds on first use, from the root data alone,
@@ -131,12 +135,6 @@ class LieElement:
         if not isinstance(other, LieElement) or other.alg is not self.alg:
             raise ValueError("elements belong to different algebras")
 
-    def to_vector(self):
-        v = [0] * self.alg.dim
-        for k, c in self.coeffs.items():
-            v[self.alg.index[k]] = c
-        return v
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -159,8 +157,8 @@ class ChevalleyAlgebra:
         # the stored bracket table: one slot per basis position, filled by
         # `_fill` on first use
         self._rows = [None] * self.dim
-        # the nonzero triples of each stored row, `table_row(i)`, kept for
-        # the rows a bracket with a many-term right operand reads
+        # the nonzero triples of each stored row, `table_row(i)`, kept by
+        # `_kept_row` for the rows that are read whole
         self._triples = [None] * self.dim
         self._pos = rs.positive_roots
         # the key of each root, the basis position of each key, in the
@@ -373,9 +371,18 @@ class ChevalleyAlgebra:
         """The nonzero brackets of the basis element at position i with
         every basis element, read from its stored row, the row `bracket`
         reads: `_entries` over every position, so the triples (j, m, v)
-        with v the e_m coefficient of [e_i, e_j], in the order of j.  The
-        row loop of `bracket` keeps it per row."""
+        with v the e_m coefficient of [e_i, e_j], in the order of j.  It is
+        not kept; `_kept_row` keeps it for the readers of whole rows."""
         return self._entries(i, range(self.dim))
+
+    def _kept_row(self, i):
+        """`table_row(i)`, kept in `_triples` the first time it is read:
+        the whole-row reader of the row loop of `bracket` and of
+        `dynkin.nilpotency_report`."""
+        row = self._triples[i]
+        if row is None:
+            row = self._triples[i] = self.table_row(i)
+        return row
 
     def bracket(self, a, b):
         """[a, b], read from the stored rows (see `_fill`) of the labels
@@ -392,12 +399,12 @@ class ChevalleyAlgebra:
         coefficients are spread over a list indexed by basis position, and
         each row of a is walked through its nonzero triples, `table_row(i)`,
         which skips the zero brackets the column loop would probe.  The
-        triples of a row are kept the first time this loop reads it, so
-        only the rows that many-term brackets read are held twice.  The
-        row loop does not serve a few-term b, because its cost grows with
-        dim: on CPython 3.11 (shared 2-vCPU x86-64 VM) an E8 bracket of one
-        term by one took 32-39 us in it against 1.8-2.7 us in the column
-        loop, 40-50 against 5.5-7.1 us for 4 terms, and 82-96 against
+        triples of a row are read through `_kept_row`, which keeps them the
+        first time a row is read whole, so only those rows are held twice.
+        The row loop does not serve a few-term b, because its cost grows
+        with dim: on CPython 3.11 (shared 2-vCPU x86-64 VM) an E8 bracket
+        of one term by one took 32-39 us in it against 1.8-2.7 us in the
+        column loop, 40-50 against 5.5-7.1 us for 4 terms, and 82-96 against
         45-70 us for 16, the largest brackets of the benchmark's E7/E8
         stream, which the rule keeps on the column loop.
 
@@ -411,13 +418,9 @@ class ChevalleyAlgebra:
             col = [0] * dim  # basis position -> b's coefficient
             for k, c in b.coeffs.items():
                 col[index[k]] = c
-            acc, triples = [0] * dim, self._triples
+            acc, kept = [0] * dim, self._kept_row
             for k1, c1 in a.coeffs.items():
-                i = index[k1]
-                row = triples[i]
-                if row is None:
-                    row = triples[i] = self.table_row(i)
-                for j, t, n in row:
+                for j, t, n in kept(index[k1]):
                     c2 = col[j]
                     if c2:
                         acc[t] += c1 * c2 * n

@@ -299,29 +299,38 @@ def nilpotency_report(n):
     All three come from one forward elimination of [A | -N], A = ad(N),
     on sparse integer rows (`linalg._forward_tests`).  With D the least
     common denominator of N's coefficients, the rows of [ad(D N) | -D N]
-    are summed from one `ad_entries` call over the basis, and the Killing
-    row f_j = K(e_j, D N) from the Gram table; scaling by D changes no
-    verdict.  Some H solves [H, N] = N iff A H = -N is solvable.
-    K(z, N) = f . z / D, so K(z(N), N) = 0 iff f lies in (ker A)^perp,
-    which is the row space of A: no centralizer vector is formed.  ad(N)
-    is nilpotent if the support graph of A is acyclic, since a
-    topological order makes it strictly triangular; only a support with a
-    cycle (the Cartan part of N gives self-loops) runs the power ranks of
-    A, and ad(N) is nilpotent iff the last one is 0."""
+    are summed from the whole stored rows of N's labels, read as their
+    nonzero triples (j, m, v), v the e_m coefficient of [e_k, e_j], and
+    kept by `ChevalleyAlgebra._kept_row`: the label k with coefficient c
+    adds c v to A[m][j], and an entry that cancels to 0 is dropped then.
+    `ad_entries`, the reader of restricted blocks, would check every label
+    and probe all dim columns of each row; the triples skip the zero
+    brackets.  The Killing row f_j = K(e_j, D N) is summed from the Gram
+    table; scaling by D changes no verdict.  Some H solves [H, N] = N iff
+    A H = -N is solvable.  K(z, N) = f . z / D, so K(z(N), N) = 0 iff f
+    lies in (ker A)^perp, which is the row space of A: no centralizer
+    vector is formed.  ad(N) is nilpotent if the support graph of A is
+    acyclic, since a topological order makes it strictly triangular; only
+    a support with a cycle (the Cartan part of N gives self-loops) runs
+    the power ranks of A, and ad(N) is nilpotent iff the last one is 0."""
     if n.is_zero():
         raise ValueError("zero element")
     alg = n.alg
-    labels, index, gram = alg.basis_labels, alg.index, alg._killing_gram
+    index, gram, kept = alg.index, alg._killing_gram, alg._kept_row
     D = lcm(*[c.denominator for c in n.coeffs.values()])
     dn = {k: c.numerator * (D // c.denominator) for k, c in n.coeffs.items()}
-    a, f = [{} for _ in labels], {}
-    for k, entries in alg.ad_entries(dn, labels, labels).items():
-        c = dn[k]
-        for i, j, v in entries:
-            a[i][j] = a[i].get(j, 0) + c * v
+    a, f = [{} for _ in range(alg.dim)], {}
+    for k, c in dn.items():
+        for j, m, v in kept(index[k]):
+            row = a[m]
+            # c v != 0, so a zero sum is a cancellation: drop the entry
+            w = row.get(j, 0) + c * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
         for m, g in gram[k].items():
             f[index[m]] = f.get(index[m], 0) + c * g
-    a = [{j: v for j, v in row.items() if v} for row in a]
     # [H, N] = N  <=>  ad(N) H = -N
     b = {index[k]: -c for k, c in dn.items()}
     return NilpotencyReport(*linalg._forward_tests(

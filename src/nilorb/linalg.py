@@ -17,9 +17,12 @@ solvable (no independent row starts at the column of b, `_split`) and
 gives rank(A); `forward_tests` also reads off it whether a row f lies in
 the row space of A, and whether A is nilpotent.  Its sparse entry,
 `_forward_tests`, takes A, b and f as sparse integer data, which
-`dynkin.nilpotency_report` builds from `ad_entries` and the Killing Gram
-table.  A is nilpotent when its support graph (an edge j -> i for each
-A[j][i] != 0) is acyclic, by one topological sort (`_acyclic`): a
+`dynkin.nilpotency_report` builds from the whole stored rows of N's
+labels (`ChevalleyAlgebra._kept_row`, the reader of whole rows; restricted
+blocks are read by `ad_entries`) and the Killing Gram table;
+`forward_tests` stays as its dense entry, which the tests check against
+the rref route.  A is nilpotent when its support graph (an edge j -> i
+for each A[j][i] != 0) is acyclic, by one topological sort (`_acyclic`): a
 topological order makes P A P^T strictly triangular.  Only a support with
 a cycle runs the rounds of `power_ranks`, on A scaled once to integer
 rows: the ranks of A, A^2, ... until they stop.  Every function raises

@@ -93,12 +93,32 @@ MUTANTS = [
      "                        acc[t] += c1 * c2 * n\n",
      "                        acc[t] += c1 * n\n",
      [TC + "test_both_bracket_loops_match_the_oracle[A2]"]),
-    # the row loop keeps the triples of row i under row i - 1: a later
-    # bracket through row i - 1 reads those of row i
+    # `_kept_row` keeps the triples of row i under row i - 1: a later
+    # whole-row read of row i - 1, by the row loop of `bracket` or by
+    # `nilpotency_report`, gets those of row i
     (CHEVALLEY,
-     "row = triples[i] = self.table_row(i)",
-     "row = triples[i - 1] = self.table_row(i)",
-     [TC + "test_both_bracket_loops_match_the_oracle[G2]"]),
+     "row = self._triples[i] = self.table_row(i)",
+     "row = self._triples[i - 1] = self.table_row(i)",
+     [TC + "test_both_bracket_loops_match_the_oracle[G2]",
+      TD + "test_nilpotency_report_reads_the_kept_rows[G2]"]),
+    # `nilpotency_report` sums the transpose of ad(N): a triple (j, m, v)
+    # adds c v to A[j][m], not A[m][j]
+    (DYNKIN,
+     "for j, m, v in kept(index[k]):",
+     "for m, j, v in kept(index[k]):",
+     [TD + "test_nilpotency_report_reads_the_kept_rows[A2]"]),
+    # `nilpotency_report` drops the coefficient of each label of D N: every
+    # row of ad(D N) reads as if N had coefficients 1
+    (DYNKIN,
+     "w = row.get(j, 0) + c * v",
+     "w = row.get(j, 0) + v",
+     [TD + "test_nilpotency_report_reads_the_kept_rows[B2]"]),
+    # `nilpotency_report` keeps an entry of ad(D N) that cancels to 0, as
+    # the diagonal entry of a root s with s(h) = 0 for the Cartan part h
+    (DYNKIN,
+     "            if w:\n                row[j] = w\n",
+     "            if True:\n                row[j] = w\n",
+     [TD + "test_nilpotency_report_reads_the_kept_rows[A2]"]),
     # the crossover moved down by one term: a b of exactly dim / 2 terms
     # takes the row loop
     (CHEVALLEY,

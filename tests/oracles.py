@@ -3,9 +3,42 @@ library against."""
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from nilorb import linalg
 from nilorb.matmodel import SymplecticSpace, mu
+
+
+def to_vector(x):
+    """The coefficients of the element x as a dense list over the basis of
+    its algebra, in basis order, 0 where x has no term."""
+    v = [0] * x.alg.dim
+    for k, c in x.coeffs.items():
+        v[x.alg.index[k]] = c
+    return v
+
+
+def nilpotency_system(n):
+    """The sparse integer data (A, b, f) that `dynkin.nilpotency_report`
+    hands to `linalg._forward_tests`, by the build it replaced: with D the
+    common denominator of n's coefficients, the rows of A = ad(D n) summed
+    from one `ad_entries(D n's labels, basis, basis)` call, b = -D n by
+    position, and the Killing row f_j = K(e_j, D n) from the Gram table;
+    no zero entry is kept."""
+    alg = n.alg
+    labels, index, gram = alg.basis_labels, alg.index, alg._killing_gram
+    d = lcm(*[c.denominator for c in n.coeffs.values()])
+    dn = {k: c.numerator * (d // c.denominator) for k, c in n.coeffs.items()}
+    a, f = [{} for _ in labels], {}
+    for k, entries in alg.ad_entries(dn, labels, labels).items():
+        c = dn[k]
+        for i, j, v in entries:
+            a[i][j] = a[i].get(j, 0) + c * v
+        for m, g in gram[k].items():
+            f[index[m]] = f.get(index[m], 0) + c * g
+    a = [{j: v for j, v in row.items() if v} for row in a]
+    b = {index[k]: -c for k, c in dn.items()}
+    return a, b, {j: v for j, v in f.items() if v}
 
 
 def is_ad_nilpotent(alg, a):

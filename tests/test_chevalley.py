@@ -8,7 +8,7 @@ from nilorb import linalg
 from nilorb.chevalley import ChevalleyAlgebra, build_algebra
 from nilorb.rootsys import build_root_system
 from oracles import (basis_bracket, centralizer, is_ad_nilpotent,
-                     positive_structure_constants)
+                     positive_structure_constants, to_vector)
 
 F = Fraction
 
@@ -154,6 +154,22 @@ def test_stored_rows_are_compact_and_match_the_row_map():
             assert row == [(j, index[t], v) for j, lbl in enumerate(labels)
                            for t, v in oracle(k, lbl).items()], k
             assert all(type(v) is int for _, _, v in row)
+
+
+def test_table_row_keeps_no_triples():
+    """`table_row` is not kept: reading every row of a fresh algebra
+    through it leaves `_triples` empty.  `_kept_row` returns the same
+    triples and keeps them under that row alone, so a second read is the
+    kept list."""
+    alg = ChevalleyAlgebra(build_root_system("G2"))
+    rows = [alg.table_row(i) for i in range(alg.dim)]
+    assert alg._triples == [None] * alg.dim
+    for i in (0, alg.dim - 1, 3):
+        kept = alg._kept_row(i)
+        assert kept == rows[i]
+        assert alg._kept_row(i) is kept
+    assert [i for i, row in enumerate(alg._triples) if row is not None] == [
+        0, 3, alg.dim - 1]
 
 
 @pytest.mark.parametrize("name", ["G2", "F4"])
@@ -470,7 +486,7 @@ def test_integral_elements_stay_integral(name):
                 for _ in range(2))
         assert all(type(c) is int for c in alg.bracket(x, y).coeffs.values())
         assert type(alg.killing(x, y)) is int
-        assert all(type(c) is int for c in x.to_vector())
+        assert all(type(c) is int for c in to_vector(x))
 
 
 def test_scale_rejects_a_float_scalar():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nilorb import cli, curated, dynkin, linalg, partitions
-from nilorb.chevalley import build_algebra
+from nilorb.chevalley import ChevalleyAlgebra, build_algebra
 from nilorb.dynkin import (
     Grading,
     NoTripleError,
@@ -22,9 +22,9 @@ from nilorb.dynkin import (
     pairing_criterion,
     sl2_complete,
 )
-from nilorb.rootsys import CartanType
+from nilorb.rootsys import CartanType, build_root_system
 import oracles
-from oracles import is_ad_nilpotent
+from oracles import is_ad_nilpotent, to_vector
 from test_chevalley import JACOBI_TYPES
 
 F = Fraction
@@ -175,15 +175,70 @@ def test_nilpotency_report_against_independent_oracles(name):
     for n in _nilpotency_fixtures(alg, random.Random(7)):
         rep = nilpotency_report(n)
         verdicts.add(rep.ad_nilpotent)
-        images = [alg.bracket(n, alg.element({lbl: F(1)})).to_vector()
+        images = [to_vector(alg.bracket(n, alg.element({lbl: F(1)})))
                   for lbl in alg.basis_labels]
         rows = [[images[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
-        solvable = linalg.solve(rows, [-c for c in n.to_vector()]) is not None
+        solvable = linalg.solve(rows, [-c for c in to_vector(n)]) is not None
         assert rep.bracket_eigen_solvable == solvable
         assert rep.centralizer_orthogonal == all(
             alg.killing(z, n) == 0 for z in oracles.centralizer(alg, n))
         assert rep.ad_nilpotent == is_ad_nilpotent(alg, n)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4",
+                                  "G2", "F4", "E6"])
+def test_nilpotency_report_reads_the_kept_rows(name, monkeypatch):
+    """On a fresh algebra, `nilpotency_report` hands `linalg._forward_tests`
+    the system of the `ad_entries` build, `oracles.nilpotency_system`, and
+    its verdicts are those of that system, on seeded elements with int and
+    Fraction coefficients over root labels only, Cartan labels only and
+    both; afterwards `_triples` holds the rows of the labels of the
+    elements reported so far, and no other.  On types of rank 2 or more a
+    fixture's Cartan part cancels an entry of ad(N)."""
+    alg = ChevalleyAlgebra(build_root_system(name))
+    labels, index, rs = alg.basis_labels, alg.index, alg.rs
+    roots, cartan = labels[:alg._nroots], labels[alg._nroots:]
+    forward_tests, seen = linalg._forward_tests, []
+
+    def recorded(*system):
+        seen.append(system)
+        return forward_tests(*system)
+
+    monkeypatch.setattr(linalg, "_forward_tests", recorded)
+    rng = random.Random(sum(map(ord, name)))
+
+    def element(pool, terms, frac):
+        coeffs = {}
+        for k in rng.sample(pool, min(terms, len(pool))):
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            coeffs[k] = F(c, rng.randint(2, 4)) if frac and rng.random() < 0.6 else c
+        return alg.element(coeffs)
+
+    fixtures = [alg.element({r: 1 for r in rs.simple_roots}),
+                alg.root_vector(rs.highest_root()) + alg.cartan_element(
+                    [F(1, 2)] + [0] * (alg.rank - 1))]
+    for frac in (False, True):
+        fixtures += [element(list(rs.positive_roots), 4, frac),
+                     element(cartan, alg.rank, frac),
+                     element(roots, 5, frac),
+                     element(labels, 6, frac)]
+    # a Cartan part h with s(h) = 0 for the root s, so that the diagonal
+    # entry of s cancels, plus X_s
+    s, p = next(((s, p) for s, p in rs.pairings.items()
+                 if len(p) > 1 and p[0] and p[1]), (None, None))
+    if s is not None:
+        fixtures.append(alg.element({("H", 0): p[1], ("H", 1): -p[0],
+                                     s: F(1, 2)}))
+    rows = set()
+    for n in fixtures:
+        del seen[:]
+        rep = nilpotency_report(n)
+        want = oracles.nilpotency_system(n)
+        assert seen == [want], n
+        assert rep == dynkin.NilpotencyReport(*forward_tests(*want))
+        rows |= {index[k] for k in n.coeffs}
+        assert {i for i, row in enumerate(alg._triples) if row is not None} == rows
 
 
 @functools.cache
@@ -469,9 +524,9 @@ def test_round_trip_minimal_diagram_rank_le_4():
 def _full_row_n1(alg, grading, n0):
     """N1 from [N1, N0] = H solved on all dim rows of the algebra, or None."""
     neg = [lbl for lbl in alg.basis_labels if grading.degree[lbl] == -2]
-    cols = [alg.bracket(alg.element({lbl: 1}), n0).to_vector() for lbl in neg]
+    cols = [to_vector(alg.bracket(alg.element({lbl: 1}), n0)) for lbl in neg]
     rows = [[col[i] for col in cols] for i in range(alg.dim)]
-    sol = linalg.solve(rows, grading.H.to_vector())
+    sol = linalg.solve(rows, to_vector(grading.H))
     return None if sol is None else alg.element(dict(zip(neg, sol)))
 
 
